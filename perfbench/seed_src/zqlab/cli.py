@@ -1,0 +1,244 @@
+"""Command line front end.
+
+Subcommands:
+  construct  build a subset of Z_q and list its elements
+  derive     build a derived sequence (gap_mod / gap_threshold / characteristic)
+  stats      symbol or fixed-length pattern counts of a derived sequence
+  corr       exact or sampled correlation measure of a subset
+  verify     run an experiment config and emit a verification report
+  sweep      run a config over a parameter grid, writing per-point reports
+
+Exit codes: 0 success (and all asserted checks pass), 1 an asserted
+check failed, 2 configuration or usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from . import __version__, harness, measures, sequences
+from .errors import Error
+from .measures import DEFAULT_BUDGET
+from .subsets import ConstructionSpec, construct
+
+
+def _load_json(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _emit(text: str, out: str | None):
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _add_io_flags(p, fmt=True):
+    p.add_argument("--config", required=True, help="path to a JSON config file")
+    p.add_argument("--out", help="write output here instead of stdout")
+    if fmt:
+        p.add_argument(
+            "--format", choices=("json", "csv"), default="json", dest="fmt"
+        )
+
+
+def _add_run_flags(p):
+    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="max elementary operations before refusing (default %(default)s)",
+    )
+
+
+def _cmd_construct(args) -> int:
+    spec = ConstructionSpec.from_json(_load_json(args.config))
+    rset = construct(spec)
+    if args.fmt == "json":
+        text = json.dumps(rset.to_json(), indent=2) + "\n"
+    else:
+        text = _csv_text([["element"]] + [[n] for n in rset.elements])
+    _emit(text, args.out)
+    return 0
+
+
+def _derived_sequence(cfg: dict) -> sequences.DerivedSequence:
+    if "sequence" in cfg:
+        return sequences.DerivedSequence.from_json(cfg["sequence"])
+    spec = ConstructionSpec.from_json(cfg["construction"])
+    dspec = harness.DerivationSpec.from_dict(cfg["derivation"], "derivation")
+    return dspec.derive(construct(spec))
+
+
+def _cmd_derive(args) -> int:
+    seq = _derived_sequence(_load_json(args.config))
+    if args.fmt == "json":
+        text = json.dumps(seq.to_json(), indent=2) + "\n"
+    else:
+        text = seq.symbols_line() + "\n"
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_stats(args) -> int:
+    cfg = _load_json(args.config)
+    seq = _derived_sequence(cfg)
+    if args.length is None:
+        counts = {(s,): c for s, c in measures.symbol_counts(seq).items()}
+        length = 1
+    else:
+        counts = measures.pattern_counts(seq, args.length)
+        length = args.length
+    items = [
+        {"pattern": list(pat), "count": counts.get(pat, 0)}
+        for pat in sorted(counts)
+    ]
+    if args.fmt == "json":
+        text = json.dumps({"length": length, "counts": items}, indent=2) + "\n"
+    else:
+        rows = [["pattern", "count"]] + [
+            [" ".join(str(s) for s in it["pattern"]), it["count"]] for it in items
+        ]
+        text = _csv_text(rows)
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_corr(args) -> int:
+    spec = ConstructionSpec.from_json(_load_json(args.config))
+    rset = construct(spec)
+    if args.samples is not None:
+        seed = args.seed if args.seed is not None else 0
+        result = measures.correlation_sampled(
+            rset, args.order, args.samples, seed, workers=args.workers
+        )
+    else:
+        result = measures.correlation_exact(
+            rset, args.order, budget=args.budget, workers=args.workers
+        )
+    if args.fmt == "json":
+        text = json.dumps(result.to_json(), indent=2) + "\n"
+    else:
+        rows = [
+            ["k", "value", "window", "lags", "mode", "tuples"],
+            [
+                result.k,
+                f"{result.value.numerator}/{result.value.denominator}",
+                result.window,
+                " ".join(str(d) for d in result.lags),
+                result.mode,
+                result.tuples_examined,
+            ],
+        ]
+        text = _csv_text(rows)
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    config = harness.ExperimentConfig.from_dict(_load_json(args.config))
+    if args.seed is not None:
+        import dataclasses
+
+        config = dataclasses.replace(config, seed=args.seed)
+    report = harness.run(config, workers=args.workers, op_budget=args.budget)
+    if args.fmt == "json":
+        text = report.to_json_text()
+    else:
+        text = _csv_text(report.csv_rows())
+    _emit(text, args.out)
+    if args.out:
+        print(f"{report.status}: report written to {args.out}")
+    return 1 if report.failed else 0
+
+
+def _cmd_sweep(args) -> int:
+    cfg = _load_json(args.config)
+    if not isinstance(cfg, dict) or "base" not in cfg or "grid" not in cfg:
+        raise Error('sweep config must be {"base": .., "grid": [..]}')
+    bodies, rows = harness.sweep(
+        cfg["base"],
+        cfg["grid"],
+        workers=args.workers,
+        op_budget=args.budget,
+        outdir=args.out,
+    )
+    if args.out is None:
+        sys.stdout.write(_csv_text(rows))
+    else:
+        print(f"{len(bodies)} reports written to {args.out}")
+    bad = any("error" in b or b.get("status") == "FAIL" for b in bodies)
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="zqlab",
+        description="Pseudorandom subsets of Z_q: constructions, derived "
+        "sequences, correlation measures, and verification runs.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("construct", help="build a subset and list its elements")
+    _add_io_flags(p)
+
+    p = sub.add_parser("derive", help="build a derived sequence")
+    _add_io_flags(p)
+
+    p = sub.add_parser("stats", help="symbol / pattern counts of a sequence")
+    _add_io_flags(p)
+    p.add_argument("--length", type=int, help="pattern length (default: symbols)")
+
+    p = sub.add_parser("corr", help="correlation measure of a subset")
+    _add_io_flags(p)
+    p.add_argument("-k", "--order", type=int, required=True, help="correlation order")
+    p.add_argument("--samples", type=int, help="sample lag tuples instead of all")
+    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+    _add_run_flags(p)
+
+    p = sub.add_parser("verify", help="run an experiment config")
+    _add_io_flags(p)
+    p.add_argument("--seed", type=int, help="override the config seed")
+    _add_run_flags(p)
+
+    p = sub.add_parser("sweep", help="run a config over a parameter grid")
+    p.add_argument("--config", required=True, help="path to a JSON sweep file")
+    p.add_argument("--out", help="directory for per-point reports + summary.csv")
+    _add_run_flags(p)
+
+    args = parser.parse_args(argv)
+    handler = {
+        "construct": _cmd_construct,
+        "derive": _cmd_derive,
+        "stats": _cmd_stats,
+        "corr": _cmd_corr,
+        "verify": _cmd_verify,
+        "sweep": _cmd_sweep,
+    }[args.command]
+    try:
+        return handler(args)
+    except Error as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,0 +1,745 @@
+"""Experiment harness: configs, verification runs, reports, sweeps.
+
+An ExperimentConfig names one construction, any derived sequences, and a
+list of analyses (cardinality, balance, patterns, sign_patterns,
+correlation, correlation_sampled).  run() executes the analyses and
+returns a VerificationReport comparing empirical counts against the
+exact main terms, with per-item PASS / FAIL / REPORT_ONLY statuses;
+sweep() repeats a base config over a parameter grid.
+
+Reports are deterministic byte for byte (given config, seed, and budget)
+apart from the timing fields; grid points and correlation tuple ranges
+may run on worker pools without affecting the output.
+"""
+
+from __future__ import annotations
+
+import copy
+import decimal
+import hashlib
+import itertools
+import json
+import math
+import time
+from dataclasses import dataclass, field, replace
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
+
+from . import measures, predictions, sequences
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    EmptyGridError,
+    Error,
+)
+from .measures import DEFAULT_BUDGET
+from .predictions import DeviationBudget
+from .subsets import ConstructionSpec, construct
+
+_TOOL_NAME = "zqlab"
+
+# Feasibility guards: enumerated pattern families stay enumerable.
+_MAX_PATTERN_FAMILY = 4096
+
+_ANALYSIS_KINDS = (
+    "cardinality",
+    "balance",
+    "patterns",
+    "sign_patterns",
+    "correlation",
+    "correlation_sampled",
+)
+
+_BUDGET_SHAPES = ("absolute", "sqrt_log", "sqrt_log2", "lemma")
+
+_DERIVATION_PARAM = {"gap_mod": "M", "gap_threshold": "m", "characteristic": None}
+
+
+def _fail(path: str, message: str):
+    raise ConfigError(f"{path}: {message}")
+
+
+def _expect_int(value, path: str, minimum=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        _fail(path, f"expected >= {minimum}, got {value}")
+    return value
+
+
+def _fraction_json(fr: Fraction) -> dict:
+    """Exact rational plus a 15-significant-digit decimal rendering."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 15
+        dec = Decimal(fr.numerator) / Decimal(fr.denominator)
+    return {"num": fr.numerator, "den": fr.denominator, "decimal": str(dec)}
+
+
+def _budget_json(budget: DeviationBudget) -> dict:
+    return {
+        "formula": budget.formula,
+        "asserted": budget.asserted,
+        "value": budget.bound(),
+    }
+
+
+@dataclass(frozen=True)
+class DerivationSpec:
+    kind: str
+    param: int | None = None
+
+    @classmethod
+    def from_dict(cls, obj, path: str) -> "DerivationSpec":
+        if not isinstance(obj, dict):
+            _fail(path, "expected an object")
+        kind = obj.get("kind")
+        if kind not in _DERIVATION_PARAM:
+            _fail(f"{path}.kind", f"unknown derivation kind {kind!r}")
+        pname = _DERIVATION_PARAM[kind]
+        extras = set(obj) - {"kind"} - ({pname} if pname else set())
+        if extras:
+            _fail(path, f"unexpected keys {sorted(extras)}")
+        if pname is None:
+            return cls(kind, None)
+        if pname not in obj:
+            _fail(f"{path}.{pname}", "required")
+        return cls(kind, _expect_int(obj[pname], f"{path}.{pname}", minimum=2))
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind}
+        pname = _DERIVATION_PARAM[self.kind]
+        if pname:
+            out[pname] = self.param
+        return out
+
+    def derive(self, rset) -> sequences.DerivedSequence:
+        if self.kind == "gap_mod":
+            return sequences.derive_gap_mod(rset, self.param)
+        if self.kind == "gap_threshold":
+            return sequences.derive_gap_threshold(rset, self.param)
+        return sequences.derive_characteristic(rset)
+
+
+@dataclass(frozen=True)
+class BudgetSpec:
+    """A config-level deviation budget: constant times a named shape.
+
+    Shapes: absolute (the constant itself), sqrt_log (c*sqrt(q)*log q),
+    sqrt_log2 (c*sqrt(q)*log^2 q), lemma (c * 2^s * Cmax(q, s), the
+    correlation-driven window-count budget; sign_patterns only).
+    """
+
+    constant: Fraction
+    shape: str
+
+    @classmethod
+    def from_dict(cls, obj, path: str) -> "BudgetSpec":
+        if not isinstance(obj, dict) or set(obj) != {"constant", "shape"}:
+            _fail(path, 'expected {"constant": .., "shape": ..}')
+        shape = obj["shape"]
+        if shape not in _BUDGET_SHAPES:
+            _fail(f"{path}.shape", f"expected one of {_BUDGET_SHAPES}, got {shape!r}")
+        raw = obj["constant"]
+        if isinstance(raw, dict):
+            try:
+                constant = Fraction(raw["num"], raw["den"])
+            except (KeyError, TypeError, ZeroDivisionError):
+                _fail(f"{path}.constant", f"bad rational {raw!r}")
+        elif isinstance(raw, int) and not isinstance(raw, bool):
+            constant = Fraction(raw)
+        else:
+            _fail(f"{path}.constant", f"expected an integer or rational, got {raw!r}")
+        if constant < 0:
+            _fail(f"{path}.constant", "must be nonnegative")
+        return cls(constant, shape)
+
+    def to_dict(self) -> dict:
+        return {
+            "constant": {
+                "num": self.constant.numerator,
+                "den": self.constant.denominator,
+            },
+            "shape": self.shape,
+        }
+
+    def realize(self, q: int, cmax: Fraction | None = None) -> DeviationBudget:
+        c = self.constant
+        if self.shape == "absolute":
+            return DeviationBudget(f"{c}", True, c)
+        if self.shape == "sqrt_log":
+            return DeviationBudget(
+                f"{c}*sqrt(q)*log(q)", True, c, sqrt_arg=q, log_power=1, log_arg=q
+            )
+        if self.shape == "sqrt_log2":
+            return DeviationBudget(
+                f"{c}*sqrt(q)*log(q)^2", True, c, sqrt_arg=q, log_power=2, log_arg=q
+            )
+        # lemma: caller supplies the exact max correlation
+        return DeviationBudget(f"{c}*2^s*Cmax", True, c * cmax)
+
+
+@dataclass(frozen=True)
+class AnalysisSpec:
+    kind: str
+    sequence: str | None = None
+    length: int | None = None
+    window: int | None = None
+    k: int | None = None
+    samples: int | None = None
+    seed: int | None = None
+    budget: BudgetSpec | None = None
+
+    @classmethod
+    def from_dict(cls, obj, path: str) -> "AnalysisSpec":
+        if not isinstance(obj, dict):
+            _fail(path, "expected an object")
+        kind = obj.get("kind")
+        if kind not in _ANALYSIS_KINDS:
+            _fail(f"{path}.kind", f"unknown analysis kind {kind!r}")
+        allowed = {
+            "cardinality": set(),
+            "balance": {"sequence", "budget"},
+            "patterns": {"sequence", "length", "budget"},
+            "sign_patterns": {"window", "budget"},
+            "correlation": {"k"},
+            "correlation_sampled": {"k", "samples", "seed"},
+        }[kind]
+        extras = set(obj) - {"kind"} - allowed
+        if extras:
+            _fail(path, f"unexpected keys {sorted(extras)} for kind {kind!r}")
+        fields = {"kind": kind}
+        if kind in ("balance", "patterns"):
+            if "sequence" not in obj:
+                _fail(f"{path}.sequence", "required")
+            if not isinstance(obj["sequence"], str):
+                _fail(f"{path}.sequence", "expected a derivation kind name")
+            fields["sequence"] = obj["sequence"]
+        if kind == "patterns":
+            fields["length"] = _expect_int(
+                obj.get("length"), f"{path}.length", minimum=1
+            )
+        if kind == "sign_patterns":
+            fields["window"] = _expect_int(
+                obj.get("window"), f"{path}.window", minimum=1
+            )
+            if 2 ** fields["window"] > _MAX_PATTERN_FAMILY:
+                _fail(f"{path}.window", f"2^window exceeds {_MAX_PATTERN_FAMILY}")
+        if kind in ("correlation", "correlation_sampled"):
+            fields["k"] = _expect_int(obj.get("k"), f"{path}.k", minimum=1)
+        if kind == "correlation_sampled":
+            fields["samples"] = _expect_int(
+                obj.get("samples"), f"{path}.samples", minimum=1
+            )
+            if "seed" in obj:
+                fields["seed"] = _expect_int(obj["seed"], f"{path}.seed", minimum=0)
+        if "budget" in obj and kind in ("balance", "patterns", "sign_patterns"):
+            budget = BudgetSpec.from_dict(obj["budget"], f"{path}.budget")
+            if budget.shape == "lemma" and kind != "sign_patterns":
+                _fail(f"{path}.budget.shape", "lemma budgets fit sign_patterns only")
+            fields["budget"] = budget
+        return cls(**fields)
+
+    def to_dict(self) -> dict:
+        out = {"kind": self.kind}
+        for key in ("sequence", "length", "window", "k", "samples", "seed"):
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = value
+        if self.budget is not None:
+            out["budget"] = self.budget.to_dict()
+        return out
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: a set, its derived sequences, and the analyses."""
+
+    construction: ConstructionSpec
+    derivations: tuple[DerivationSpec, ...] = ()
+    analyses: tuple[AnalysisSpec, ...] = ()
+    seed: int = 0
+
+    @classmethod
+    def from_dict(cls, obj) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError("config: expected an object")
+        extras = set(obj) - {"construction", "derivations", "analyses", "seed"}
+        if extras:
+            _fail("config", f"unexpected keys {sorted(extras)}")
+        if "construction" not in obj:
+            _fail("construction", "required")
+        try:
+            spec = ConstructionSpec.from_json(obj["construction"])
+        except Error as exc:
+            raise ConfigError(f"construction: {exc}") from exc
+        derivations = []
+        for i, raw in enumerate(obj.get("derivations", ())):
+            derivations.append(DerivationSpec.from_dict(raw, f"derivations[{i}]"))
+        kinds = [d.kind for d in derivations]
+        if len(set(kinds)) != len(kinds):
+            _fail("derivations", f"duplicate derivation kinds in {kinds}")
+        analyses = []
+        for i, raw in enumerate(obj.get("analyses", ())):
+            analysis = AnalysisSpec.from_dict(raw, f"analyses[{i}]")
+            if analysis.sequence is not None and analysis.sequence not in kinds:
+                _fail(
+                    f"analyses[{i}].sequence",
+                    f"no derivation of kind {analysis.sequence!r} configured",
+                )
+            if analysis.kind == "patterns":
+                dspec = derivations[kinds.index(analysis.sequence)]
+                alphabet = dspec.param if dspec.kind == "gap_mod" else 2
+                if alphabet**analysis.length > _MAX_PATTERN_FAMILY:
+                    _fail(
+                        f"analyses[{i}].length",
+                        f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
+                    )
+            analyses.append(analysis)
+        seed = _expect_int(obj.get("seed", 0), "seed", minimum=0)
+        return cls(spec, tuple(derivations), tuple(analyses), seed)
+
+    def to_dict(self) -> dict:
+        return {
+            "construction": self.construction.to_json(),
+            "derivations": [d.to_dict() for d in self.derivations],
+            "analyses": [a.to_dict() for a in self.analyses],
+            "seed": self.seed,
+        }
+
+
+def config_hash(config: ExperimentConfig) -> str:
+    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def estimate_cost(config: ExperimentConfig) -> int:
+    """Elementary-operation estimate used for budget admission control."""
+    q = config.construction.modulus
+    total = q
+    for a in config.analyses:
+        if a.kind == "correlation":
+            total += math.comb(q, min(a.k, q)) * q
+        elif a.kind == "correlation_sampled":
+            total += a.samples * q
+        elif a.kind == "sign_patterns":
+            total += 2**a.window * q * a.window
+            if a.budget is not None and a.budget.shape == "lemma":
+                total += sum(
+                    math.comb(q, j) * q for j in range(1, min(a.window, q) + 1)
+                )
+        elif a.kind == "patterns":
+            total += q * a.length + _MAX_PATTERN_FAMILY
+        else:
+            total += q
+    return total
+
+
+# ----------------------------------------------------------------------
+# Analysis execution.
+
+
+def _status_of(asserted: bool, ok: bool) -> str:
+    if not asserted:
+        return "REPORT_ONLY"
+    return "PASS" if ok else "FAIL"
+
+
+def _combine(statuses) -> str:
+    statuses = list(statuses)
+    if any(s == "FAIL" for s in statuses):
+        return "FAIL"
+    if any(s == "PASS" for s in statuses):
+        return "PASS"
+    return "REPORT_ONLY"
+
+
+def _count_item(label, empirical, predicted: Fraction, budget: DeviationBudget):
+    deviation = abs(Fraction(empirical) - predicted)
+    ok = budget.allows(deviation) if budget.asserted else True
+    return {
+        "label": label,
+        "empirical": empirical,
+        "predicted": _fraction_json(predicted),
+        "deviation": _fraction_json(deviation),
+        "budget": _budget_json(budget),
+        "status": _status_of(budget.asserted, ok),
+    }
+
+
+def _report_only_budget(q: int) -> DeviationBudget:
+    return DeviationBudget("sqrt(q)*log(q)", False, Fraction(1), q, 1, q)
+
+
+def _run_cardinality(rset, config, analysis, workers, op_budget):
+    pred = predictions.predicted_cardinality(config.construction)
+    item = _count_item("cardinality", rset.cardinality, pred.main, pred.budget)
+    return [item]
+
+
+def _run_balance(rset, seqs, config, analysis, workers, op_budget):
+    seq = seqs[analysis.sequence]
+    counts = measures.symbol_counts(seq)
+    T, q = rset.cardinality, rset.q
+    budget = (
+        analysis.budget.realize(q)
+        if analysis.budget is not None
+        else _report_only_budget(q)
+    )
+    items = []
+    for symbol in seq.alphabet:
+        if seq.kind == "gap_mod":
+            main = predictions.gap_mod_symbol_main_term(symbol, T, q, seq.param)
+        elif seq.kind == "gap_threshold":
+            main = predictions.gap_threshold_symbol_main_term(symbol, T, q, seq.param)
+        else:
+            main = predictions.characteristic_pattern_main_term([symbol], T, q)
+        items.append(
+            _count_item(f"symbol={symbol}", counts.get(symbol, 0), main, budget)
+        )
+    return items
+
+
+def _run_patterns(rset, seqs, config, analysis, workers, op_budget):
+    seq = seqs[analysis.sequence]
+    counts = measures.pattern_counts(seq, analysis.length)
+    T, q = rset.cardinality, rset.q
+    budget = (
+        analysis.budget.realize(q)
+        if analysis.budget is not None
+        else _report_only_budget(q)
+    )
+    items = []
+    for pattern in itertools.product(seq.alphabet, repeat=analysis.length):
+        if seq.kind == "gap_mod":
+            main = predictions.gap_mod_pattern_main_term(pattern, T, q, seq.param)
+        elif seq.kind == "gap_threshold":
+            main = predictions.gap_threshold_pattern_main_term(
+                pattern, T, q, seq.param
+            )
+        else:
+            main = predictions.characteristic_pattern_main_term(pattern, T, q)
+        label = "pattern=" + ",".join(str(b) for b in pattern)
+        items.append(_count_item(label, counts.get(pattern, 0), main, budget))
+    return items
+
+
+def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
+    s = analysis.window
+    sign = measures.SignVector.from_set(rset)
+    T, q = rset.cardinality, rset.q
+    if analysis.budget is not None and analysis.budget.shape == "lemma":
+        cmax = measures.correlation_up_to(
+            rset, s, budget=op_budget, workers=workers
+        )
+        budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
+    elif analysis.budget is not None:
+        budget = analysis.budget.realize(q)
+    else:
+        budget = _report_only_budget(q)
+    items = []
+    total = 0
+    for pattern in itertools.product((-1, 1), repeat=s):
+        count = measures.sign_pattern_count(sign, pattern)
+        total += count
+        main = predictions.sign_pattern_main_term(pattern, T, q)
+        label = "pattern=" + ",".join(f"{e:+d}" for e in pattern)
+        items.append(_count_item(label, count, main, budget))
+    conserved = total == q - s + 1
+    items.append(
+        {
+            "label": "conservation",
+            "empirical": total,
+            "predicted": _fraction_json(Fraction(q - s + 1)),
+            "deviation": _fraction_json(Fraction(abs(total - (q - s + 1)))),
+            "budget": {"formula": "0 (exact)", "asserted": True, "value": 0.0},
+            "status": "PASS" if conserved else "FAIL",
+        }
+    )
+    return items
+
+
+def _run_correlation(rset, config, analysis, workers, op_budget):
+    if analysis.kind == "correlation":
+        result = measures.correlation_exact(
+            rset, analysis.k, budget=op_budget, workers=workers
+        )
+    else:
+        seed = analysis.seed if analysis.seed is not None else config.seed
+        result = measures.correlation_sampled(
+            rset, analysis.k, analysis.samples, seed, workers=workers
+        )
+    trivial = Fraction(min(rset.cardinality, rset.q - rset.cardinality))
+    item = {
+        "label": f"order={analysis.k}",
+        "value": _fraction_json(result.value),
+        "window": result.window,
+        "lags": list(result.lags),
+        "mode": result.mode,
+        "tuples": result.tuples_examined,
+        "trivial_bound": _fraction_json(trivial),
+        "status": "PASS" if result.value <= trivial else "FAIL",
+    }
+    return [item]
+
+
+@dataclass
+class VerificationReport:
+    """A finished run: JSON-ready body plus convenience accessors."""
+
+    body: dict
+
+    @property
+    def status(self) -> str:
+        return self.body["status"]
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "FAIL"
+
+    def to_json_text(self) -> str:
+        return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
+
+    def csv_rows(self) -> list:
+        rows = [
+            [
+                "analysis",
+                "item",
+                "empirical",
+                "predicted",
+                "deviation",
+                "budget",
+                "status",
+            ]
+        ]
+        for entry in self.body["analyses"]:
+            name = _analysis_name(entry)
+            for item in entry["items"]:
+                rows.append(_item_row(name, item))
+        return rows
+
+
+def _analysis_name(entry: dict) -> str:
+    spec = entry["analysis"]
+    details = ",".join(
+        f"{key}={spec[key]}"
+        for key in ("sequence", "length", "window", "k", "samples")
+        if key in spec
+    )
+    return spec["kind"] + (f"[{details}]" if details else "")
+
+
+def _item_row(name: str, item: dict) -> list:
+    if "value" in item:  # correlation item
+        return [
+            name,
+            item["label"],
+            item["value"]["decimal"],
+            "",
+            "",
+            item["trivial_bound"]["decimal"],
+            item["status"],
+        ]
+    return [
+        name,
+        item["label"],
+        str(item["empirical"]),
+        item["predicted"]["decimal"],
+        item["deviation"]["decimal"],
+        str(item["budget"]["value"]),
+        item["status"],
+    ]
+
+
+def run(
+    config: ExperimentConfig,
+    *,
+    workers: int = 1,
+    op_budget: int = DEFAULT_BUDGET,
+) -> VerificationReport:
+    """Execute a config and report every analysis against its budget."""
+    t_start = time.perf_counter()
+    rset = construct(config.construction)
+    seqs = {}
+    for dspec in config.derivations:
+        seqs[dspec.kind] = dspec.derive(rset)
+    entries = []
+    for analysis in config.analyses:
+        t_a = time.perf_counter()
+        if analysis.kind == "cardinality":
+            items = _run_cardinality(rset, config, analysis, workers, op_budget)
+        elif analysis.kind == "balance":
+            items = _run_balance(rset, seqs, config, analysis, workers, op_budget)
+        elif analysis.kind == "patterns":
+            items = _run_patterns(rset, seqs, config, analysis, workers, op_budget)
+        elif analysis.kind == "sign_patterns":
+            items = _run_sign_patterns(
+                rset, seqs, config, analysis, workers, op_budget
+            )
+        else:
+            items = _run_correlation(rset, config, analysis, workers, op_budget)
+        entries.append(
+            {
+                "analysis": analysis.to_dict(),
+                "items": items,
+                "status": _combine(i["status"] for i in items),
+                "seconds": time.perf_counter() - t_a,
+            }
+        )
+    from . import __version__
+
+    body = {
+        "tool": {"name": _TOOL_NAME, "version": __version__},
+        "config": config.to_dict(),
+        "config_hash": config_hash(config),
+        "set": {"q": rset.q, "cardinality": rset.cardinality},
+        "analyses": entries,
+        "status": _combine(e["status"] for e in entries) if entries else "PASS",
+        "timing": {"seconds": time.perf_counter() - t_start},
+    }
+    return VerificationReport(body)
+
+
+# ----------------------------------------------------------------------
+# Parameter sweeps.
+
+
+def _set_path(obj, path: str, value):
+    parts = path.split(".")
+    target = obj
+    for part in parts[:-1]:
+        if isinstance(target, list):
+            target = target[int(part)]
+        elif isinstance(target, dict) and part in target:
+            target = target[part]
+        else:
+            raise ConfigError(f"grid path {path!r}: missing segment {part!r}")
+    last = parts[-1]
+    if isinstance(target, list):
+        target[int(last)] = value
+    elif isinstance(target, dict):
+        target[last] = value
+    else:
+        raise ConfigError(f"grid path {path!r}: cannot set {last!r}")
+
+
+def _grid_axes(grid) -> list:
+    if not isinstance(grid, list) or not grid:
+        raise EmptyGridError("grid must be a non-empty list of axes")
+    axes = []
+    for i, axis in enumerate(grid):
+        if (
+            not isinstance(axis, dict)
+            or set(axis) != {"path", "values"}
+            or not isinstance(axis["path"], str)
+            or not isinstance(axis["values"], list)
+        ):
+            raise ConfigError(
+                f'grid[{i}]: expected {{"path": .., "values": [..]}}'
+            )
+        if not axis["values"]:
+            raise EmptyGridError(f"grid[{i}]: values must be non-empty")
+        axes.append((axis["path"], axis["values"]))
+    return axes
+
+
+def _point_dict(base: dict, axes, values) -> dict:
+    point = copy.deepcopy(base)
+    for (path, _), value in zip(axes, values):
+        _set_path(point, path, value)
+    return point
+
+
+def _run_point(args):
+    """Worker entry: returns a report body or an error marker."""
+    point_dict, workers, op_budget = args
+    try:
+        config = ExperimentConfig.from_dict(point_dict)
+        return run(config, workers=workers, op_budget=op_budget).body
+    except Exception as exc:  # keep the sweep going; note the failure
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _summary_item(entry: dict):
+    """Representative item of an analysis: the largest deviation."""
+    items = entry["items"]
+    scored = [i for i in items if "deviation" in i]
+    if scored:
+        best = max(
+            scored, key=lambda i: Fraction(i["deviation"]["num"], i["deviation"]["den"])
+        )
+        return _item_row(_analysis_name(entry), best)
+    return _item_row(_analysis_name(entry), items[0])
+
+
+def sweep(
+    base: dict,
+    grid,
+    *,
+    workers: int = 1,
+    op_budget: int = DEFAULT_BUDGET,
+    outdir=None,
+):
+    """Run a base config across a parameter grid (cartesian product).
+
+    Every point is validated and cost-estimated before anything runs;
+    an oversized total is refused outright.  Points run independently
+    (optionally on a process pool); one point's failure is recorded in
+    the summary without stopping the rest.  Returns (bodies, rows) and,
+    when outdir is given, writes report_NNNN.json files plus summary.csv
+    with one row per (point, analysis), ordered by grid coordinates.
+    """
+    axes = _grid_axes(grid)
+    points = [
+        _point_dict(base, axes, values)
+        for values in itertools.product(*(vals for _, vals in axes))
+    ]
+    total_cost = 0
+    for i, point in enumerate(points):
+        try:
+            config = ExperimentConfig.from_dict(point)
+        except Error as exc:
+            raise ConfigError(f"grid point {i}: {exc}") from exc
+        total_cost += estimate_cost(config)
+    if total_cost > op_budget:
+        raise BudgetExceededError(
+            f"sweep of {len(points)} points needs ~{total_cost} operations, "
+            f"budget is {op_budget}",
+            estimated_cost=total_cost,
+        )
+    if workers > 1 and len(points) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            bodies = list(pool.map(_run_point, [(p, 1, op_budget) for p in points]))
+    else:
+        bodies = [_run_point((p, workers, op_budget)) for p in points]
+
+    header = (
+        ["point"]
+        + [path for path, _ in axes]
+        + ["analysis", "item", "empirical", "predicted", "deviation", "budget",
+           "status", "seconds"]
+    )
+    rows = [header]
+    coords = list(itertools.product(*(vals for _, vals in axes)))
+    for i, (values, body) in enumerate(zip(coords, bodies)):
+        prefix = [str(i)] + [json.dumps(v) if not isinstance(v, (int, str)) else str(v)
+                             for v in values]
+        if "error" in body:
+            rows.append(prefix + ["-", body["error"], "", "", "", "", "ERROR", ""])
+            continue
+        for entry in body["analyses"]:
+            rows.append(prefix + _summary_item(entry) + [f"{entry['seconds']:.6f}"])
+    if outdir is not None:
+        outdir = Path(outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for i, body in enumerate(bodies):
+            if "error" not in body:
+                text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+                (outdir / f"report_{i:04d}.json").write_text(text)
+        with (outdir / "summary.csv").open("w", newline="") as fh:
+            import csv as _csv
+
+            _csv.writer(fh).writerows(rows)
+    return bodies, rows

@@ -1,0 +1,306 @@
+"""Closed-form main terms and deviation budgets for the statistics.
+
+Every main term is an exact rational in the set's density rho = T/q.
+Expected symbol and pattern counts for the derived sequences:
+
+  gap_mod symbol u:        rho * (1-rho)^(u-1) / (1 - (1-rho)^M) * T
+  gap_threshold symbol v:  (1-rho)^((m-1)(1-v)) * (1 - (1-rho)^(m-1))^v * T
+  gap_mod pattern a:       rho^l * (1-rho)^(sum a - l) / (1-(1-rho)^M)^l * T
+  gap_threshold pattern b: (1-rho)^((m-1)(l-z)) * (1-(1-rho)^(m-1))^z * T
+  characteristic pattern:  rho^w * (1-rho)^(l-w) * q
+  sign pattern (+-1):      rho^z * (1-rho)^(s-z) * q
+
+where l is the pattern length, z the number of ones (+1s), w the number
+of ones, and the counts they predict are window counts of the matching
+statistic.  Summed over all symbols/patterns these recover T (or q)
+exactly, which the test suite checks as identities.
+
+Deviation budgets carry an exact rational coefficient and a symbolic
+sqrt/log shape; sqrt-only budgets are compared exactly via squaring,
+log-bearing ones in float64.
+"""
+
+from __future__ import annotations
+
+import decimal
+import math
+from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+
+from . import numtheory as nt
+from .errors import (
+    DegenerateDensityError,
+    InvalidParameterError,
+    PatternTooLongError,
+    UnknownKindError,
+)
+from .subsets import ConstructionSpec
+
+
+def _density(T: int, q: int) -> Fraction:
+    if q < 1 or not 0 <= T <= q:
+        raise InvalidParameterError(f"need 0 <= T <= q, got T={T}, q={q}")
+    if T == 0:
+        raise DegenerateDensityError("main terms undefined for the empty set")
+    return Fraction(T, q)
+
+
+def gap_mod_symbol_main_term(u: int, T: int, q: int, M: int) -> Fraction:
+    """Expected count of symbol u in the gap-mod-M sequence of a set of
+    cardinality T in Z_q (length-(T-1) sequence, u in 1..M)."""
+    if M < 2 or not 1 <= u <= M:
+        raise InvalidParameterError(f"need M >= 2 and 1 <= u <= M, got u={u}, M={M}")
+    rho = _density(T, q)
+    return rho * (1 - rho) ** (u - 1) / (1 - (1 - rho) ** M) * T
+
+
+def gap_threshold_symbol_main_term(v: int, T: int, q: int, m: int) -> Fraction:
+    """Expected count of bit v in the gap-threshold-m sequence."""
+    if m < 2 or v not in (0, 1):
+        raise InvalidParameterError(f"need m >= 2 and v in {{0,1}}, got v={v}, m={m}")
+    rho = _density(T, q)
+    return (1 - rho) ** ((m - 1) * (1 - v)) * (1 - (1 - rho) ** (m - 1)) ** v * T
+
+
+def gap_mod_pattern_main_term(pattern, T: int, q: int, M: int) -> Fraction:
+    """Expected count of a window of gap-mod symbols a_1 .. a_l."""
+    pattern = tuple(pattern)
+    if M < 2 or len(pattern) < 1 or any(not 1 <= a <= M for a in pattern):
+        raise InvalidParameterError(
+            f"need M >= 2 and a nonempty pattern over 1..M, got {pattern}"
+        )
+    rho = _density(T, q)
+    ell = len(pattern)
+    return (
+        rho**ell
+        * (1 - rho) ** (sum(pattern) - ell)
+        / (1 - (1 - rho) ** M) ** ell
+        * T
+    )
+
+
+def gap_threshold_pattern_main_term(pattern, T: int, q: int, m: int) -> Fraction:
+    """Expected count of a window of gap-threshold bits b_1 .. b_l."""
+    pattern = tuple(pattern)
+    if m < 2 or len(pattern) < 1 or any(b not in (0, 1) for b in pattern):
+        raise InvalidParameterError(
+            f"need m >= 2 and a nonempty 0/1 pattern, got {pattern}"
+        )
+    rho = _density(T, q)
+    ell, z = len(pattern), sum(pattern)
+    return (
+        (1 - rho) ** ((m - 1) * (ell - z))
+        * (1 - (1 - rho) ** (m - 1)) ** z
+        * T
+    )
+
+
+def characteristic_pattern_main_term(pattern, T: int, q: int) -> Fraction:
+    """Expected count of a 0/1 window in the characteristic sequence.
+
+    Division-free, so degenerate densities (T = 0 or T = q) are fine.
+    """
+    pattern = tuple(pattern)
+    if len(pattern) < 1 or any(b not in (0, 1) for b in pattern):
+        raise InvalidParameterError(f"need a nonempty 0/1 pattern, got {pattern}")
+    if q < 1 or not 0 <= T <= q:
+        raise InvalidParameterError(f"need 0 <= T <= q, got T={T}, q={q}")
+    rho = Fraction(T, q)
+    w = sum(pattern)
+    return rho**w * (1 - rho) ** (len(pattern) - w) * q
+
+
+def sign_pattern_main_term(pattern, T: int, q: int) -> Fraction:
+    """Expected count of windows matching a +-1 membership pattern.
+
+    Division-free, so degenerate densities (T = 0 or T = q) are fine.
+    """
+    pattern = tuple(pattern)
+    if len(pattern) < 1 or any(e not in (-1, 1) for e in pattern):
+        raise InvalidParameterError(f"need a nonempty +-1 pattern, got {pattern}")
+    if q < 1 or not 0 <= T <= q:
+        raise InvalidParameterError(f"need 0 <= T <= q, got T={T}, q={q}")
+    if len(pattern) > q:
+        raise PatternTooLongError(f"pattern length {len(pattern)} exceeds q={q}")
+    rho = Fraction(T, q)
+    z = sum(1 for e in pattern if e == 1)
+    return rho**z * (1 - rho) ** (len(pattern) - z) * q
+
+
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BalanceThreshold:
+    """The density at which the gap-threshold sequence is balanced.
+
+    For threshold m the balancing density is 1 - 2^(-1/(m-1)): exactly
+    1/2 at m = 2, irrational beyond, carried as a 50-significant-digit
+    decimal.  size_for(q) gives the nearest integer cardinality
+    (round half to even).
+    """
+
+    m: int
+    exact: Fraction | None
+    decimal: Decimal
+    digits: int = 50
+
+    def size_for(self, q: int) -> int:
+        if self.exact is not None:
+            return round(self.exact * q)
+        with decimal.localcontext() as ctx:
+            ctx.prec = self.digits + 30
+            value = _threshold_decimal(self.m, ctx.prec) * q
+            return int(value.to_integral_value(decimal.ROUND_HALF_EVEN))
+
+
+def _threshold_decimal(m: int, prec: int) -> Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = prec
+        return 1 - Decimal(2) ** (Decimal(-1) / Decimal(m - 1))
+
+
+def gap_threshold_balance_point(m: int) -> BalanceThreshold:
+    if m < 2:
+        raise InvalidParameterError(f"threshold must be >= 2, got {m}")
+    if m == 2:
+        return BalanceThreshold(m, Fraction(1, 2), Decimal("0.5"))
+    rough = _threshold_decimal(m, 80)
+    fifty = decimal.Context(prec=50).plus(rough)
+    return BalanceThreshold(m, None, fifty)
+
+
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DeviationBudget:
+    """An allowed deviation c * sqrt(sqrt_arg) * log(log_arg)^log_power.
+
+    Budgets without a log factor are compared exactly (square both
+    sides, all integers); log-bearing ones in float64.  asserted=False
+    marks report-only budgets whose absolute constant is not pinned.
+    """
+
+    formula: str
+    asserted: bool
+    coefficient: Fraction
+    sqrt_arg: int = 1
+    log_power: int = 0
+    log_arg: int = 1
+
+    def bound(self) -> float:
+        b = float(self.coefficient) * math.sqrt(self.sqrt_arg)
+        if self.log_power:
+            b *= math.log(self.log_arg) ** self.log_power
+        return b
+
+    def allows(self, deviation: Fraction) -> bool:
+        """Exact comparison |deviation| <= budget (deviation >= 0)."""
+        if deviation < 0:
+            raise InvalidParameterError("deviation must be nonnegative")
+        if self.log_power == 0:
+            return (
+                deviation * deviation
+                <= self.coefficient * self.coefficient * self.sqrt_arg
+            )
+        return float(deviation) <= self.bound()
+
+
+def exact_budget() -> DeviationBudget:
+    return DeviationBudget("0 (exact)", True, Fraction(0))
+
+
+@dataclass(frozen=True)
+class CardinalityPrediction:
+    """Predicted cardinality: exact rational main term plus budget."""
+
+    main: Fraction
+    budget: DeviationBudget
+    degree: int | None = None
+    zeros: int | None = None
+
+
+def predicted_cardinality(spec: ConstructionSpec) -> CardinalityPrediction:
+    """Main term and deviation budget for |construct(spec)|.
+
+    Exact (zero-budget) predictions where the count is an identity;
+    the power-residue count carries its explicit asserted sqrt budget
+    (root count by exhaustive evaluation); the window and character
+    constructions get report-only budgets with unit constants.
+    """
+    kind, prm = spec.kind, spec.params
+    if kind == "explicit":
+        return CardinalityPrediction(Fraction(len(prm["elements"])), exact_budget())
+    p = prm["p"]
+    if kind == "quadratic_residues":
+        return CardinalityPrediction(Fraction(p - 1, 2), exact_budget())
+    if kind == "primitive_roots":
+        return CardinalityPrediction(
+            Fraction(nt.euler_phi(nt.factorize(p - 1))), exact_budget()
+        )
+    if kind == "fermat_quotient_power_residues":
+        return CardinalityPrediction(
+            Fraction((p - 1) ** 2, prm["d"]), exact_budget()
+        )
+    if kind == "fermat_quotient_primitive_roots":
+        return CardinalityPrediction(
+            Fraction((p - 1) * nt.euler_phi(nt.factorize(p - 1))), exact_budget()
+        )
+    if kind == "power_residues":
+        d = prm["d"]
+        fr = nt.poly_reduce(prm["f"], p)
+        deg = len(fr) - 1
+        values = nt.poly_eval_array(fr or (0,), np.arange(p, dtype=np.int64), p)
+        zeros = int(np.count_nonzero(values == 0))
+        budget = DeviationBudget(
+            "((d-1)/d) * (deg f - 1) * sqrt(p)",
+            True,
+            Fraction((d - 1) * (deg - 1), d),
+            sqrt_arg=p,
+        )
+        return CardinalityPrediction(Fraction(p - zeros, d), budget, deg, zeros)
+    if kind == "primitive_root_powers":
+        s, r = prm["s"], prm["r"]
+        deg = max(len(nt.poly_reduce(prm["f"], p)) - 1, 0)
+        cofactor = nt.factorize((p - 1) // s)
+        budget = DeviationBudget(
+            "deg(f) * 2^omega((p-1)/s) * sqrt(p) * log(p)",
+            False,
+            Fraction(max(deg, 1) * 2**cofactor.omega),
+            sqrt_arg=p,
+            log_power=1,
+            log_arg=p,
+        )
+        return CardinalityPrediction(
+            Fraction(nt.euler_phi(cofactor), r), budget, deg
+        )
+    if kind in ("index_range", "poly_value_range", "inverse_range"):
+        deg = max(len(nt.poly_reduce(prm["f"], p)) - 1, 0)
+        budget = DeviationBudget(
+            "deg(f) * sqrt(p) * log(p)",
+            False,
+            Fraction(max(deg, 1)),
+            sqrt_arg=p,
+            log_power=1,
+            log_arg=p,
+        )
+        return CardinalityPrediction(Fraction(prm["s"]), budget, deg)
+    if kind == "character_argument":
+        deg_f = max(len(nt.poly_reduce(prm["f"], p)) - 1, 0)
+        g = prm.get("g")
+        deg_g = max(len(nt.poly_reduce(g, p)) - 1, 0) if g else 0
+        width = prm["beta"] - prm["alpha"]
+        budget = DeviationBudget(
+            "(deg(f) + deg(g)) * sqrt(p) * log(p)",
+            False,
+            Fraction(max(deg_f + deg_g, 1)),
+            sqrt_arg=p,
+            log_power=1,
+            log_arg=p,
+        )
+        return CardinalityPrediction(width * p, budget, deg_f)
+    raise UnknownKindError(f"unknown construction kind {kind!r}")

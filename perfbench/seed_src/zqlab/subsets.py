@@ -1,0 +1,533 @@
+"""Constructions of pseudorandom subsets of Z_q.
+
+The catalog: quadratic residues, d-th power residue preimages of
+polynomial values, powers of primitive roots filtered by r-th power
+values, discrete-log (index) windows, polynomial value windows, modular
+inverse windows, angular windows of character products, Fermat-quotient
+preimages in Z_{p^2}, and explicit sets.  Every construction returns a
+ResidueSet; `construct` dispatches on a JSON-serializable spec so
+experiment configs can name any set in the catalog.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache
+
+import numpy as np
+
+from . import numtheory as nt
+from .errors import (
+    BadWindowError,
+    ConstantPolynomialError,
+    DegreeTooSmallError,
+    EmptyPolynomialError,
+    InvalidParameterError,
+    NotDivisorError,
+    NotSquarefreeError,
+    RangeTooLongError,
+    TooLargeError,
+    UnknownKindError,
+)
+
+# The Fermat-quotient constructions build dense tables over Z_{p^2}.
+_FERMAT_TABLE_LIMIT = 2**11
+
+
+@dataclass(frozen=True)
+class ResidueSet:
+    """A subset of Z_q = {0, ..., q-1}, elements strictly increasing."""
+
+    q: int
+    elements: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.q < 1:
+            raise InvalidParameterError(f"q must be >= 1, got {self.q}")
+        prev = -1
+        for x in self.elements:
+            if not isinstance(x, int) or x <= prev or x >= self.q:
+                raise InvalidParameterError(
+                    f"elements must be strictly increasing in [0, {self.q - 1}]"
+                )
+            prev = x
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.elements)
+
+    @property
+    def density(self) -> Fraction:
+        return Fraction(self.cardinality, self.q)
+
+    @cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.elements)
+
+    def __contains__(self, n: int) -> bool:
+        return n % self.q in self._member_set
+
+    @cached_property
+    def member_mask(self) -> np.ndarray:
+        """Boolean membership mask over 0 .. q-1 (read-only)."""
+        mask = np.zeros(self.q, dtype=bool)
+        if self.elements:
+            mask[np.fromiter(self.elements, dtype=np.int64)] = True
+        mask.setflags(write=False)
+        return mask
+
+    def shifted(self, offset: int) -> "ResidueSet":
+        """The translate {x + offset mod q : x in this set}."""
+        return ResidueSet(
+            self.q, tuple(sorted((x + offset) % self.q for x in self.elements))
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "q": self.q,
+            "cardinality": self.cardinality,
+            "elements": list(self.elements),
+        }
+
+
+@dataclass(frozen=True)
+class BalancedIndicator:
+    """Density-centered membership indicator of a set R in Z_q.
+
+    Takes the value 1 - T/q on members and -T/q off members, so the sum
+    over a full period is exactly zero.  sign_numerators() returns the
+    integer values q*f(n), which is what the exact correlation scans use.
+    """
+
+    source: ResidueSet
+
+    @property
+    def density(self) -> Fraction:
+        return self.source.density
+
+    def value(self, n: int) -> Fraction:
+        q, t = self.source.q, self.source.cardinality
+        return Fraction(q - t, q) if n in self.source else Fraction(-t, q)
+
+    def sign_numerators(self) -> np.ndarray:
+        """Integer array of q*f(n) for n = 0 .. q-1 (values q-T and -T)."""
+        q, t = self.source.q, self.source.cardinality
+        return np.where(self.source.member_mask, q - t, -t).astype(np.int64)
+
+
+def balanced_indicator(rset: ResidueSet) -> BalancedIndicator:
+    return BalancedIndicator(rset)
+
+
+# ----------------------------------------------------------------------
+# Shared per-prime tables.
+
+
+def _dth_power_mask(p: int, d: int) -> np.ndarray:
+    """mask[y] = True iff y is a nonzero d-th power residue mod p."""
+    table = nt.build_index_table(p)
+    mask = table.table % d == 0
+    mask[0] = False
+    return mask
+
+
+def _primitive_root_mask(p: int) -> np.ndarray:
+    """mask[y] = True iff y generates the unit group of Z_p."""
+    table = nt.build_index_table(p)
+    mask = np.gcd(table.table, p - 1) == 1
+    mask[0] = False  # gcd(-1 sentinel, p-1) = 1 must not leak through
+    return mask
+
+
+@lru_cache(maxsize=32)
+def _inverse_table(p: int) -> np.ndarray:
+    """inv[y] = y^-1 mod p for y != 0, inv[0] = 0 (read-only)."""
+    table = nt.build_index_table(p)
+    inv = np.zeros(p, dtype=np.int64)
+    rev = (p - 1 - np.arange(p - 1)) % (p - 1)
+    inv[table.powers] = table.powers[rev]
+    inv.setflags(write=False)
+    return inv
+
+
+@lru_cache(maxsize=16)
+def _fermat_quotient_table(p: int) -> np.ndarray:
+    """Fermat quotients of 0 .. p^2 - 1 as a dense array (read-only)."""
+    if p >= _FERMAT_TABLE_LIMIT:
+        raise TooLargeError(
+            f"Fermat-quotient tables need p < {_FERMAT_TABLE_LIMIT}, got {p}"
+        )
+    qtab = np.fromiter(
+        (nt.fermat_quotient(n, p) for n in range(p * p)),
+        dtype=np.int64,
+        count=p * p,
+    )
+    qtab.setflags(write=False)
+    return qtab
+
+
+def _checked_poly(f, p: int) -> tuple[int, ...]:
+    """Reduce f mod p; empty coefficient lists are refused, the zero
+    polynomial comes back as (0,) so vector evaluation stays total."""
+    if f is None or len(f) == 0:
+        raise EmptyPolynomialError("polynomial needs at least one coefficient")
+    return nt.poly_reduce(f, p) or (0,)
+
+
+def _reduced_nonconstant(f, p: int) -> tuple[int, ...]:
+    fr = _checked_poly(f, p)
+    if len(fr) <= 1:
+        raise ConstantPolynomialError(f"polynomial {tuple(f)} is constant mod {p}")
+    return fr
+
+
+def _require_window(s: int, modulus: int) -> None:
+    if not 1 <= s <= modulus - 1:
+        raise RangeTooLongError(
+            f"window length {s} outside 1 .. {modulus - 1} (mod {modulus})"
+        )
+
+
+def _elements_from_mask(q: int, mask: np.ndarray) -> ResidueSet:
+    return ResidueSet(q, tuple(int(x) for x in np.flatnonzero(mask)))
+
+
+# ----------------------------------------------------------------------
+# Constructions.
+
+
+def quadratic_residue_set(p: int) -> ResidueSet:
+    """The (p-1)/2 nonzero quadratic residues mod the odd prime p."""
+    nt._require_odd_prime(p)
+    half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    squares = np.unique(half * half % p)
+    return ResidueSet(p, tuple(int(x) for x in squares))
+
+
+def power_residue_set(p: int, d: int, f) -> ResidueSet:
+    """{n in Z_p : f(n) is a nonzero d-th power residue mod p}.
+
+    Membership is equivalent to f(n)^((p-1)/d) = 1 mod p; it is decided
+    here through the index table (ind f(n) divisible by d).  Requires
+    d | p - 1 and f non-constant and squarefree mod p.
+    """
+    nt._require_odd_prime(p)
+    if d < 1 or (p - 1) % d != 0:
+        raise NotDivisorError(f"d={d} must be a positive divisor of p-1={p - 1}")
+    fr = _reduced_nonconstant(f, p)
+    if not nt.poly_is_squarefree(fr, p):
+        raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
+    values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
+    member = _dth_power_mask(p, d)[values]
+    return _elements_from_mask(p, member)
+
+
+def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
+    """{g^s mod p : g a primitive root of p, f(g^s) a nonzero r-th power}."""
+    nt._require_odd_prime(p)
+    for name, val in (("s", s), ("r", r)):
+        if val < 1 or (p - 1) % val != 0:
+            raise NotDivisorError(
+                f"{name}={val} must be a positive divisor of p-1={p - 1}"
+            )
+    fr = _checked_poly(f, p)
+    table = nt.build_index_table(p)
+    exps = np.flatnonzero(np.gcd(np.arange(p - 1, dtype=np.int64), p - 1) == 1)
+    xs = table.powers[exps * s % (p - 1)]
+    fvals = nt.poly_eval_array(fr, xs, p)
+    keep = _dth_power_mask(p, r)[fvals]
+    elems = np.unique(xs[keep])
+    return ResidueSet(p, tuple(int(x) for x in elems))
+
+
+def index_range_set(p: int, f, r: int, s: int) -> ResidueSet:
+    """{n in Z_p : p does not divide f(n), ind f(n) in a window of length s}.
+
+    The window is the cyclic block {r, r+1, ..., r+s-1} reduced mod p-1,
+    indices taken with respect to the smallest primitive root.
+    """
+    nt._require_odd_prime(p)
+    _require_window(s, p)
+    table = nt.build_index_table(p)
+    values = nt.poly_eval_array(_checked_poly(f, p), np.arange(p), p)
+    inds = table.table[values]
+    member = (values != 0) & ((inds - r) % (p - 1) < s)
+    return _elements_from_mask(p, member)
+
+
+def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
+    """{n in Z_p : f(n) mod p lies in the cyclic window {r, ..., r+s-1}}."""
+    nt._require_odd_prime(p)
+    _require_window(s, p)
+    fr = _checked_poly(f, p)
+    if len(fr) - 1 < 2:
+        raise DegreeTooSmallError(f"need deg f >= 2 mod {p}, got {tuple(f)}")
+    values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
+    member = (values - r) % p < s
+    return _elements_from_mask(p, member)
+
+
+def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
+    """{n in Z_p : p does not divide f(n), f(n)^-1 in the window {r, ...}}."""
+    nt._require_odd_prime(p)
+    _require_window(s, p)
+    fr = _checked_poly(f, p)
+    if len(fr) - 1 < 1:
+        raise DegreeTooSmallError(f"need deg f >= 1 mod {p}, got {tuple(f)}")
+    if not nt.poly_is_squarefree(fr, p):
+        raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
+    values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
+    inv = _inverse_table(p)[values]
+    member = (values != 0) & ((inv - r) % p < s)
+    return _elements_from_mask(p, member)
+
+
+def character_argument_set(
+    p: int,
+    chi,
+    additive_index: int,
+    f,
+    g,
+    alpha: Fraction,
+    beta: Fraction,
+) -> ResidueSet:
+    """{n : gcd(f(n), p) = 1 and the product character's argument falls
+    in the angular window [alpha, beta) of the unit circle}.
+
+    The argument of chi(f(n)) * exp(2*pi*i * a*g(n)/p) is the exact
+    rational k/order + a*g(n)/p (mod 1), so membership is decided with
+    integer arithmetic only.  At least one of chi, the additive part must
+    be nontrivial; a nontrivial additive part requires deg g >= 2.
+    """
+    nt._require_odd_prime(p)
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    if not alpha < beta <= alpha + 1:
+        raise BadWindowError(f"need alpha < beta <= alpha + 1, got [{alpha}, {beta})")
+    if chi is not None and chi.p != p:
+        raise InvalidParameterError(f"character lives mod {chi.p}, set asked mod {p}")
+    a = additive_index % p
+    chi_trivial = chi is None or chi.is_trivial
+    if chi_trivial and a == 0:
+        raise InvalidParameterError(
+            "at least one of the characters must be nontrivial"
+        )
+    fvals = nt.poly_eval_array(_checked_poly(f, p), np.arange(p), p)
+    if a != 0:
+        gr = nt.poly_reduce(g if g is not None else (), p)
+        if len(gr) - 1 < 2:
+            raise DegreeTooSmallError(f"need deg g >= 2 mod {p} for a nontrivial "
+                                      f"additive part, got {g}")
+        gvals = nt.poly_eval_array(gr, np.arange(p, dtype=np.int64), p)
+    else:
+        gvals = np.zeros(p, dtype=np.int64)
+    if chi_trivial:
+        kvals = np.zeros(p, dtype=np.int64)
+        order = 1
+    else:
+        order = chi.order
+        kvals = chi.index * chi.index_table.table[fvals] % order
+    width = beta - alpha
+    elems = []
+    for n in range(p):
+        if fvals[n] == 0:
+            continue
+        theta = Fraction(int(kvals[n]), order) + Fraction(a * int(gvals[n]) % p, p)
+        if (theta - alpha) % 1 < width:
+            elems.append(n)
+    return ResidueSet(p, tuple(elems))
+
+
+def fermat_quotient_power_residue_set(p: int, d: int) -> ResidueSet:
+    """{n in Z_{p^2} : the Fermat quotient of n is a nonzero d-th power}.
+
+    Cardinality is exactly (p-1)^2 / d: the quotient map is a surjective
+    homomorphism from the units of Z_{p^2} onto Z_p, each value hit p-1
+    times, and multiples of p (quotient 0 by convention) never qualify.
+    """
+    nt._require_odd_prime(p)
+    if d < 1 or (p - 1) % d != 0:
+        raise NotDivisorError(f"d={d} must be a positive divisor of p-1={p - 1}")
+    qtab = _fermat_quotient_table(p)
+    member = _dth_power_mask(p, d)[qtab]
+    return _elements_from_mask(p * p, member)
+
+
+def fermat_quotient_primitive_root_set(p: int) -> ResidueSet:
+    """{n in Z_{p^2} : the Fermat quotient of n is a primitive root of p}.
+
+    Cardinality is exactly (p-1) * euler_phi(p-1).
+    """
+    nt._require_odd_prime(p)
+    qtab = _fermat_quotient_table(p)
+    member = _primitive_root_mask(p)[qtab]
+    return _elements_from_mask(p * p, member)
+
+
+def explicit_set(q: int, elements) -> ResidueSet:
+    """An explicitly listed subset (validated, used for ad-hoc experiments)."""
+    return ResidueSet(q, tuple(elements))
+
+
+# ----------------------------------------------------------------------
+# Specs: JSON-portable descriptions of constructions.
+
+_INT_PARAMS = {"p", "d", "s", "r", "q", "order", "char_index", "additive"}
+_POLY_PARAMS = {"f", "g"}
+_FRACTION_PARAMS = {"alpha", "beta"}
+
+_KIND_PARAMS = {
+    "explicit": {"q", "elements"},
+    "quadratic_residues": {"p"},
+    "power_residues": {"p", "d", "f"},
+    "primitive_roots": {"p"},
+    "primitive_root_powers": {"p", "s", "r", "f"},
+    "index_range": {"p", "f", "r", "s"},
+    "poly_value_range": {"p", "f", "r", "s"},
+    "inverse_range": {"p", "f", "r", "s"},
+    "character_argument": {"p", "order", "char_index", "additive", "f", "g",
+                           "alpha", "beta"},
+    "fermat_quotient_power_residues": {"p", "d"},
+    "fermat_quotient_primitive_roots": {"p"},
+}
+
+_KIND_OPTIONAL = {
+    "character_argument": {"char_index", "g"},
+}
+
+
+def _as_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParameterError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_fraction(value, where: str) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, dict) and set(value) == {"num", "den"}:
+        return Fraction(_as_int(value["num"], where), _as_int(value["den"], where))
+    raise InvalidParameterError(
+        f'{where}: expected a rational as {{"num": .., "den": ..}}, got {value!r}'
+    )
+
+
+def _as_poly(value, where: str) -> tuple[int, ...]:
+    if isinstance(value, (list, tuple)):
+        return tuple(_as_int(c, where) for c in value)
+    raise InvalidParameterError(
+        f"{where}: expected a coefficient list (lowest degree first), got {value!r}"
+    )
+
+
+@dataclass(frozen=True)
+class ConstructionSpec:
+    """A named construction plus its parameters; JSON round-trippable."""
+
+    kind: str
+    params: dict
+
+    def __post_init__(self):
+        if self.kind not in _KIND_PARAMS:
+            raise UnknownKindError(f"unknown construction kind {self.kind!r}")
+        allowed = _KIND_PARAMS[self.kind]
+        optional = _KIND_OPTIONAL.get(self.kind, set())
+        given = set(self.params)
+        if given - allowed:
+            raise InvalidParameterError(
+                f"{self.kind}: unexpected params {sorted(given - allowed)}"
+            )
+        if allowed - optional - given:
+            raise InvalidParameterError(
+                f"{self.kind}: missing params {sorted(allowed - optional - given)}"
+            )
+
+    @property
+    def modulus(self) -> int:
+        """The q of the set this spec constructs."""
+        if self.kind == "explicit":
+            return self.params["q"]
+        p = self.params["p"]
+        if self.kind.startswith("fermat_quotient"):
+            return p * p
+        return p
+
+    @classmethod
+    def from_json(cls, obj) -> "ConstructionSpec":
+        if not isinstance(obj, dict) or set(obj) != {"kind", "params"}:
+            raise InvalidParameterError(
+                'construction spec must be {"kind": .., "params": {..}}'
+            )
+        kind = obj["kind"]
+        raw = obj["params"]
+        if kind not in _KIND_PARAMS:
+            raise UnknownKindError(f"unknown construction kind {kind!r}")
+        if not isinstance(raw, dict):
+            raise InvalidParameterError("params must be an object")
+        params = {}
+        for key, value in raw.items():
+            where = f"{kind}.params.{key}"
+            if key == "elements":
+                params[key] = tuple(_as_int(x, where) for x in value)
+            elif key in _POLY_PARAMS:
+                params[key] = _as_poly(value, where)
+            elif key in _FRACTION_PARAMS:
+                params[key] = _as_fraction(value, where)
+            elif key in _INT_PARAMS:
+                params[key] = _as_int(value, where)
+            else:
+                params[key] = value  # rejected by __post_init__
+        return cls(kind, params)
+
+    def to_json(self) -> dict:
+        out = {}
+        for key, value in self.params.items():
+            if isinstance(value, Fraction):
+                out[key] = {"num": value.numerator, "den": value.denominator}
+            elif isinstance(value, tuple):
+                out[key] = list(value)
+            else:
+                out[key] = value
+        return {"kind": self.kind, "params": out}
+
+
+def construct(spec: ConstructionSpec) -> ResidueSet:
+    """Build the set a spec describes."""
+    kind, prm = spec.kind, spec.params
+    if kind == "explicit":
+        return explicit_set(prm["q"], prm["elements"])
+    if kind == "quadratic_residues":
+        return quadratic_residue_set(prm["p"])
+    if kind == "power_residues":
+        return power_residue_set(prm["p"], prm["d"], prm["f"])
+    if kind == "primitive_roots":
+        return nt.primitive_root_set(prm["p"])
+    if kind == "primitive_root_powers":
+        return primitive_root_power_set(prm["p"], prm["s"], prm["r"], prm["f"])
+    if kind == "index_range":
+        return index_range_set(prm["p"], prm["f"], prm["r"], prm["s"])
+    if kind == "poly_value_range":
+        return poly_value_range_set(prm["p"], prm["f"], prm["r"], prm["s"])
+    if kind == "inverse_range":
+        return inverse_range_set(prm["p"], prm["f"], prm["r"], prm["s"])
+    if kind == "character_argument":
+        order = prm["order"]
+        chi = (
+            None
+            if order == 1
+            else nt.MultiplicativeCharacter.build(
+                prm["p"], order, prm.get("char_index", 1)
+            )
+        )
+        return character_argument_set(
+            prm["p"], chi, prm["additive"], prm["f"], prm.get("g"),
+            prm["alpha"], prm["beta"],
+        )
+    if kind == "fermat_quotient_power_residues":
+        return fermat_quotient_power_residue_set(prm["p"], prm["d"])
+    if kind == "fermat_quotient_primitive_roots":
+        return fermat_quotient_primitive_root_set(prm["p"])
+    raise UnknownKindError(f"unknown construction kind {kind!r}")
