@@ -7,6 +7,9 @@ balanced indicator, and closed-form count predictions with a
 verification harness.
 """
 
+# Set before the submodules load: reports read it at import time.
+__version__ = "0.1.0"
+
 from .errors import (
     BadWindowError,
     BudgetExceededError,
@@ -88,7 +91,6 @@ from .subsets import (
     BalancedIndicator,
     ConstructionSpec,
     ResidueSet,
-    balanced_indicator,
     character_argument_set,
     construct,
     explicit_set,
@@ -99,9 +101,8 @@ from .subsets import (
     poly_value_range_set,
     power_residue_set,
     primitive_root_power_set,
+    primitive_root_set,
     quadratic_residue_set,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -97,18 +98,13 @@ def _cmd_derive(args) -> int:
 def _cmd_stats(args) -> int:
     cfg = _load_json(args.config)
     seq = _derived_sequence(cfg)
-    if args.length is None:
-        counts = {(s,): c for s, c in measures.symbol_counts(seq).items()}
-        length = 1
-    else:
-        counts = measures.pattern_counts(seq, args.length)
-        length = args.length
+    counts = measures.pattern_counts(seq, args.length)
     items = [
         {"pattern": list(pat), "count": counts.get(pat, 0)}
         for pat in sorted(counts)
     ]
     if args.fmt == "json":
-        text = json.dumps({"length": length, "counts": items}, indent=2) + "\n"
+        text = json.dumps({"length": args.length, "counts": items}, indent=2) + "\n"
     else:
         rows = [["pattern", "count"]] + [
             [" ".join(str(s) for s in it["pattern"]), it["count"]] for it in items
@@ -152,8 +148,6 @@ def _cmd_corr(args) -> int:
 def _cmd_verify(args) -> int:
     config = harness.ExperimentConfig.from_dict(_load_json(args.config))
     if args.seed is not None:
-        import dataclasses
-
         config = dataclasses.replace(config, seed=args.seed)
     report = harness.run(config, workers=args.workers, op_budget=args.budget)
     if args.fmt == "json":
@@ -202,7 +196,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("stats", help="symbol / pattern counts of a sequence")
     _add_io_flags(p)
-    p.add_argument("--length", type=int, help="pattern length (default: symbols)")
+    p.add_argument("--length", type=int, default=1, help="pattern length, 1 = symbols")
 
     p = sub.add_parser("corr", help="correlation measure of a subset")
     _add_io_flags(p)

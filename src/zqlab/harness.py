@@ -1,8 +1,8 @@
 """Experiment harness: configs, verification runs, reports, sweeps.
 
 An ExperimentConfig names one construction, any derived sequences, and a
-list of analyses (cardinality, balance, patterns, sign_patterns,
-correlation, correlation_sampled).  run() executes the analyses and
+list of analyses; ANALYSES maps each analysis kind to its config keys,
+cost estimate and runner.  run() executes the analyses and
 returns a VerificationReport comparing empirical counts against the
 exact main terms, with per-item PASS / FAIL / REPORT_ONLY statuses;
 sweep() repeats a base config over a parameter grid.
@@ -14,19 +14,23 @@ may run on worker pools without affecting the output.
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
+import csv
 import decimal
 import hashlib
 import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from . import measures, predictions, sequences
+from . import __version__, measures, predictions, sequences
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -42,18 +46,7 @@ _TOOL_NAME = "zqlab"
 # Feasibility guards: enumerated pattern families stay enumerable.
 _MAX_PATTERN_FAMILY = 4096
 
-_ANALYSIS_KINDS = (
-    "cardinality",
-    "balance",
-    "patterns",
-    "sign_patterns",
-    "correlation",
-    "correlation_sampled",
-)
-
 _BUDGET_SHAPES = ("absolute", "sqrt_log", "sqrt_log2", "lemma")
-
-_DERIVATION_PARAM = {"gap_mod": "M", "gap_threshold": "m", "characteristic": None}
 
 
 def _fail(path: str, message: str):
@@ -94,9 +87,9 @@ class DerivationSpec:
         if not isinstance(obj, dict):
             _fail(path, "expected an object")
         kind = obj.get("kind")
-        if kind not in _DERIVATION_PARAM:
+        if not isinstance(kind, str) or kind not in sequences.DERIVATIONS:
             _fail(f"{path}.kind", f"unknown derivation kind {kind!r}")
-        pname = _DERIVATION_PARAM[kind]
+        pname = sequences.DERIVATIONS[kind].param
         extras = set(obj) - {"kind"} - ({pname} if pname else set())
         if extras:
             _fail(path, f"unexpected keys {sorted(extras)}")
@@ -107,18 +100,11 @@ class DerivationSpec:
         return cls(kind, _expect_int(obj[pname], f"{path}.{pname}", minimum=2))
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        pname = _DERIVATION_PARAM[self.kind]
-        if pname:
-            out[pname] = self.param
-        return out
+        pname = sequences.DERIVATIONS[self.kind].param
+        return {"kind": self.kind, **({pname: self.param} if pname else {})}
 
     def derive(self, rset) -> sequences.DerivedSequence:
-        if self.kind == "gap_mod":
-            return sequences.derive_gap_mod(rset, self.param)
-        if self.kind == "gap_threshold":
-            return sequences.derive_gap_threshold(rset, self.param)
-        return sequences.derive_characteristic(rset)
+        return sequences.DERIVATIONS[self.kind].derive(rset, self.param)
 
 
 @dataclass(frozen=True)
@@ -195,50 +181,21 @@ class AnalysisSpec:
         if not isinstance(obj, dict):
             _fail(path, "expected an object")
         kind = obj.get("kind")
-        if kind not in _ANALYSIS_KINDS:
+        if not isinstance(kind, str) or kind not in ANALYSES:
             _fail(f"{path}.kind", f"unknown analysis kind {kind!r}")
-        allowed = {
-            "cardinality": set(),
-            "balance": {"sequence", "budget"},
-            "patterns": {"sequence", "length", "budget"},
-            "sign_patterns": {"window", "budget"},
-            "correlation": {"k"},
-            "correlation_sampled": {"k", "samples", "seed"},
-        }[kind]
-        extras = set(obj) - {"kind"} - allowed
+        record = ANALYSES[kind]
+        extras = set(obj) - {"kind"} - set(record.keys)
         if extras:
             _fail(path, f"unexpected keys {sorted(extras)} for kind {kind!r}")
-        fields = {"kind": kind}
-        if kind in ("balance", "patterns"):
-            if "sequence" not in obj:
-                _fail(f"{path}.sequence", "required")
-            if not isinstance(obj["sequence"], str):
-                _fail(f"{path}.sequence", "expected a derivation kind name")
-            fields["sequence"] = obj["sequence"]
-        if kind == "patterns":
-            fields["length"] = _expect_int(
-                obj.get("length"), f"{path}.length", minimum=1
-            )
-        if kind == "sign_patterns":
-            fields["window"] = _expect_int(
-                obj.get("window"), f"{path}.window", minimum=1
-            )
-            if 2 ** fields["window"] > _MAX_PATTERN_FAMILY:
-                _fail(f"{path}.window", f"2^window exceeds {_MAX_PATTERN_FAMILY}")
-        if kind in ("correlation", "correlation_sampled"):
-            fields["k"] = _expect_int(obj.get("k"), f"{path}.k", minimum=1)
-        if kind == "correlation_sampled":
-            fields["samples"] = _expect_int(
-                obj.get("samples"), f"{path}.samples", minimum=1
-            )
-            if "seed" in obj:
-                fields["seed"] = _expect_int(obj["seed"], f"{path}.seed", minimum=0)
-        if "budget" in obj and kind in ("balance", "patterns", "sign_patterns"):
-            budget = BudgetSpec.from_dict(obj["budget"], f"{path}.budget")
-            if budget.shape == "lemma" and kind != "sign_patterns":
-                _fail(f"{path}.budget.shape", "lemma budgets fit sign_patterns only")
-            fields["budget"] = budget
-        return cls(**fields)
+        fields = {
+            key: _FIELDS[key](obj.get(key), f"{path}.{key}")
+            for key in record.keys
+            if key in obj or key not in _OPTIONAL_FIELDS
+        }
+        budget = fields.get("budget")
+        if budget is not None and budget.shape == "lemma" and not record.lemma:
+            _fail(f"{path}.budget.shape", "lemma budgets fit sign_patterns only")
+        return cls(kind, **fields)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -249,6 +206,34 @@ class AnalysisSpec:
         if self.budget is not None:
             out["budget"] = self.budget.to_dict()
         return out
+
+
+def _sequence_field(value, path: str) -> str:
+    if value is None:
+        _fail(path, "required")
+    if not isinstance(value, str):
+        _fail(path, "expected a derivation kind name")
+    return value
+
+
+def _window_field(value, path: str) -> int:
+    window = _expect_int(value, path, minimum=1)
+    if 2**window > _MAX_PATTERN_FAMILY:
+        _fail(path, f"2^window exceeds {_MAX_PATTERN_FAMILY}")
+    return window
+
+
+# Parsers (value, path) of the analysis config keys, by key.
+_FIELDS = {
+    "sequence": _sequence_field,
+    "length": partial(_expect_int, minimum=1),
+    "window": _window_field,
+    "k": partial(_expect_int, minimum=1),
+    "samples": partial(_expect_int, minimum=1),
+    "seed": partial(_expect_int, minimum=0),
+    "budget": BudgetSpec.from_dict,
+}
+_OPTIONAL_FIELDS = ("seed", "budget")
 
 
 @dataclass(frozen=True)
@@ -287,10 +272,12 @@ class ExperimentConfig:
                     f"analyses[{i}].sequence",
                     f"no derivation of kind {analysis.sequence!r} configured",
                 )
-            if analysis.kind == "patterns":
+            if analysis.length is not None:
                 dspec = derivations[kinds.index(analysis.sequence)]
-                alphabet = dspec.param if dspec.kind == "gap_mod" else 2
-                if alphabet**analysis.length > _MAX_PATTERN_FAMILY:
+                alphabet = sequences.DERIVATIONS[dspec.kind].alphabet(dspec.param)
+                # stop - start, not len(): len() overflows past 2**63 symbols.
+                size = alphabet.stop - alphabet.start
+                if size**analysis.length > _MAX_PATTERN_FAMILY:
                     _fail(
                         f"analyses[{i}].length",
                         f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
@@ -316,23 +303,7 @@ def config_hash(config: ExperimentConfig) -> str:
 def estimate_cost(config: ExperimentConfig) -> int:
     """Elementary-operation estimate used for budget admission control."""
     q = config.construction.modulus
-    total = q
-    for a in config.analyses:
-        if a.kind == "correlation":
-            total += math.comb(q, min(a.k, q)) * q
-        elif a.kind == "correlation_sampled":
-            total += a.samples * q
-        elif a.kind == "sign_patterns":
-            total += 2**a.window * q * a.window
-            if a.budget is not None and a.budget.shape == "lemma":
-                total += sum(
-                    math.comb(q, j) * q for j in range(1, min(a.window, q) + 1)
-                )
-        elif a.kind == "patterns":
-            total += q * a.length + _MAX_PATTERN_FAMILY
-        else:
-            total += q
-    return total
+    return q + sum(ANALYSES[a.kind].cost(a, q) for a in config.analyses)
 
 
 # ----------------------------------------------------------------------
@@ -367,59 +338,33 @@ def _count_item(label, empirical, predicted: Fraction, budget: DeviationBudget):
     }
 
 
-def _report_only_budget(q: int) -> DeviationBudget:
-    return DeviationBudget("sqrt(q)*log(q)", False, Fraction(1), q, 1, q)
+def _analysis_budget(analysis, q: int) -> DeviationBudget:
+    if analysis.budget is None:  # report-only
+        return DeviationBudget("sqrt(q)*log(q)", False, Fraction(1), q, 1, q)
+    return analysis.budget.realize(q)
 
 
-def _run_cardinality(rset, config, analysis, workers, op_budget):
+def _run_cardinality(rset, seqs, config, analysis, workers, op_budget):
     pred = predictions.predicted_cardinality(config.construction)
-    item = _count_item("cardinality", rset.cardinality, pred.main, pred.budget)
-    return [item]
+    return [_count_item("cardinality", rset.cardinality, pred.main, pred.budget)]
 
 
-def _run_balance(rset, seqs, config, analysis, workers, op_budget):
+def _run_patterns(
+    rset, seqs, config, analysis, workers, op_budget, *, length=None,
+    prefix="pattern=",
+):
+    """Every alphabet^length window count against its main term; balance
+    is this at length 1 with symbol= labels."""
     seq = seqs[analysis.sequence]
-    counts = measures.symbol_counts(seq)
+    length = length or analysis.length
+    counts = measures.pattern_counts(seq, length)
+    main_term = sequences.DERIVATIONS[seq.kind].main_term
     T, q = rset.cardinality, rset.q
-    budget = (
-        analysis.budget.realize(q)
-        if analysis.budget is not None
-        else _report_only_budget(q)
-    )
+    budget = _analysis_budget(analysis, q)
     items = []
-    for symbol in seq.alphabet:
-        if seq.kind == "gap_mod":
-            main = predictions.gap_mod_symbol_main_term(symbol, T, q, seq.param)
-        elif seq.kind == "gap_threshold":
-            main = predictions.gap_threshold_symbol_main_term(symbol, T, q, seq.param)
-        else:
-            main = predictions.characteristic_pattern_main_term([symbol], T, q)
-        items.append(
-            _count_item(f"symbol={symbol}", counts.get(symbol, 0), main, budget)
-        )
-    return items
-
-
-def _run_patterns(rset, seqs, config, analysis, workers, op_budget):
-    seq = seqs[analysis.sequence]
-    counts = measures.pattern_counts(seq, analysis.length)
-    T, q = rset.cardinality, rset.q
-    budget = (
-        analysis.budget.realize(q)
-        if analysis.budget is not None
-        else _report_only_budget(q)
-    )
-    items = []
-    for pattern in itertools.product(seq.alphabet, repeat=analysis.length):
-        if seq.kind == "gap_mod":
-            main = predictions.gap_mod_pattern_main_term(pattern, T, q, seq.param)
-        elif seq.kind == "gap_threshold":
-            main = predictions.gap_threshold_pattern_main_term(
-                pattern, T, q, seq.param
-            )
-        else:
-            main = predictions.characteristic_pattern_main_term(pattern, T, q)
-        label = "pattern=" + ",".join(str(b) for b in pattern)
+    for pattern in itertools.product(seq.alphabet, repeat=length):
+        main = main_term(pattern, T, q, seq.param)
+        label = prefix + ",".join(str(b) for b in pattern)
         items.append(_count_item(label, counts.get(pattern, 0), main, budget))
     return items
 
@@ -433,10 +378,8 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
             rset, s, budget=op_budget, workers=workers
         )
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
-    elif analysis.budget is not None:
-        budget = analysis.budget.realize(q)
     else:
-        budget = _report_only_budget(q)
+        budget = _analysis_budget(analysis, q)
     items = []
     total = 0
     for pattern in itertools.product((-1, 1), repeat=s):
@@ -459,8 +402,9 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
     return items
 
 
-def _run_correlation(rset, config, analysis, workers, op_budget):
-    if analysis.kind == "correlation":
+def _run_correlation(rset, seqs, config, analysis, workers, op_budget):
+    """The exact scan, or the sampled one when samples are given."""
+    if analysis.samples is None:
         result = measures.correlation_exact(
             rset, analysis.k, budget=op_budget, workers=workers
         )
@@ -481,6 +425,54 @@ def _run_correlation(rset, config, analysis, workers, op_budget):
         "status": "PASS" if result.value <= trivial else "FAIL",
     }
     return [item]
+
+
+def _sign_patterns_cost(analysis, q: int) -> int:
+    s = analysis.window
+    cost = 2**s * q * s
+    if analysis.budget is not None and analysis.budget.shape == "lemma":
+        cost += sum(math.comb(q, j) * q for j in range(1, min(s, q) + 1))
+    return cost
+
+
+# ----------------------------------------------------------------------
+# The analysis table: one record per kind.
+
+
+@dataclass(frozen=True)
+class AnalysisKind:
+    """An analysis kind: its config keys besides "kind", parsed in order;
+    its cost (analysis, q) for admission control; its runner (rset, seqs,
+    config, analysis, workers, op_budget) -> items; lemma budgets or not."""
+
+    keys: tuple[str, ...]
+    cost: Callable[[AnalysisSpec, int], int]
+    run: Callable[..., list]
+    lemma: bool = False
+
+
+ANALYSES = {
+    "cardinality": AnalysisKind((), lambda a, q: q, _run_cardinality),
+    "balance": AnalysisKind(
+        ("sequence", "budget"),
+        lambda a, q: q,
+        partial(_run_patterns, length=1, prefix="symbol="),
+    ),
+    "patterns": AnalysisKind(
+        ("sequence", "length", "budget"),
+        lambda a, q: q * a.length + _MAX_PATTERN_FAMILY,
+        _run_patterns,
+    ),
+    "sign_patterns": AnalysisKind(
+        ("window", "budget"), _sign_patterns_cost, _run_sign_patterns, lemma=True
+    ),
+    "correlation": AnalysisKind(
+        ("k",), lambda a, q: math.comb(q, min(a.k, q)) * q, _run_correlation
+    ),
+    "correlation_sampled": AnalysisKind(
+        ("k", "samples", "seed"), lambda a, q: a.samples * q, _run_correlation
+    ),
+}
 
 
 @dataclass
@@ -566,18 +558,9 @@ def run(
     entries = []
     for analysis in config.analyses:
         t_a = time.perf_counter()
-        if analysis.kind == "cardinality":
-            items = _run_cardinality(rset, config, analysis, workers, op_budget)
-        elif analysis.kind == "balance":
-            items = _run_balance(rset, seqs, config, analysis, workers, op_budget)
-        elif analysis.kind == "patterns":
-            items = _run_patterns(rset, seqs, config, analysis, workers, op_budget)
-        elif analysis.kind == "sign_patterns":
-            items = _run_sign_patterns(
-                rset, seqs, config, analysis, workers, op_budget
-            )
-        else:
-            items = _run_correlation(rset, config, analysis, workers, op_budget)
+        items = ANALYSES[analysis.kind].run(
+            rset, seqs, config, analysis, workers, op_budget
+        )
         entries.append(
             {
                 "analysis": analysis.to_dict(),
@@ -586,8 +569,6 @@ def run(
                 "seconds": time.perf_counter() - t_a,
             }
         )
-    from . import __version__
-
     body = {
         "tool": {"name": _TOOL_NAME, "version": __version__},
         "config": config.to_dict(),
@@ -656,7 +637,7 @@ def _run_point(args):
     try:
         config = ExperimentConfig.from_dict(point_dict)
         return run(config, workers=workers, op_budget=op_budget).body
-    except Exception as exc:  # keep the sweep going; note the failure
+    except Error as exc:  # keep the sweep going; note the failure
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -708,9 +689,7 @@ def sweep(
             estimated_cost=total_cost,
         )
     if workers > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             bodies = list(pool.map(_run_point, [(p, 1, op_budget) for p in points]))
     else:
         bodies = [_run_point((p, workers, op_budget)) for p in points]
@@ -739,7 +718,5 @@ def sweep(
                 text = json.dumps(body, sort_keys=True, indent=2) + "\n"
                 (outdir / f"report_{i:04d}.json").write_text(text)
         with (outdir / "summary.csv").open("w", newline="") as fh:
-            import csv as _csv
-
-            _csv.writer(fh).writerows(rows)
+            csv.writer(fh).writerows(rows)
     return bodies, rows

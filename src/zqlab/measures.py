@@ -20,6 +20,7 @@ import itertools
 import math
 import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,8 +83,9 @@ def sign_pattern_count(sign: SignVector, pattern) -> int:
 
 
 def symbol_counts(seq: DerivedSequence) -> dict:
-    """Occurrences of each symbol over the whole sequence."""
-    return dict(Counter(seq.symbols))
+    """Occurrences of each symbol over the whole sequence (the length-1
+    pattern counts, keyed by symbol)."""
+    return {pattern[0]: count for pattern, count in pattern_counts(seq, 1).items()}
 
 
 def pattern_counts(seq: DerivedSequence, length: int) -> dict:
@@ -231,8 +233,6 @@ def _best_over_tuples(fnum: np.ndarray, tuples: np.ndarray, workers: int):
     ranges = _split_ranges(n, workers)
     if len(ranges) == 1:
         return _scan_tuple_rows(fnum, tuples, *ranges[0])
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         results = list(
             pool.map(lambda r: _scan_tuple_rows(fnum, tuples, *r), ranges)

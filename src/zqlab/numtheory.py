@@ -147,24 +147,6 @@ def find_primitive_root(p: int) -> int:
     raise AssertionError("no primitive root found; p is not prime")
 
 
-def primitive_root_set(p: int):
-    """All primitive roots of p as a ResidueSet over Z_p.
-
-    Cardinality is euler_phi(p - 1): the residues g^j with gcd(j, p-1) = 1.
-    """
-    from .subsets import ResidueSet  # deferred: subsets imports this module
-
-    _require_odd_prime(p)
-    g = find_primitive_root(p)
-    roots = []
-    x = g
-    for j in range(1, p - 1):
-        if math.gcd(j, p - 1) == 1:
-            roots.append(x)
-        x = x * g % p
-    return ResidueSet(p, tuple(sorted(roots)))
-
-
 @dataclass(frozen=True, eq=False)
 class IndexTable:
     """Dense discrete-logarithm table for Z_p relative to base g.

@@ -1,10 +1,8 @@
 """Closed-form main terms and deviation budgets for the statistics.
 
 Every main term is an exact rational in the set's density rho = T/q.
-Expected symbol and pattern counts for the derived sequences:
+Expected pattern counts for the derived sequences:
 
-  gap_mod symbol u:        rho * (1-rho)^(u-1) / (1 - (1-rho)^M) * T
-  gap_threshold symbol v:  (1-rho)^((m-1)(1-v)) * (1 - (1-rho)^(m-1))^v * T
   gap_mod pattern a:       rho^l * (1-rho)^(sum a - l) / (1-(1-rho)^M)^l * T
   gap_threshold pattern b: (1-rho)^((m-1)(l-z)) * (1-(1-rho)^(m-1))^z * T
   characteristic pattern:  rho^w * (1-rho)^(l-w) * q
@@ -12,8 +10,9 @@ Expected symbol and pattern counts for the derived sequences:
 
 where l is the pattern length, z the number of ones (+1s), w the number
 of ones, and the counts they predict are window counts of the matching
-statistic.  Summed over all symbols/patterns these recover T (or q)
-exactly, which the test suite checks as identities.
+statistic; a symbol term is the length-1 pattern term.  Summed over all
+symbols/patterns these recover T (or q) exactly, which the test suite
+checks as identities.
 
 Deviation budgets carry an exact rational coefficient and a symbolic
 sqrt/log shape; sqrt-only budgets are compared exactly via squaring,
@@ -27,17 +26,12 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DegenerateDensityError, InvalidParameterError, PatternTooLongError
 
-from . import numtheory as nt
-from .errors import (
-    DegenerateDensityError,
-    InvalidParameterError,
-    PatternTooLongError,
-    UnknownKindError,
-)
-from .subsets import ConstructionSpec
+if TYPE_CHECKING:
+    from .subsets import ConstructionSpec
 
 
 def _density(T: int, q: int) -> Fraction:
@@ -51,18 +45,12 @@ def _density(T: int, q: int) -> Fraction:
 def gap_mod_symbol_main_term(u: int, T: int, q: int, M: int) -> Fraction:
     """Expected count of symbol u in the gap-mod-M sequence of a set of
     cardinality T in Z_q (length-(T-1) sequence, u in 1..M)."""
-    if M < 2 or not 1 <= u <= M:
-        raise InvalidParameterError(f"need M >= 2 and 1 <= u <= M, got u={u}, M={M}")
-    rho = _density(T, q)
-    return rho * (1 - rho) ** (u - 1) / (1 - (1 - rho) ** M) * T
+    return gap_mod_pattern_main_term((u,), T, q, M)
 
 
 def gap_threshold_symbol_main_term(v: int, T: int, q: int, m: int) -> Fraction:
     """Expected count of bit v in the gap-threshold-m sequence."""
-    if m < 2 or v not in (0, 1):
-        raise InvalidParameterError(f"need m >= 2 and v in {{0,1}}, got v={v}, m={m}")
-    rho = _density(T, q)
-    return (1 - rho) ** ((m - 1) * (1 - v)) * (1 - (1 - rho) ** (m - 1)) ** v * T
+    return gap_threshold_pattern_main_term((v,), T, q, m)
 
 
 def gap_mod_pattern_main_term(pattern, T: int, q: int, M: int) -> Fraction:
@@ -225,82 +213,6 @@ class CardinalityPrediction:
 
 
 def predicted_cardinality(spec: ConstructionSpec) -> CardinalityPrediction:
-    """Main term and deviation budget for |construct(spec)|.
-
-    Exact (zero-budget) predictions where the count is an identity;
-    the power-residue count carries its explicit asserted sqrt budget
-    (root count by exhaustive evaluation); the window and character
-    constructions get report-only budgets with unit constants.
-    """
-    kind, prm = spec.kind, spec.params
-    if kind == "explicit":
-        return CardinalityPrediction(Fraction(len(prm["elements"])), exact_budget())
-    p = prm["p"]
-    if kind == "quadratic_residues":
-        return CardinalityPrediction(Fraction(p - 1, 2), exact_budget())
-    if kind == "primitive_roots":
-        return CardinalityPrediction(
-            Fraction(nt.euler_phi(nt.factorize(p - 1))), exact_budget()
-        )
-    if kind == "fermat_quotient_power_residues":
-        return CardinalityPrediction(
-            Fraction((p - 1) ** 2, prm["d"]), exact_budget()
-        )
-    if kind == "fermat_quotient_primitive_roots":
-        return CardinalityPrediction(
-            Fraction((p - 1) * nt.euler_phi(nt.factorize(p - 1))), exact_budget()
-        )
-    if kind == "power_residues":
-        d = prm["d"]
-        fr = nt.poly_reduce(prm["f"], p)
-        deg = len(fr) - 1
-        values = nt.poly_eval_array(fr or (0,), np.arange(p, dtype=np.int64), p)
-        zeros = int(np.count_nonzero(values == 0))
-        budget = DeviationBudget(
-            "((d-1)/d) * (deg f - 1) * sqrt(p)",
-            True,
-            Fraction((d - 1) * (deg - 1), d),
-            sqrt_arg=p,
-        )
-        return CardinalityPrediction(Fraction(p - zeros, d), budget, deg, zeros)
-    if kind == "primitive_root_powers":
-        s, r = prm["s"], prm["r"]
-        deg = max(len(nt.poly_reduce(prm["f"], p)) - 1, 0)
-        cofactor = nt.factorize((p - 1) // s)
-        budget = DeviationBudget(
-            "deg(f) * 2^omega((p-1)/s) * sqrt(p) * log(p)",
-            False,
-            Fraction(max(deg, 1) * 2**cofactor.omega),
-            sqrt_arg=p,
-            log_power=1,
-            log_arg=p,
-        )
-        return CardinalityPrediction(
-            Fraction(nt.euler_phi(cofactor), r), budget, deg
-        )
-    if kind in ("index_range", "poly_value_range", "inverse_range"):
-        deg = max(len(nt.poly_reduce(prm["f"], p)) - 1, 0)
-        budget = DeviationBudget(
-            "deg(f) * sqrt(p) * log(p)",
-            False,
-            Fraction(max(deg, 1)),
-            sqrt_arg=p,
-            log_power=1,
-            log_arg=p,
-        )
-        return CardinalityPrediction(Fraction(prm["s"]), budget, deg)
-    if kind == "character_argument":
-        deg_f = max(len(nt.poly_reduce(prm["f"], p)) - 1, 0)
-        g = prm.get("g")
-        deg_g = max(len(nt.poly_reduce(g, p)) - 1, 0) if g else 0
-        width = prm["beta"] - prm["alpha"]
-        budget = DeviationBudget(
-            "(deg(f) + deg(g)) * sqrt(p) * log(p)",
-            False,
-            Fraction(max(deg_f + deg_g, 1)),
-            sqrt_arg=p,
-            log_power=1,
-            log_arg=p,
-        )
-        return CardinalityPrediction(width * p, budget, deg_f)
-    raise UnknownKindError(f"unknown construction kind {kind!r}")
+    """Main term and deviation budget for |construct(spec)|, by the rule
+    its construction kind records in subsets.CONSTRUCTIONS."""
+    return spec.record.cardinality(**spec.params)

@@ -3,15 +3,18 @@
 Three derivations: the M-ary sequence of consecutive-element gaps reduced
 mod M (symbols 1..M, with M standing in for gaps divisible by M), the
 binary sequence flagging gaps below a threshold m, and the plain binary
-characteristic (membership) sequence of length q.
+characteristic (membership) sequence of length q.  DERIVATIONS maps each
+kind name to its parameter name, builder, alphabet and pattern main term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import predictions
 from .errors import InvalidParameterError, TooFewElementsError, UnknownKindError
 from .subsets import ResidueSet
 
@@ -20,9 +23,9 @@ from .subsets import ResidueSet
 class DerivedSequence:
     """A finite symbol sequence derived from a set, plus its provenance.
 
-    kind is one of "gap_mod", "gap_threshold", "characteristic"; param is
-    M, m, or None respectively.  gap_mod symbols live in {1, ..., M},
-    binary kinds in {0, 1}.
+    kind names a DERIVATIONS entry and param is its parameter (M for
+    gap_mod, m for gap_threshold, None for characteristic); the symbols
+    lie in the kind's alphabet.
     """
 
     kind: str
@@ -31,31 +34,37 @@ class DerivedSequence:
 
     @property
     def alphabet(self) -> tuple[int, ...]:
-        if self.kind == "gap_mod":
-            return tuple(range(1, self.param + 1))
-        return (0, 1)
+        return tuple(DERIVATIONS[self.kind].alphabet(self.param))
 
     def to_json(self) -> dict:
-        params = {}
-        if self.kind == "gap_mod":
-            params["M"] = self.param
-        elif self.kind == "gap_threshold":
-            params["m"] = self.param
+        pname = DERIVATIONS[self.kind].param
+        params = {pname: self.param} if pname else {}
         return {"kind": self.kind, "params": params, "symbols": list(self.symbols)}
 
     @classmethod
     def from_json(cls, obj) -> "DerivedSequence":
-        kind = obj.get("kind")
-        params = obj.get("params", {})
-        if kind == "gap_mod":
-            param = params["M"]
-        elif kind == "gap_threshold":
-            param = params["m"]
-        elif kind == "characteristic":
-            param = None
-        else:
+        """Parse and validate the to_json form (input from outside)."""
+        if not isinstance(obj, dict):
+            raise InvalidParameterError("sequence must be an object")
+        kind, params = obj.get("kind"), obj.get("params", {})
+        if not isinstance(kind, str) or kind not in DERIVATIONS:
             raise UnknownKindError(f"unknown sequence kind {kind!r}")
-        return cls(kind, param, tuple(int(s) for s in obj["symbols"]))
+        pname = DERIVATIONS[kind].param
+        param = params.get(pname) if pname and isinstance(params, dict) else None
+        if pname and not (type(param) is int and param >= 2):
+            raise InvalidParameterError(
+                f"{kind}.params.{pname}: expected an integer >= 2, got {param!r}"
+            )
+        alphabet = DERIVATIONS[kind].alphabet(param)
+        symbols = obj.get("symbols")
+        if not isinstance(symbols, list) or not all(
+            type(s) is int and s in alphabet for s in symbols
+        ):
+            raise InvalidParameterError(
+                f"{kind}.symbols: expected a list of symbols in "
+                f"{alphabet[0]}..{alphabet[-1]}"
+            )
+        return cls(kind, param, tuple(symbols))
 
     def symbols_line(self) -> str:
         """The plain-text form: symbols on one line, space separated."""
@@ -95,3 +104,43 @@ def derive_characteristic(rset: ResidueSet) -> DerivedSequence:
     """The 0/1 membership sequence of length q (exactly cardinality ones)."""
     syms = rset.member_mask.astype(np.int64)
     return DerivedSequence("characteristic", None, tuple(int(s) for s in syms))
+
+
+# ----------------------------------------------------------------------
+# The derivation table: one record per kind.  The lambdas look builders and
+# main terms up by name at call time, so wrapping one wraps its kind too.
+
+
+@dataclass(frozen=True)
+class DerivationKind:
+    """A derivation kind: its parameter's name (None if it has none), its
+    builder (rset, param), its alphabet (param; a range, so its size and
+    membership cost nothing for any M) and the main term of a pattern
+    window (pattern, T, q, param)."""
+
+    param: str | None
+    derive: Callable[[ResidueSet, int | None], DerivedSequence]
+    alphabet: Callable[[int | None], range]
+    main_term: Callable
+
+
+DERIVATIONS = {
+    "gap_mod": DerivationKind(
+        "M",
+        lambda rset, M: derive_gap_mod(rset, M),
+        lambda M: range(1, M + 1),
+        lambda pat, T, q, M: predictions.gap_mod_pattern_main_term(pat, T, q, M),
+    ),
+    "gap_threshold": DerivationKind(
+        "m",
+        lambda rset, m: derive_gap_threshold(rset, m),
+        lambda m: range(2),
+        lambda pat, T, q, m: predictions.gap_threshold_pattern_main_term(pat, T, q, m),
+    ),
+    "characteristic": DerivationKind(
+        None,
+        lambda rset, _: derive_characteristic(rset),
+        lambda _: range(2),
+        lambda pat, T, q, _: predictions.characteristic_pattern_main_term(pat, T, q),
+    ),
+}

@@ -5,16 +5,18 @@ polynomial values, powers of primitive roots filtered by r-th power
 values, discrete-log (index) windows, polynomial value windows, modular
 inverse windows, angular windows of character products, Fermat-quotient
 preimages in Z_{p^2}, and explicit sets.  Every construction returns a
-ResidueSet; `construct` dispatches on a JSON-serializable spec so
-experiment configs can name any set in the catalog.
+ResidueSet.  CONSTRUCTIONS maps each kind name to its params, builder,
+modulus and predicted cardinality; `construct` builds the set a
+JSON-serializable spec names, so experiment configs can name any set in
+the catalog.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .errors import (
     TooLargeError,
     UnknownKindError,
 )
+from .predictions import CardinalityPrediction, DeviationBudget, exact_budget
 
 # The Fermat-quotient constructions build dense tables over Z_{p^2}.
 _FERMAT_TABLE_LIMIT = 2**11
@@ -117,10 +120,6 @@ class BalancedIndicator:
         return np.where(self.source.member_mask, q - t, -t).astype(np.int64)
 
 
-def balanced_indicator(rset: ResidueSet) -> BalancedIndicator:
-    return BalancedIndicator(rset)
-
-
 # ----------------------------------------------------------------------
 # Shared per-prime tables.
 
@@ -204,6 +203,13 @@ def quadratic_residue_set(p: int) -> ResidueSet:
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
     squares = np.unique(half * half % p)
     return ResidueSet(p, tuple(int(x) for x in squares))
+
+
+def primitive_root_set(p: int) -> ResidueSet:
+    """All primitive roots of the odd prime p: the euler_phi(p - 1)
+    residues g^j with gcd(j, p - 1) = 1."""
+    nt._require_odd_prime(p)
+    return _elements_from_mask(p, _primitive_root_mask(p))
 
 
 def power_residue_set(p: int, d: int, f) -> ResidueSet:
@@ -371,30 +377,142 @@ def explicit_set(q: int, elements) -> ResidueSet:
 
 
 # ----------------------------------------------------------------------
+# Predicted cardinalities: exact where the count is an identity; the
+# power-residue count carries its explicit asserted sqrt budget (root
+# count by exhaustive evaluation); the window and character constructions
+# get report-only budgets with unit constants.
+
+
+def _exact_count(main) -> CardinalityPrediction:
+    return CardinalityPrediction(Fraction(main), exact_budget())
+
+
+def _log_budget(formula: str, coefficient: int, p: int) -> DeviationBudget:
+    """Report-only budget coefficient * sqrt(p) * log(p)."""
+    return DeviationBudget(
+        formula, False, Fraction(coefficient), sqrt_arg=p, log_power=1, log_arg=p
+    )
+
+
+def _degree(f, p: int) -> int:
+    return max(len(nt.poly_reduce(f, p)) - 1, 0)
+
+
+def _power_residue_count(p, d, f) -> CardinalityPrediction:
+    fr = nt.poly_reduce(f, p)
+    deg = len(fr) - 1
+    values = nt.poly_eval_array(fr or (0,), np.arange(p, dtype=np.int64), p)
+    zeros = int(np.count_nonzero(values == 0))
+    budget = DeviationBudget(
+        "((d-1)/d) * (deg f - 1) * sqrt(p)",
+        True,
+        Fraction((d - 1) * (deg - 1), d),
+        sqrt_arg=p,
+    )
+    return CardinalityPrediction(Fraction(p - zeros, d), budget, deg, zeros)
+
+
+def _primitive_root_power_count(p, s, r, f) -> CardinalityPrediction:
+    deg = _degree(f, p)
+    cofactor = nt.factorize((p - 1) // s)
+    budget = _log_budget(
+        "deg(f) * 2^omega((p-1)/s) * sqrt(p) * log(p)",
+        max(deg, 1) * 2**cofactor.omega,
+        p,
+    )
+    return CardinalityPrediction(Fraction(nt.euler_phi(cofactor), r), budget, deg)
+
+
+def _window_count(p, f, r, s) -> CardinalityPrediction:
+    deg = _degree(f, p)
+    budget = _log_budget("deg(f) * sqrt(p) * log(p)", max(deg, 1), p)
+    return CardinalityPrediction(Fraction(s), budget, deg)
+
+
+def _character_argument_count(p, f, alpha, beta, g=None, **_) -> CardinalityPrediction:
+    deg_f = _degree(f, p)
+    deg_g = _degree(g, p) if g else 0
+    budget = _log_budget(
+        "(deg(f) + deg(g)) * sqrt(p) * log(p)", max(deg_f + deg_g, 1), p
+    )
+    return CardinalityPrediction((beta - alpha) * p, budget, deg_f)
+
+
+def _character_argument(p, order, additive, f, alpha, beta, char_index=1, g=None):
+    chi = None if order == 1 else nt.MultiplicativeCharacter.build(p, order, char_index)
+    return character_argument_set(p, chi, additive, f, g, alpha, beta)
+
+
+# ----------------------------------------------------------------------
+# The construction table: one record per kind.  Builders, predictions
+# and moduli take the spec's params as keyword arguments.
+
+
+@dataclass(frozen=True)
+class ConstructionKind:
+    """A construction kind: its params (some optional), the builder of
+    its set, the predicted cardinality, and the q the set lives in."""
+
+    params: set
+    build: Callable[..., ResidueSet]
+    cardinality: Callable[..., CardinalityPrediction]
+    modulus: Callable[..., int] = lambda p, **_: p
+    optional: set = frozenset()
+
+
+CONSTRUCTIONS = {
+    "explicit": ConstructionKind(
+        {"q", "elements"},
+        explicit_set,
+        lambda q, elements: _exact_count(len(elements)),
+        modulus=lambda q, elements: q,
+    ),
+    "quadratic_residues": ConstructionKind(
+        {"p"}, quadratic_residue_set, lambda p: _exact_count(Fraction(p - 1, 2))
+    ),
+    "power_residues": ConstructionKind(
+        {"p", "d", "f"}, power_residue_set, _power_residue_count
+    ),
+    "primitive_roots": ConstructionKind(
+        {"p"},
+        primitive_root_set,
+        lambda p: _exact_count(nt.euler_phi(nt.factorize(p - 1))),
+    ),
+    "primitive_root_powers": ConstructionKind(
+        {"p", "s", "r", "f"}, primitive_root_power_set, _primitive_root_power_count
+    ),
+    "index_range": ConstructionKind(
+        {"p", "f", "r", "s"}, index_range_set, _window_count
+    ),
+    "poly_value_range": ConstructionKind(
+        {"p", "f", "r", "s"}, poly_value_range_set, _window_count
+    ),
+    "inverse_range": ConstructionKind(
+        {"p", "f", "r", "s"}, inverse_range_set, _window_count
+    ),
+    "character_argument": ConstructionKind(
+        {"p", "order", "char_index", "additive", "f", "g", "alpha", "beta"},
+        _character_argument,
+        _character_argument_count,
+        optional={"char_index", "g"},
+    ),
+    "fermat_quotient_power_residues": ConstructionKind(
+        {"p", "d"},
+        fermat_quotient_power_residue_set,
+        lambda p, d: _exact_count(Fraction((p - 1) ** 2, d)),
+        modulus=lambda p, **_: p * p,
+    ),
+    "fermat_quotient_primitive_roots": ConstructionKind(
+        {"p"},
+        fermat_quotient_primitive_root_set,
+        lambda p: _exact_count((p - 1) * nt.euler_phi(nt.factorize(p - 1))),
+        modulus=lambda p, **_: p * p,
+    ),
+}
+
+
+# ----------------------------------------------------------------------
 # Specs: JSON-portable descriptions of constructions.
-
-_INT_PARAMS = {"p", "d", "s", "r", "q", "order", "char_index", "additive"}
-_POLY_PARAMS = {"f", "g"}
-_FRACTION_PARAMS = {"alpha", "beta"}
-
-_KIND_PARAMS = {
-    "explicit": {"q", "elements"},
-    "quadratic_residues": {"p"},
-    "power_residues": {"p", "d", "f"},
-    "primitive_roots": {"p"},
-    "primitive_root_powers": {"p", "s", "r", "f"},
-    "index_range": {"p", "f", "r", "s"},
-    "poly_value_range": {"p", "f", "r", "s"},
-    "inverse_range": {"p", "f", "r", "s"},
-    "character_argument": {"p", "order", "char_index", "additive", "f", "g",
-                           "alpha", "beta"},
-    "fermat_quotient_power_residues": {"p", "d"},
-    "fermat_quotient_primitive_roots": {"p"},
-}
-
-_KIND_OPTIONAL = {
-    "character_argument": {"char_index", "g"},
-}
 
 
 def _as_int(value, where: str) -> int:
@@ -415,12 +533,22 @@ def _as_fraction(value, where: str) -> Fraction:
     )
 
 
-def _as_poly(value, where: str) -> tuple[int, ...]:
+def _as_ints(
+    value, where: str, what: str = "a coefficient list (lowest degree first)"
+) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)):
         return tuple(_as_int(c, where) for c in value)
-    raise InvalidParameterError(
-        f"{where}: expected a coefficient list (lowest degree first), got {value!r}"
-    )
+    raise InvalidParameterError(f"{where}: expected {what}, got {value!r}")
+
+_PARAM_PARSERS = {
+    **dict.fromkeys(("p", "d", "s", "r", "q", "order", "char_index", "additive"),
+                    _as_int),
+    "elements": partial(_as_ints, what="a list of integers"),
+    "f": _as_ints,
+    "g": _as_ints,
+    "alpha": _as_fraction,
+    "beta": _as_fraction,
+}
 
 
 @dataclass(frozen=True)
@@ -431,10 +559,9 @@ class ConstructionSpec:
     params: dict
 
     def __post_init__(self):
-        if self.kind not in _KIND_PARAMS:
+        if self.kind not in CONSTRUCTIONS:
             raise UnknownKindError(f"unknown construction kind {self.kind!r}")
-        allowed = _KIND_PARAMS[self.kind]
-        optional = _KIND_OPTIONAL.get(self.kind, set())
+        allowed, optional = self.record.params, self.record.optional
         given = set(self.params)
         if given - allowed:
             raise InvalidParameterError(
@@ -446,14 +573,13 @@ class ConstructionSpec:
             )
 
     @property
+    def record(self) -> ConstructionKind:
+        return CONSTRUCTIONS[self.kind]
+
+    @property
     def modulus(self) -> int:
         """The q of the set this spec constructs."""
-        if self.kind == "explicit":
-            return self.params["q"]
-        p = self.params["p"]
-        if self.kind.startswith("fermat_quotient"):
-            return p * p
-        return p
+        return self.record.modulus(**self.params)
 
     @classmethod
     def from_json(cls, obj) -> "ConstructionSpec":
@@ -463,23 +589,15 @@ class ConstructionSpec:
             )
         kind = obj["kind"]
         raw = obj["params"]
-        if kind not in _KIND_PARAMS:
+        if not isinstance(kind, str) or kind not in CONSTRUCTIONS:
             raise UnknownKindError(f"unknown construction kind {kind!r}")
         if not isinstance(raw, dict):
             raise InvalidParameterError("params must be an object")
         params = {}
         for key, value in raw.items():
-            where = f"{kind}.params.{key}"
-            if key == "elements":
-                params[key] = tuple(_as_int(x, where) for x in value)
-            elif key in _POLY_PARAMS:
-                params[key] = _as_poly(value, where)
-            elif key in _FRACTION_PARAMS:
-                params[key] = _as_fraction(value, where)
-            elif key in _INT_PARAMS:
-                params[key] = _as_int(value, where)
-            else:
-                params[key] = value  # rejected by __post_init__
+            parse = _PARAM_PARSERS.get(key)
+            # unknown keys pass through to be rejected by __post_init__
+            params[key] = parse(value, f"{kind}.params.{key}") if parse else value
         return cls(kind, params)
 
     def to_json(self) -> dict:
@@ -496,38 +614,4 @@ class ConstructionSpec:
 
 def construct(spec: ConstructionSpec) -> ResidueSet:
     """Build the set a spec describes."""
-    kind, prm = spec.kind, spec.params
-    if kind == "explicit":
-        return explicit_set(prm["q"], prm["elements"])
-    if kind == "quadratic_residues":
-        return quadratic_residue_set(prm["p"])
-    if kind == "power_residues":
-        return power_residue_set(prm["p"], prm["d"], prm["f"])
-    if kind == "primitive_roots":
-        return nt.primitive_root_set(prm["p"])
-    if kind == "primitive_root_powers":
-        return primitive_root_power_set(prm["p"], prm["s"], prm["r"], prm["f"])
-    if kind == "index_range":
-        return index_range_set(prm["p"], prm["f"], prm["r"], prm["s"])
-    if kind == "poly_value_range":
-        return poly_value_range_set(prm["p"], prm["f"], prm["r"], prm["s"])
-    if kind == "inverse_range":
-        return inverse_range_set(prm["p"], prm["f"], prm["r"], prm["s"])
-    if kind == "character_argument":
-        order = prm["order"]
-        chi = (
-            None
-            if order == 1
-            else nt.MultiplicativeCharacter.build(
-                prm["p"], order, prm.get("char_index", 1)
-            )
-        )
-        return character_argument_set(
-            prm["p"], chi, prm["additive"], prm["f"], prm.get("g"),
-            prm["alpha"], prm["beta"],
-        )
-    if kind == "fermat_quotient_power_residues":
-        return fermat_quotient_power_residue_set(prm["p"], prm["d"])
-    if kind == "fermat_quotient_primitive_roots":
-        return fermat_quotient_primitive_root_set(prm["p"])
-    raise UnknownKindError(f"unknown construction kind {kind!r}")
+    return spec.record.build(**spec.params)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zqlab import cli, errors
+from zqlab import cli, errors, harness
 from zqlab.harness import (
     AnalysisSpec,
     BudgetSpec,
@@ -104,6 +104,17 @@ class TestConfigParsing:
             {"kind": "patterns", "sequence": "gap_mod", "length": 3}
         )
         with pytest.raises(errors.ConfigError, match="length"):
+            ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("M", [10**12, 10**30])
+    def test_feasibility_guard_huge_alphabet(self, M):
+        # refused from the alphabet's size alone, without enumerating it
+        bad = copy.deepcopy(BASE)
+        bad["derivations"][0]["M"] = M
+        bad["analyses"].append(
+            {"kind": "patterns", "sequence": "gap_mod", "length": 1}
+        )
+        with pytest.raises(errors.ConfigError, match="alphabet"):
             ExperimentConfig.from_dict(bad)
 
     def test_lemma_budget_only_for_sign_patterns(self):
@@ -326,6 +337,14 @@ class TestSweep:
         assert len(error_rows) == 1
         assert "NotPrime" in error_rows[0][3]
 
+    def test_bug_in_point_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(harness, "run", broken)
+        with pytest.raises(RuntimeError):
+            sweep(self.SWEEP_BASE, self.GRID)
+
     def test_empty_grid(self):
         with pytest.raises(errors.EmptyGridError):
             sweep(self.SWEEP_BASE, [])
@@ -455,6 +474,37 @@ class TestCli:
         cfg = self.write(tmp_path, "x.json", {"kind": "quadratic_residues", "params": {"p": 10}})
         assert cli.main(["construct", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_list_elements_exits_2(self, tmp_path, capsys):
+        cfg = self.write(
+            tmp_path, "e.json", {"kind": "explicit", "params": {"q": 5, "elements": 3}}
+        )
+        assert cli.main(["construct", "--config", cfg]) == 2
+        assert cli.main(["corr", "--config", cfg, "-k", "1"]) == 2
+        assert "explicit.params.elements" in capsys.readouterr().err
+
+    def test_stats_sequence_without_param_exits_2(self, tmp_path, capsys):
+        seq = {"sequence": {"kind": "gap_mod", "params": {}, "symbols": [1, 2]}}
+        cfg = self.write(tmp_path, "s.json", seq)
+        assert cli.main(["stats", "--config", cfg]) == 2
+        assert "gap_mod.params.M" in capsys.readouterr().err
+
+    def test_stats_huge_alphabet(self, tmp_path, capsys):
+        seq = {"sequence": {"kind": "gap_mod", "params": {"M": 10**12}, "symbols": [7, 10**12]}}
+        cfg = self.write(tmp_path, "s.json", seq)
+        assert cli.main(["stats", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["counts"] == [
+            {"pattern": [7], "count": 1},
+            {"pattern": [10**12], "count": 1},
+        ]
+
+    def test_stats_empty_sequence_exits_2(self, tmp_path, capsys):
+        # an empty sequence has no window of length 1, the default
+        seq = {"sequence": {"kind": "characteristic", "params": {}, "symbols": []}}
+        cfg = self.write(tmp_path, "s.json", seq)
+        assert cli.main(["stats", "--config", cfg]) == 2
+        assert "exceeds sequence length 0" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["construct", "--config", "/nonexistent.json"]) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import errors
+from zqlab import errors, measures
 from zqlab.measures import (
     SignVector,
     _correlation_exact_bigint,
@@ -20,7 +20,7 @@ from zqlab.measures import (
     sign_pattern_count,
     symbol_counts,
 )
-from zqlab.sequences import derive_characteristic, derive_gap_mod
+from zqlab.sequences import DerivedSequence, derive_characteristic, derive_gap_mod
 from zqlab.subsets import ResidueSet, explicit_set, quadratic_residue_set
 
 QR11 = quadratic_residue_set(11)
@@ -85,6 +85,11 @@ class TestPatternCounts:
     def test_symbol_counts(self):
         counts = symbol_counts(derive_gap_mod(QR11, 2))
         assert counts == {1: 2, 2: 2}
+
+    def test_symbol_counts_empty_sequence(self):
+        # the length-1 counts: an empty sequence has no window to count
+        with pytest.raises(errors.PatternTooLongError):
+            symbol_counts(DerivedSequence("characteristic", None, ()))
 
     def test_qr11_characteristic_pairs(self):
         counts = pattern_counts(derive_characteristic(QR11), 2)
@@ -233,6 +238,36 @@ class TestBigintFallback:
         for k in (1, 2, 3):
             num, window, lags = _correlation_exact_bigint(f, 12, k)
             assert Fraction(num, 12**k) == correlation_oracle(r, k).value
+
+    @pytest.mark.parametrize("k", [14, 15])
+    def test_public_call_finishes_without_int64_headroom(self, monkeypatch, k):
+        # 18^(k+1) >= 2^62, so correlation_exact must take the bigint path
+        r = explicit_set(18, [0, 1, 4, 6, 7, 11, 12, 15])
+        calls = []
+        real = measures._correlation_exact_bigint
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measures, "_correlation_exact_bigint", spy)
+        result = correlation_exact(r, k)
+        assert len(calls) == 1
+        q, t = r.q, r.cardinality
+        f = [q - t if n in r else -t for n in range(q)]
+        best = 0
+        for lags in itertools.combinations(range(q), k):
+            total = 0
+            for n in range(q):
+                total += math.prod(f[(n + d) % q] for d in lags)
+                best = max(best, abs(total))
+        assert result.value == Fraction(best, q**k)
+        witness = sum(
+            math.prod(f[(n + d) % q] for d in result.lags)
+            for n in range(result.window)
+        )
+        assert Fraction(abs(witness), q**k) == result.value
+        assert result.tuples_examined == math.comb(q, k)
 
 
 class TestShiftCovariance:

@@ -79,6 +79,34 @@ def test_json_round_trip():
         assert again == seq
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [2, 1, 1, 2],  # not an object
+        {"kind": "gap_mod", "params": {}, "symbols": [2, 1]},  # M missing
+        {"kind": "gap_mod", "params": {"M": 0}, "symbols": [2, 1]},  # M < 2
+        {"kind": "gap_mod", "params": {"M": 2}, "symbols": [0, 7]},  # not in 1..M
+        {"kind": "characteristic", "params": {}, "symbols": [0, 1.0]},  # not int
+    ],
+)
+def test_from_json_rejects_invalid(obj):
+    with pytest.raises(errors.InvalidParameterError):
+        DerivedSequence.from_json(obj)
+
+
+def test_from_json_huge_alphabet():
+    # membership is checked against the alphabet without enumerating it
+    M = 10**12
+    seq = DerivedSequence.from_json(
+        {"kind": "gap_mod", "params": {"M": M}, "symbols": [1, M]}
+    )
+    assert seq.symbols == (1, M)
+    with pytest.raises(errors.InvalidParameterError, match=f"1..{M}"):
+        DerivedSequence.from_json(
+            {"kind": "gap_mod", "params": {"M": M}, "symbols": [M + 1]}
+        )
+
+
 def test_symbols_line():
     assert derive_gap_mod(QR11, 2).symbols_line() == "2 1 1 2"
 

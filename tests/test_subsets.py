@@ -9,8 +9,8 @@ from zqlab import errors
 from zqlab.numtheory import MultiplicativeCharacter
 from zqlab.subsets import (
     ConstructionSpec,
+    BalancedIndicator,
     ResidueSet,
-    balanced_indicator,
     character_argument_set,
     construct,
     explicit_set,
@@ -21,9 +21,9 @@ from zqlab.subsets import (
     poly_value_range_set,
     power_residue_set,
     primitive_root_power_set,
+    primitive_root_set,
     quadratic_residue_set,
 )
-from zqlab.numtheory import primitive_root_set
 
 subsets = st.integers(min_value=2, max_value=80).flatmap(
     lambda q: st.sets(st.integers(0, q - 1), max_size=q).map(
@@ -68,13 +68,13 @@ class TestResidueSet:
 
 class TestBalancedIndicator:
     def test_values(self):
-        f = balanced_indicator(explicit_set(4, [0]))
+        f = BalancedIndicator(explicit_set(4, [0]))
         assert f.value(0) == Fraction(3, 4)
         assert f.value(1) == Fraction(-1, 4)
         assert f.value(4) == Fraction(3, 4)
 
     def test_numerators(self):
-        f = balanced_indicator(quadratic_residue_set(11))
+        f = BalancedIndicator(quadratic_residue_set(11))
         nums = f.sign_numerators()
         assert nums[1] == 6 and nums[0] == -5
         assert nums.dtype == np.int64
@@ -82,7 +82,7 @@ class TestBalancedIndicator:
     @given(subsets)
     @settings(max_examples=60)
     def test_sums_to_zero(self, r):
-        f = balanced_indicator(r)
+        f = BalancedIndicator(r)
         assert sum(f.value(n) for n in range(r.q)) == 0
         assert int(f.sign_numerators().sum()) == 0
 
