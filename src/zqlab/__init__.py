@@ -47,7 +47,6 @@ from .measures import (
     DEFAULT_BUDGET,
     CorrelationResult,
     SignVector,
-    colex_combinations,
     correlation_exact,
     correlation_oracle,
     correlation_sampled,

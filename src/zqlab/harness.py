@@ -21,7 +21,6 @@ import decimal
 import hashlib
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -258,6 +257,9 @@ class ExperimentConfig:
             spec = ConstructionSpec.from_json(obj["construction"])
         except Error as exc:
             raise ConfigError(f"construction: {exc}") from exc
+        for key in ("derivations", "analyses"):
+            if not isinstance(obj.get(key, []), (list, tuple)):
+                _fail(key, f"expected a list, got {type(obj[key]).__name__}")
         derivations = []
         for i, raw in enumerate(obj.get("derivations", ())):
             derivations.append(DerivationSpec.from_dict(raw, f"derivations[{i}]"))
@@ -272,14 +274,14 @@ class ExperimentConfig:
                     f"analyses[{i}].sequence",
                     f"no derivation of kind {analysis.sequence!r} configured",
                 )
-            if analysis.length is not None:
+            if analysis.sequence is not None:  # balance: patterns of length 1
                 dspec = derivations[kinds.index(analysis.sequence)]
                 alphabet = sequences.DERIVATIONS[dspec.kind].alphabet(dspec.param)
                 # stop - start, not len(): len() overflows past 2**63 symbols.
                 size = alphabet.stop - alphabet.start
-                if size**analysis.length > _MAX_PATTERN_FAMILY:
+                if size ** (analysis.length or 1) > _MAX_PATTERN_FAMILY:
                     _fail(
-                        f"analyses[{i}].length",
+                        f"analyses[{i}]",
                         f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
                     )
             analyses.append(analysis)
@@ -431,7 +433,7 @@ def _sign_patterns_cost(analysis, q: int) -> int:
     s = analysis.window
     cost = 2**s * q * s
     if analysis.budget is not None and analysis.budget.shape == "lemma":
-        cost += sum(math.comb(q, j) * q for j in range(1, min(s, q) + 1))
+        cost += sum(measures.exact_cost(q, j) for j in range(1, min(s, q) + 1))
     return cost
 
 
@@ -467,7 +469,7 @@ ANALYSES = {
         ("window", "budget"), _sign_patterns_cost, _run_sign_patterns, lemma=True
     ),
     "correlation": AnalysisKind(
-        ("k",), lambda a, q: math.comb(q, min(a.k, q)) * q, _run_correlation
+        ("k",), lambda a, q: measures.exact_cost(q, min(a.k, q)), _run_correlation
     ),
     "correlation_sampled": AnalysisKind(
         ("k", "samples", "seed"), lambda a, q: a.samples * q, _run_correlation

@@ -7,24 +7,27 @@ The correlation of order k is the maximum, over window lengths M in
 
 where f is the density-centered indicator of the set and indices are
 reduced mod q.  Values are exact rationals: f takes values with a fixed
-denominator q, so every window sum is an integer over q^k.  The exact
-scan enumerates lag tuples in colexicographic order and gets the max
-over M from a single running-prefix pass per tuple, vectorized over
-blocks of tuples with 64-bit integer arithmetic; an independent oracle
-recomputes every window sum from scratch for cross-validation.
+denominator q, so every window sum is an integer over q^k.
+
+Translating the lags by c turns the window [0, M) into the cyclic window
+[c, c+M), so the exact scan visits one lag tuple per translation class and
+takes its max over all cyclic windows.  No product is multiplied out: it
+is a table lookup by the number of members among the lagged positions.
+The sampled scan shares that kernel; an independent oracle recomputes
+every window sum from scratch for cross-validation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BudgetExceededError,
@@ -34,7 +37,7 @@ from .errors import (
     TooLargeError,
 )
 from .sequences import DerivedSequence
-from .subsets import BalancedIndicator, ResidueSet
+from .subsets import ResidueSet
 
 #: Default elementary-operation budget shared by correlation scans and
 #: sweep sizing.  Oversized requests are refused, never truncated.
@@ -42,6 +45,9 @@ DEFAULT_BUDGET = 10**9
 
 # Block size (array cells) for the vectorized tuple scans.
 _CHUNK_CELLS = 1 << 20
+
+# int64 bound on 3*q^(k+1): |S| <= q^(k+1), and |Tot - U| <= 3*q^(k+1).
+_INT64_HEADROOM = 2**62
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +115,9 @@ class CorrelationResult:
     """An exact correlation value plus a maximizing witness.
 
     value = |window sum| / q^k at the reported window length and lags;
-    mode is "exact" (full enumeration) or "sampled" (random lag tuples,
-    a lower bound).  tuples_examined counts enumerated lag tuples.
+    mode is "exact" (all lag tuples) or "sampled" (random lag tuples, a
+    lower bound).  tuples_examined counts the lag tuples the value covers:
+    C(q, k) when exact, the draws when sampled.
     """
 
     k: int
@@ -123,63 +130,12 @@ class CorrelationResult:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "value": {
-                "num": self.value.numerator,
-                "den": self.value.denominator,
-            },
+            "value": {"num": self.value.numerator, "den": self.value.denominator},
             "window": self.window,
             "lags": list(self.lags),
             "mode": self.mode,
             "tuples": self.tuples_examined,
         }
-
-
-# ----------------------------------------------------------------------
-# Colexicographic enumeration of k-element subsets of {0, ..., q-1}.
-# The arrays grow on demand and are shared: the colex order of subsets
-# of a smaller range is a prefix of the order for a larger range.
-
-_COMB_LOCK = threading.RLock()
-_COMB_CACHE: dict[int, tuple[int, np.ndarray]] = {}
-_EMPTY_ROW = np.empty((1, 0), dtype=np.int32)
-
-
-def _combs_prefix(k: int, q: int) -> np.ndarray:
-    if k == 0:
-        return _EMPTY_ROW
-    built_q, arr = _COMB_CACHE[k]
-    return arr[: math.comb(q, k)]
-
-
-def _ensure_combs(k: int, q: int) -> None:
-    if k == 0:
-        return
-    built_q, arr = _COMB_CACHE.get(k, (k - 1, np.empty((0, k), dtype=np.int32)))
-    if built_q >= q:
-        return
-    _ensure_combs(k - 1, q - 1)
-    blocks = [arr]
-    for m in range(built_q, q):  # new largest elements
-        left = _combs_prefix(k - 1, m)
-        col = np.full((left.shape[0], 1), m, dtype=np.int32)
-        blocks.append(np.hstack([left, col]))
-    grown = np.vstack(blocks)
-    grown.setflags(write=False)
-    _COMB_CACHE[k] = (q, grown)
-
-
-def colex_combinations(q: int, k: int) -> np.ndarray:
-    """All k-subsets of {0..q-1} as rows, in colexicographic order."""
-    if k < 0 or q < 0:
-        raise InvalidParameterError("q and k must be nonnegative")
-    if k > q:
-        return np.empty((0, max(k, 1)), dtype=np.int32)
-    with _COMB_LOCK:
-        _ensure_combs(k, q)
-        return _combs_prefix(k, q)
-
-
-# ----------------------------------------------------------------------
 
 
 def _validate_order(k: int, q: int) -> None:
@@ -189,83 +145,123 @@ def _validate_order(k: int, q: int) -> None:
         raise OrderTooLargeError(f"correlation order {k} exceeds q={q}")
 
 
-def _scan_tuple_rows(fnum: np.ndarray, tuples: np.ndarray, lo: int, hi: int):
-    """Best |prefix sum| over tuple rows lo..hi-1; ties keep the lowest row.
+def exact_cost(q: int, k: int) -> int:
+    """Upper bound on the cells the exact order-k scan visits: one period
+    per lag tuple with d_1 = 0 (it keeps about a k-th of them)."""
+    return math.comb(q - 1, k - 1) * q
 
-    Returns (numerator, row index, window length); numerator is -1 when
-    the range is empty.  Exact in int64: callers guarantee headroom.
+
+def _kernel(rset: ResidueSet, k: int, dtype):
+    """The map from a (rows, k) lag array to the prefix sums S_0 = 0,
+    S_1, ..., S_q of P(n) = prod_i q*f(n + d_i), one row per lag tuple.
+    With j the number of members among the n + d_i, P(n) is the table
+    entry (q-T)^j * (-T)^(k-j)."""
+    q, t = rset.q, rset.cardinality
+    mask = rset.member_mask.astype(np.min_scalar_type(k))
+    # windows[d, n] is the membership of (d + n) mod q
+    windows = sliding_window_view(np.concatenate([mask, mask]), q)
+    table = np.array([(q - t) ** j * (-t) ** (k - j) for j in range(k + 1)], dtype)
+
+    def prefix_sums(lags: np.ndarray) -> np.ndarray:
+        counts = windows[lags[:, 0]]
+        for i in range(1, k):
+            counts += windows[lags[:, i]]
+        sums = np.zeros((len(lags), q + 1), dtype=dtype)
+        np.cumsum(table[counts], axis=1, out=sums[:, 1:])
+        return sums
+
+    return prefix_sums
+
+
+def _cyclic_best(sums: np.ndarray) -> np.ndarray:
+    """Per row, the largest |sum| over all cyclic windows of one period.
+
+    With U and D the largest drawup and drawdown of S_0, ..., S_q and
+    Tot = S_q, windows that do not wrap reach max(U, D).  A window that
+    wraps is the complement of one that does not, so its sum is Tot minus
+    a value in [-D, U]: it reaches |Tot - U| or |Tot + D|.
     """
-    q = fnum.shape[0]
-    offsets = np.arange(q, dtype=np.int64)[None, :]
-    best_num, best_row, best_m = -1, -1, -1
-    rows_per_chunk = max(1, _CHUNK_CELLS // q)
-    for start in range(lo, hi, rows_per_chunk):
-        block = tuples[start : min(start + rows_per_chunk, hi)]
-        prod = fnum[(offsets + block[:, 0:1]) % q]
-        for i in range(1, block.shape[1]):
-            prod *= fnum[(offsets + block[:, i : i + 1]) % q]
-        sums = np.cumsum(prod, axis=1)
-        np.abs(sums, out=sums)
-        row_best = sums.max(axis=1)
-        j = int(row_best.argmax())
-        val = int(row_best[j])
-        if val > best_num:
-            best_num = val
-            best_row = start + j
-            best_m = int(sums[j].argmax()) + 1
-    return best_num, best_row, best_m
+    total = sums[:, -1]
+    run = np.minimum.accumulate(sums, axis=1)
+    up = np.subtract(sums, run, out=run).max(axis=1)
+    np.maximum.accumulate(sums, axis=1, out=run)
+    down = np.subtract(run, sums, out=run).max(axis=1)
+    return np.maximum.reduce([up, down, np.abs(total - up), np.abs(total + down)])
 
 
-def _split_ranges(n: int, parts: int) -> list:
-    parts = max(1, min(parts, n)) if n else 1
-    step, extra = divmod(n, parts)
-    ranges, lo = [], 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges or [(0, 0)]
+def _first_length(s: np.ndarray, best) -> int:
+    """Shortest M >= 1 with |s[M] - s[0]| == best."""
+    return int(np.flatnonzero(np.abs(s[1:] - s[0]) == best)[0]) + 1
 
 
-def _best_over_tuples(fnum: np.ndarray, tuples: np.ndarray, workers: int):
-    n = tuples.shape[0]
-    ranges = _split_ranges(n, workers)
-    if len(ranges) == 1:
-        return _scan_tuple_rows(fnum, tuples, *ranges[0])
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        results = list(
-            pool.map(lambda r: _scan_tuple_rows(fnum, tuples, *r), ranges)
-        )
-    # deterministic merge: highest value, then earliest enumeration row
-    return min(results, key=lambda t: (-t[0], t[1]))
+def _cyclic_witness(sums: np.ndarray, best) -> tuple[int, int]:
+    """(start, length) of a cyclic window whose |sum| is the row's best:
+    the lowest start, then the shortest length."""
+    q = sums.shape[0] - 1
+    s = np.concatenate([sums, sums[-1] + sums[1:]])  # over two periods
+    first, second = s[1:].reshape(2, q)
+
+    def extreme(ufunc):  # of s[c+1 .. c+q] for every start c, in O(q)
+        out = ufunc.accumulate(first[::-1])[::-1]
+        out[1:] = ufunc(out[1:], ufunc.accumulate(second)[:-1])
+        return out
+
+    base = s[:q]
+    hits = (extreme(np.maximum) - base == best) | (base - extreme(np.minimum) == best)
+    start = int(np.flatnonzero(hits)[0])
+    return start, _first_length(s[start : start + q + 1], best)
 
 
-def _correlation_exact_bigint(fnum_list, q: int, k: int):
-    """Arbitrary-precision fallback for the (budget-raised) huge cases."""
-    best_num, best_row, best_m, best_lags = -1, -1, -1, None
-    for row, lags in enumerate(_colex_iter(q, k)):
-        total = 0
-        best_here, m_here = -1, -1
-        for n in range(q):
-            prod = 1
-            for d in lags:
-                prod *= fnum_list[(n + d) % q]
-            total += prod
-            if abs(total) > best_here:
-                best_here, m_here = abs(total), n + 1
-        if best_here > best_num:
-            best_num, best_row, best_m, best_lags = best_here, row, m_here, lags
-    return best_num, best_m, best_lags
-
-
-def _colex_iter(q: int, k: int):
-    if k == 0:
-        yield ()
+def _representatives(q: int, k: int, rows: int):
+    """Blocks of `rows` lag tuples (0, d_2, ..., d_k) whose wrap gap
+    q - d_k is at least every other gap, in lexicographic order.  Every
+    translation class of k-subsets of Z_q has such a tuple: translate the
+    element after its largest gap to 0."""
+    if k == 1:
+        yield np.zeros((1, 1), dtype=np.intp)
         return
-    for m in range(k - 1, q):
-        for rest in _colex_iter(m, k - 1):
-            yield rest + (m,)
+    parts, size, stack = [], 0, [((0,), 0)]  # (prefix, its widest gap)
+    while stack:
+        prefix, widest = stack.pop()
+        last, rest = prefix[-1], k - len(prefix) - 1
+        # the next lag d leaves `rest` lags at unit gaps before the wrap:
+        # q - d - rest >= max(widest, d - last)
+        top = min(q - rest - widest, (q - rest + last) // 2)
+        if rest:
+            children = range(top, last, -1)  # reversed: they pop in order
+            stack += [(prefix + (d,), max(widest, d - last)) for d in children]
+            continue
+        lo = last + 1
+        while lo <= top:
+            n = min(top + 1 - lo, rows - size)
+            part = np.empty((n, k), dtype=np.intp)
+            part[:, :-1], part[:, -1] = prefix, np.arange(lo, lo + n)
+            parts.append(part)
+            lo, size = lo + n, size + n
+            if size == rows:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
+
+
+def _best_row(blocks, prefix_sums, row_best, workers: int):
+    """(value, lags) of the best lag tuple over the blocks: the highest
+    value, then the first in block order.  Blocks run on `workers`
+    threads, 2 * workers at a time."""
+
+    def scan(lags):
+        best = row_best(prefix_sums(lags))
+        r = int(np.argmax(best))
+        return int(best[r]), tuple(int(d) for d in lags[r])
+
+    if workers <= 1:
+        return max(map(scan, blocks), key=lambda r: r[0])  # first of equals
+    results, blocks = [], iter(blocks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        while batch := list(itertools.islice(blocks, 2 * workers)):
+            results += pool.map(scan, batch)
+    return max(results, key=lambda r: r[0])
 
 
 def correlation_exact(
@@ -275,39 +271,36 @@ def correlation_exact(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> CorrelationResult:
-    """Exact order-k correlation by full enumeration of lag tuples.
+    """Exact order-k correlation from one lag tuple per translation class
+    (see _representatives), each maximized over all cyclic windows.
 
-    Work is C(q, k) * q elementary products; requests above the budget
-    are refused with the estimate attached.  Ties between maximizers are
-    broken toward the first (window, lags) encountered: lags in colex
-    order, windows by increasing length.
+    Work is at most exact_cost(q, k) cells; requests above the budget are
+    refused with that estimate attached.  Arithmetic is int64 when
+    3*q^(k+1) < 2^62, Python ints otherwise.  The witness is the first
+    maximizing representative, its window with the lowest start, then the
+    shortest length; its lags are the representative shifted by the start.
     """
     q = rset.q
     _validate_order(k, q)
-    ntup = math.comb(q, k)
-    cost = ntup * q
+    cost = exact_cost(q, k)
     if cost > budget:
         raise BudgetExceededError(
-            f"correlation_exact(q={q}, k={k}) needs ~{cost} products, "
+            f"correlation_exact(q={q}, k={k}) needs ~{cost} cells, "
             f"budget is {budget}",
             estimated_cost=cost,
         )
-    fnum = BalancedIndicator(rset).sign_numerators()
-    if q ** (k + 1) >= 2**62:
-        num, window, lags = _correlation_exact_bigint(
-            [int(v) for v in fnum], q, k
-        )
-    else:
-        tuples = colex_combinations(q, k)
-        num, row, window = _best_over_tuples(fnum, tuples, workers)
-        lags = tuple(int(v) for v in tuples[row])
+    dtype = np.int64 if 3 * q ** (k + 1) < _INT64_HEADROOM else object
+    prefix_sums = _kernel(rset, k, dtype)
+    blocks = _representatives(q, k, max(1, _CHUNK_CELLS // q))
+    best, rep = _best_row(blocks, prefix_sums, _cyclic_best, workers)
+    start, window = _cyclic_witness(prefix_sums(np.array([rep]))[0], best)
     return CorrelationResult(
         k=k,
-        value=Fraction(num, q**k),
+        value=Fraction(best, q**k),
         window=window,
-        lags=lags,
+        lags=tuple(sorted((d + start) % q for d in rep)),
         mode="exact",
-        tuples_examined=ntup,
+        tuples_examined=math.comb(q, k),
     )
 
 
@@ -368,28 +361,31 @@ def correlation_sampled(
 
     Draws `samples` uniform lag tuples (with replacement across draws)
     from a seeded generator; deterministic for a fixed seed.  Each tuple
-    still gets its exact max over window lengths.
+    gets its exact max over the windows [0, M), M = 1..q, from the same
+    count-table kernel as the exact scan; ties keep the earliest draw.
     """
     q = rset.q
     _validate_order(k, q)
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    tuples = np.empty((samples, k), dtype=np.int32)
-    for i in range(samples):
-        tuples[i] = np.sort(rng.choice(q, size=k, replace=False))
-    fnum = BalancedIndicator(rset).sign_numerators()
     if q ** (k + 1) >= 2**62:
         raise TooLargeError(
             f"sampled scan needs q^(k+1) < 2**62 for exact arithmetic, "
             f"got q={q}, k={k}"
         )
-    num, row, window = _best_over_tuples(fnum, tuples, workers)
+    rng = np.random.default_rng(seed)
+    tuples = np.empty((samples, k), dtype=np.int32)
+    for i in range(samples):
+        tuples[i] = np.sort(rng.choice(q, size=k, replace=False))
+    prefix_sums = _kernel(rset, k, np.int64)
+    rows = max(1, _CHUNK_CELLS // q)
+    blocks = (tuples[lo : lo + rows] for lo in range(0, samples, rows))
+    best, lags = _best_row(blocks, prefix_sums, lambda s: abs(s).max(axis=1), workers)
     return CorrelationResult(
         k=k,
-        value=Fraction(num, q**k),
-        window=window,
-        lags=tuple(int(v) for v in tuples[row]),
+        value=Fraction(best, q**k),
+        window=_first_length(prefix_sums(np.array([lags]))[0], best),
+        lags=lags,
         mode="sampled",
         tuples_examined=samples,
     )

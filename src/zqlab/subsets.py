@@ -101,7 +101,7 @@ class BalancedIndicator:
 
     Takes the value 1 - T/q on members and -T/q off members, so the sum
     over a full period is exactly zero.  sign_numerators() returns the
-    integer values q*f(n), which is what the exact correlation scans use.
+    integer values q*f(n).
     """
 
     source: ResidueSet

@@ -117,6 +117,21 @@ class TestConfigParsing:
         with pytest.raises(errors.ConfigError, match="alphabet"):
             ExperimentConfig.from_dict(bad)
 
+    def test_balance_huge_alphabet_refused(self):
+        # balance is length-1 patterns: one item per symbol, so the same cap
+        bad = copy.deepcopy(BASE)
+        bad["derivations"][0]["M"] = 10**12
+        bad["analyses"].append({"kind": "balance", "sequence": "gap_mod"})
+        with pytest.raises(errors.ConfigError, match=r"analyses\[5\]: alphabet"):
+            ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("key", ["derivations", "analyses"])
+    @pytest.mark.parametrize("value", [5, {"kind": "cardinality"}, "characteristic"])
+    def test_non_list_sections_rejected(self, key, value):
+        bad = dict(copy.deepcopy(BASE), **{key: value})
+        with pytest.raises(errors.ConfigError, match=f"{key}: expected a list"):
+            ExperimentConfig.from_dict(bad)
+
     def test_lemma_budget_only_for_sign_patterns(self):
         bad = copy.deepcopy(BASE)
         bad["analyses"][1]["budget"]["shape"] = "lemma"
@@ -292,7 +307,8 @@ class TestEstimateCost:
         )
         import math
 
-        assert estimate_cost(config) >= math.comb(43, 2) * 43
+        # the exact scan's bound: C(q-1, k-1) lag tuples with d_1 = 0, q cells each
+        assert estimate_cost(config) >= math.comb(42, 1) * 43
 
     def test_run_refuses_over_budget(self):
         config = ExperimentConfig.from_dict(
@@ -482,6 +498,30 @@ class TestCli:
         assert cli.main(["construct", "--config", cfg]) == 2
         assert cli.main(["corr", "--config", cfg, "-k", "1"]) == 2
         assert "explicit.params.elements" in capsys.readouterr().err
+
+    def test_verify_non_list_derivations_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "d.json", dict(BASE, derivations=5))
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "derivations: expected a list" in capsys.readouterr().err
+
+    def test_verify_non_list_analyses_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "a.json", dict(BASE, analyses={"kind": "cardinality"}))
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "analyses: expected a list" in capsys.readouterr().err
+
+    def test_verify_balance_huge_alphabet_exits_2(self, tmp_path, capsys):
+        # refused from the alphabet's size, before any of it is enumerated
+        cfg = self.write(
+            tmp_path,
+            "b.json",
+            {
+                "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+                "derivations": [{"kind": "gap_mod", "M": 10**12}],
+                "analyses": [{"kind": "balance", "sequence": "gap_mod"}],
+            },
+        )
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "alphabet^length exceeds" in capsys.readouterr().err
 
     def test_stats_sequence_without_param_exits_2(self, tmp_path, capsys):
         seq = {"sequence": {"kind": "gap_mod", "params": {}, "symbols": [1, 2]}}

@@ -2,7 +2,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +9,6 @@ from hypothesis import strategies as st
 from zqlab import errors, measures
 from zqlab.measures import (
     SignVector,
-    _correlation_exact_bigint,
-    colex_combinations,
     correlation_exact,
     correlation_oracle,
     correlation_sampled,
@@ -129,26 +126,6 @@ class TestPatternCounts:
             assert got == expect
 
 
-class TestColexEnumeration:
-    def test_order_k2_q4(self):
-        rows = colex_combinations(4, 2)
-        assert [tuple(r) for r in rows] == [
-            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
-        ]
-
-    def test_counts(self):
-        for q, k in ((6, 1), (6, 3), (10, 4), (12, 5)):
-            rows = colex_combinations(q, k)
-            assert rows.shape == (math.comb(q, k), k)
-            seen = {tuple(int(x) for x in r) for r in rows}
-            assert seen == set(itertools.combinations(range(q), k))
-
-    def test_prefix_property(self):
-        small = colex_combinations(8, 3).copy()
-        big = colex_combinations(16, 3)
-        assert np.array_equal(big[: len(small)], small)
-
-
 class TestCorrelationExact:
     def test_qr11_order1(self):
         res = correlation_exact(QR11, 1)
@@ -184,7 +161,8 @@ class TestCorrelationExact:
     def test_budget_refusal(self):
         with pytest.raises(errors.BudgetExceededError) as info:
             correlation_exact(quadratic_residue_set(1009), 4)
-        assert info.value.estimated_cost == math.comb(1009, 4) * 1009
+        # one period per lag tuple with d_1 = 0: C(q-1, k-1) * q cells
+        assert info.value.estimated_cost == math.comb(1008, 3) * 1009
 
     def test_budget_can_be_lowered(self):
         with pytest.raises(errors.BudgetExceededError):
@@ -232,27 +210,28 @@ class TestOracleEquivalence:
 
 
 class TestBigintFallback:
-    def test_matches_oracle(self):
+    """The scan on Python ints, where int64 could overflow."""
+
+    def test_matches_oracle(self, monkeypatch):
+        # no int64 headroom at all: every order takes the Python-int path
+        monkeypatch.setattr(measures, "_INT64_HEADROOM", 0)
         r = explicit_set(12, [0, 2, 3, 7, 8])
-        f = [12 - 5 if n in r else -5 for n in range(12)]
         for k in (1, 2, 3):
-            num, window, lags = _correlation_exact_bigint(f, 12, k)
-            assert Fraction(num, 12**k) == correlation_oracle(r, k).value
+            assert correlation_exact(r, k).value == correlation_oracle(r, k).value
+
+    def test_products_beyond_int64(self):
+        # k = q: the one lag tuple covers all of Z_30, so every product is
+        # 15^15 * (-15)^15 = -15^30, far past int64
+        r = explicit_set(30, range(15))
+        res = correlation_exact(r, 30)
+        assert res.value == Fraction(30 * 15**30, 30**30)
+        assert (res.window, res.lags) == (30, tuple(range(30)))
 
     @pytest.mark.parametrize("k", [14, 15])
-    def test_public_call_finishes_without_int64_headroom(self, monkeypatch, k):
-        # 18^(k+1) >= 2^62, so correlation_exact must take the bigint path
+    def test_public_call_finishes_without_int64_headroom(self, k):
+        # 3 * 18^(k+1) >= 2^62, so correlation_exact runs on Python ints
         r = explicit_set(18, [0, 1, 4, 6, 7, 11, 12, 15])
-        calls = []
-        real = measures._correlation_exact_bigint
-
-        def spy(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(measures, "_correlation_exact_bigint", spy)
         result = correlation_exact(r, k)
-        assert len(calls) == 1
         q, t = r.q, r.cardinality
         f = [q - t if n in r else -t for n in range(q)]
         best = 0
@@ -268,6 +247,110 @@ class TestBigintFallback:
         )
         assert Fraction(abs(witness), q**k) == result.value
         assert result.tuples_examined == math.comb(q, k)
+
+
+def brute_force(r, k):
+    """max |sum_{n<M} prod_i q f(n + d_i)| over all lag tuples and M, on
+    Python ints."""
+    q, t = r.q, r.cardinality
+    f = [q - t if n in r else -t for n in range(q)]
+    best = 0
+    for lags in itertools.combinations(range(q), k):
+        prods = (math.prod(f[(n + d) % q] for d in lags) for n in range(q))
+        best = max(best, *(abs(v) for v in itertools.accumulate(prods)))
+    return best
+
+
+def witness_sum(r, res):
+    q, t = r.q, r.cardinality
+    f = [q - t if n in r else -t for n in range(q)]
+    return sum(math.prod(f[(n + d) % q] for d in res.lags) for n in range(res.window))
+
+
+# any subset of Z_q, q <= 16, with an order k <= min(5, q)
+small_cases = st.integers(min_value=1, max_value=16).flatmap(
+    lambda q: st.tuples(
+        st.sets(st.integers(0, q - 1), max_size=q).map(
+            lambda els: ResidueSet(q, tuple(sorted(els)))
+        ),
+        st.integers(min_value=1, max_value=min(5, q)),
+    )
+)
+
+
+class TestCountTableScan:
+    """Properties of the orbit-reduced exact scan and the sampled scan."""
+
+    @given(small_cases, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_brute_force(self, case, python_ints):
+        r, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            if python_ints:  # no int64 headroom: the Python-int path
+                mp.setattr(measures, "_INT64_HEADROOM", 0)
+            res = correlation_exact(r, k)
+        assert res.value == Fraction(brute_force(r, k), r.q**k)
+
+    @given(small_cases, st.integers(min_value=0, max_value=15))
+    @settings(max_examples=60, deadline=None)
+    def test_translation_and_complement_invariant(self, case, shift):
+        r, k = case
+        value = correlation_exact(r, k).value
+        assert correlation_exact(r.shifted(shift % r.q), k).value == value
+        # f of the complement is -f, so every window sum only changes sign
+        rest = tuple(n for n in range(r.q) if n not in r)
+        assert correlation_exact(ResidueSet(r.q, rest), k).value == value
+
+    @given(small_cases, st.integers(min_value=1, max_value=40), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_never_exceeds_exact(self, case, samples, seed):
+        r, k = case
+        sampled = correlation_sampled(r, k, samples, seed=seed)
+        assert sampled.value <= correlation_exact(r, k).value
+
+    @given(small_cases, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_reproduces_value(self, case, sampled):
+        r, k = case
+        if sampled:
+            res = correlation_sampled(r, k, 8, seed=r.q)
+        else:
+            res = correlation_exact(r, k)
+        assert 1 <= res.window <= r.q
+        assert list(res.lags) == sorted(set(res.lags))
+        assert all(0 <= d < r.q for d in res.lags) and len(res.lags) == k
+        assert Fraction(abs(witness_sum(r, res)), r.q**k) == res.value
+
+    def test_representatives_cover_every_translation_class(self):
+        def canonical(lags, q):
+            return min(tuple(sorted((d + c) % q for d in lags)) for c in range(q))
+
+        for q in range(1, 13):
+            for k in range(1, q + 1):
+                reps = [
+                    tuple(int(d) for d in row)
+                    for block in measures._representatives(q, k, rows=5)
+                    for row in block
+                ]
+                assert reps == sorted(reps)
+                assert len(reps) <= math.comb(q - 1, k - 1)
+                assert {canonical(t, q) for t in reps} == {
+                    canonical(t, q) for t in itertools.combinations(range(q), k)
+                }
+
+    def test_blocks_and_workers_agree(self, monkeypatch):
+        r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
+        whole = correlation_exact(r, 3)
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 tuples a block
+        for workers in (1, 3):
+            res = correlation_exact(r, 3, workers=workers)
+            assert (res.value, res.window, res.lags) == (
+                whole.value, whole.window, whole.lags
+            )
+
+    def test_cost_model(self):
+        assert measures.exact_cost(10007, 2) == 10006 * 10007
+        assert measures.exact_cost(18, 14) == math.comb(17, 13) * 18
 
 
 class TestShiftCovariance:
