@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, harness, measures, sequences
-from .errors import Error
+from .errors import BudgetExceededError, Error
 from .measures import DEFAULT_BUDGET
 from .subsets import ConstructionSpec, construct
 
@@ -116,6 +116,12 @@ def _cmd_stats(args) -> int:
 
 def _cmd_corr(args) -> int:
     spec = ConstructionSpec.from_json(_load_json(args.config))
+    if args.samples is not None and args.samples * spec.modulus > args.budget:
+        cost = args.samples * spec.modulus  # admitted before the set is built
+        raise BudgetExceededError(
+            f"correlation_sampled needs ~{cost} cells, budget is {args.budget}",
+            estimated_cost=cost,
+        )
     rset = construct(spec)
     if args.samples is not None:
         seed = args.seed if args.seed is not None else 0

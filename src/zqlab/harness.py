@@ -373,7 +373,6 @@ def _run_patterns(
 
 def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
     s = analysis.window
-    sign = measures.SignVector.from_set(rset)
     T, q = rset.cardinality, rset.q
     if analysis.budget is not None and analysis.budget.shape == "lemma":
         cmax = measures.correlation_up_to(
@@ -384,8 +383,7 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
         budget = _analysis_budget(analysis, q)
     items = []
     total = 0
-    for pattern in itertools.product((-1, 1), repeat=s):
-        count = measures.sign_pattern_count(sign, pattern)
+    for pattern, count in measures.sign_pattern_counts(rset, s).items():
         total += count
         main = predictions.sign_pattern_main_term(pattern, T, q)
         label = "pattern=" + ",".join(f"{e:+d}" for e in pattern)
@@ -431,7 +429,7 @@ def _run_correlation(rset, seqs, config, analysis, workers, op_budget):
 
 def _sign_patterns_cost(analysis, q: int) -> int:
     s = analysis.window
-    cost = 2**s * q * s
+    cost = q * s + 2**s  # one pass of window codes, then one item per pattern
     if analysis.budget is not None and analysis.budget.shape == "lemma":
         cost += sum(measures.exact_cost(q, j) for j in range(1, min(s, q) + 1))
     return cost
@@ -551,8 +549,18 @@ def run(
     workers: int = 1,
     op_budget: int = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Execute a config and report every analysis against its budget."""
+    """Execute a config and report every analysis against its budget.
+
+    The whole config is admitted first: an estimate_cost above op_budget
+    raises BudgetExceededError before the set is built.
+    """
     t_start = time.perf_counter()
+    cost = estimate_cost(config)
+    if cost > op_budget:
+        raise BudgetExceededError(
+            f"experiment needs ~{cost} operations, budget is {op_budget}",
+            estimated_cost=cost,
+        )
     rset = construct(config.construction)
     seqs = {}
     for dspec in config.derivations:

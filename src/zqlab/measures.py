@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ from .errors import (
     PatternTooLongError,
     TooLargeError,
 )
-from .sequences import DerivedSequence
+from .sequences import DERIVATIONS, DerivedSequence
 from .subsets import ResidueSet
 
 #: Default elementary-operation budget shared by correlation scans and
@@ -88,6 +87,19 @@ def sign_pattern_count(sign: SignVector, pattern) -> int:
     return int(np.count_nonzero(match))
 
 
+def sign_pattern_counts(rset: ResidueSet, s: int) -> dict:
+    """sign_pattern_count for every +-1 pattern of length s, in the order
+    of itertools.product((-1, 1), repeat=s), from one pass: they are the
+    length-s pattern counts of the 0/1 characteristic sequence."""
+    if s > rset.q:
+        raise PatternTooLongError(f"pattern length {s} exceeds q={rset.q}")
+    counts = pattern_counts(DerivedSequence("characteristic", None, rset.member_mask), s)
+    return {
+        pattern: counts.get(tuple((e + 1) // 2 for e in pattern), 0)
+        for pattern in itertools.product((-1, 1), repeat=s)
+    }
+
+
 def symbol_counts(seq: DerivedSequence) -> dict:
     """Occurrences of each symbol over the whole sequence (the length-1
     pattern counts, keyed by symbol)."""
@@ -97,17 +109,34 @@ def symbol_counts(seq: DerivedSequence) -> dict:
 def pattern_counts(seq: DerivedSequence, length: int) -> dict:
     """Occurrences of every observed length-l window (sliding, no wrap).
 
-    Returns a map from symbol tuples to counts; windows that never occur
-    are simply absent.  The counts sum to len(seq) - length + 1.
+    Returns a map from symbol tuples to counts, in lexicographic order;
+    windows that never occur are simply absent.  The counts sum to
+    len(seq) - length + 1.  Each window is counted by its code in base
+    |alphabet|: int64 when |alphabet|^length < 2^63, Python ints otherwise.
     """
     if length < 1:
         raise InvalidParameterError(f"pattern length must be >= 1, got {length}")
-    if length > len(seq.symbols):
+    size = len(seq.array)
+    if length > size:
         raise PatternTooLongError(
-            f"pattern length {length} exceeds sequence length {len(seq.symbols)}"
+            f"pattern length {length} exceeds sequence length {size}"
         )
-    windows = zip(*(seq.symbols[i:] for i in range(length)))
-    return dict(Counter(windows))
+    alphabet = DERIVATIONS[seq.kind].alphabet(seq.param)
+    base = alphabet.stop - alphabet.start
+    dtype = np.int64 if base**length < 2**63 else object
+    digits = (seq.array - alphabet.start).astype(dtype, copy=False)
+    windows = size - length + 1
+    codes = digits[:windows].copy()
+    for i in range(1, length):
+        codes *= base
+        codes += digits[i : i + windows]
+    codes, counts = np.unique(codes, return_counts=True)
+    patterns = np.empty((len(codes), length), dtype=dtype)
+    for i in reversed(range(length)):
+        patterns[:, i] = codes % base
+        codes //= base
+    patterns += alphabet.start
+    return dict(zip(map(tuple, patterns.tolist()), counts.tolist()))
 
 
 @dataclass(frozen=True)

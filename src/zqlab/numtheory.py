@@ -172,18 +172,18 @@ class IndexTable:
 
 @lru_cache(maxsize=128)
 def build_index_table(p: int) -> IndexTable:
-    """Index table for odd prime p < 2**26 (Theta(p) memory, one pass)."""
+    """Index table for odd prime p < 2**26 (Theta(p) memory)."""
     _require_odd_prime(p)
     if p >= _INDEX_TABLE_LIMIT:
         raise TooLargeError(f"index table for p={p} exceeds the 2**26 limit")
     g = find_primitive_root(p)
+    # Doubling blocks: powers[b + j] = powers[b] * powers[j] for j < b;
+    # products stay below p^2 < 2^52.
+    powers = np.ones(1, dtype=np.int64)
+    while (b := len(powers)) < p - 1:
+        powers = np.concatenate([powers, powers[: p - 1 - b] * pow(g, b, p) % p])
     table = np.full(p, -1, dtype=np.int64)
-    powers = np.empty(p - 1, dtype=np.int64)
-    x = 1
-    for j in range(p - 1):
-        powers[j] = x
-        table[x] = j
-        x = x * g % p
+    table[powers] = np.arange(p - 1)
     table.setflags(write=False)
     powers.setflags(write=False)
     return IndexTable(p, g, table, powers)

@@ -10,6 +10,7 @@ kind name to its parameter name, builder, alphabet and pattern main term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,18 +20,46 @@ from .errors import InvalidParameterError, TooFewElementsError, UnknownKindError
 from .subsets import ResidueSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DerivedSequence:
     """A finite symbol sequence derived from a set, plus its provenance.
 
     kind names a DERIVATIONS entry and param is its parameter (M for
     gap_mod, m for gap_threshold, None for characteristic); the symbols
-    lie in the kind's alphabet.
+    lie in the kind's alphabet.  They are held in `array`, a read-only
+    int64 copy; `symbols` is the same sequence as a tuple of Python ints,
+    made on first use.
     """
 
     kind: str
     param: int | None
-    symbols: tuple[int, ...]
+    array: np.ndarray
+
+    def __init__(self, kind: str, param: int | None, symbols):
+        try:
+            arr = np.array(symbols, dtype=np.int64)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"{kind}: symbols must be below 2**63"
+            ) from None
+        arr.setflags(write=False)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "array", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, DerivedSequence):
+            return NotImplemented
+        return (self.kind, self.param) == (other.kind, other.param) and (
+            np.array_equal(self.array, other.array)
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.param, self.array.tobytes()))
+
+    @cached_property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def alphabet(self) -> tuple[int, ...]:
@@ -39,7 +68,7 @@ class DerivedSequence:
     def to_json(self) -> dict:
         pname = DERIVATIONS[self.kind].param
         params = {pname: self.param} if pname else {}
-        return {"kind": self.kind, "params": params, "symbols": list(self.symbols)}
+        return {"kind": self.kind, "params": params, "symbols": self.array.tolist()}
 
     @classmethod
     def from_json(cls, obj) -> "DerivedSequence":
@@ -64,11 +93,11 @@ class DerivedSequence:
                 f"{kind}.symbols: expected a list of symbols in "
                 f"{alphabet[0]}..{alphabet[-1]}"
             )
-        return cls(kind, param, tuple(symbols))
+        return cls(kind, param, symbols)
 
     def symbols_line(self) -> str:
         """The plain-text form: symbols on one line, space separated."""
-        return " ".join(str(s) for s in self.symbols)
+        return " ".join(map(str, self.array.tolist()))
 
 
 def _gaps(rset: ResidueSet) -> np.ndarray:
@@ -76,7 +105,7 @@ def _gaps(rset: ResidueSet) -> np.ndarray:
         raise TooFewElementsError(
             f"gap sequences need at least 2 elements, got {rset.cardinality}"
         )
-    return np.diff(np.fromiter(rset.elements, dtype=np.int64))
+    return np.diff(rset.array)
 
 
 def derive_gap_mod(rset: ResidueSet, M: int) -> DerivedSequence:
@@ -89,21 +118,19 @@ def derive_gap_mod(rset: ResidueSet, M: int) -> DerivedSequence:
         raise InvalidParameterError(f"gap_mod needs M >= 2, got {M}")
     syms = _gaps(rset) % M
     syms[syms == 0] = M
-    return DerivedSequence("gap_mod", M, tuple(int(s) for s in syms))
+    return DerivedSequence("gap_mod", M, syms)
 
 
 def derive_gap_threshold(rset: ResidueSet, m: int) -> DerivedSequence:
     """Binary flags: 1 where the gap to the next element is below m."""
     if m < 2:
         raise InvalidParameterError(f"gap_threshold needs m >= 2, got {m}")
-    syms = (_gaps(rset) < m).astype(np.int64)
-    return DerivedSequence("gap_threshold", m, tuple(int(s) for s in syms))
+    return DerivedSequence("gap_threshold", m, _gaps(rset) < m)
 
 
 def derive_characteristic(rset: ResidueSet) -> DerivedSequence:
     """The 0/1 membership sequence of length q (exactly cardinality ones)."""
-    syms = rset.member_mask.astype(np.int64)
-    return DerivedSequence("characteristic", None, tuple(int(s) for s in syms))
+    return DerivedSequence("characteristic", None, rset.member_mask)
 
 
 # ----------------------------------------------------------------------

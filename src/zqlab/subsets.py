@@ -13,6 +13,7 @@ the catalog.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
@@ -39,59 +40,84 @@ from .predictions import CardinalityPrediction, DeviationBudget, exact_budget
 _FERMAT_TABLE_LIMIT = 2**11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ResidueSet:
-    """A subset of Z_q = {0, ..., q-1}, elements strictly increasing."""
+    """A subset of Z_q = {0, ..., q-1}, elements strictly increasing.
+
+    Built from any 1-d sequence of integers and backed by `array`, a sorted,
+    read-only int64 copy; `elements` is the same set as a tuple of Python
+    ints, made on first use.  Every construction goes through this one
+    validating constructor.
+    """
 
     q: int
-    elements: tuple[int, ...]
+    array: np.ndarray
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise InvalidParameterError(f"q must be >= 1, got {self.q}")
-        prev = -1
-        for x in self.elements:
-            if not isinstance(x, int) or x <= prev or x >= self.q:
-                raise InvalidParameterError(
-                    f"elements must be strictly increasing in [0, {self.q - 1}]"
-                )
-            prev = x
+    def __init__(self, q: int, elements):
+        if q < 1:
+            raise InvalidParameterError(f"q must be >= 1, got {q}")
+        arr = np.asarray(elements)
+        if arr.shape == (0,):
+            arr = np.empty(0, dtype=np.int64)  # np.asarray(()) is float64
+        # Integer dtypes only: floats, bools and objects (ints past 2**64) fail.
+        if not (
+            arr.ndim == 1
+            and arr.dtype.kind in "iu"
+            and np.all(arr[1:] > arr[:-1])
+            and (arr.size == 0 or 0 <= int(arr[0]) and int(arr[-1]) < min(q, 2**63))
+        ):
+            raise InvalidParameterError(
+                f"elements must be strictly increasing in [0, {q - 1}]"
+            )
+        arr = arr.astype(np.int64)
+        arr.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "array", arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResidueSet):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.q, self.array.tobytes()))
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     @property
     def cardinality(self) -> int:
-        return len(self.elements)
+        return len(self.array)
 
     @property
     def density(self) -> Fraction:
         return Fraction(self.cardinality, self.q)
 
-    @cached_property
-    def _member_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def __contains__(self, n: int) -> bool:
-        return n % self.q in self._member_set
+        return bool(self.member_mask[n % self.q])
 
     @cached_property
     def member_mask(self) -> np.ndarray:
         """Boolean membership mask over 0 .. q-1 (read-only)."""
         mask = np.zeros(self.q, dtype=bool)
-        if self.elements:
-            mask[np.fromiter(self.elements, dtype=np.int64)] = True
+        mask[self.array] = True
         mask.setflags(write=False)
         return mask
 
     def shifted(self, offset: int) -> "ResidueSet":
         """The translate {x + offset mod q : x in this set}."""
-        return ResidueSet(
-            self.q, tuple(sorted((x + offset) % self.q for x in self.elements))
-        )
+        offset %= self.q
+        # members at or past q - offset wrap around to the front
+        cut = int(np.searchsorted(self.array, self.q - offset))
+        wrapped = self.array[cut:] - (self.q - offset)
+        return ResidueSet(self.q, np.concatenate([wrapped, self.array[:cut] + offset]))
 
     def to_json(self) -> dict:
         return {
             "q": self.q,
             "cardinality": self.cardinality,
-            "elements": list(self.elements),
+            "elements": self.array.tolist(),
         }
 
 
@@ -158,11 +184,17 @@ def _fermat_quotient_table(p: int) -> np.ndarray:
         raise TooLargeError(
             f"Fermat-quotient tables need p < {_FERMAT_TABLE_LIMIT}, got {p}"
         )
-    qtab = np.fromiter(
-        (nt.fermat_quotient(n, p) for n in range(p * p)),
-        dtype=np.int64,
-        count=p * p,
-    )
+    # n^(p-1) mod p^2 by square and multiply on the whole range at once;
+    # products stay below p^4 < 2^44.
+    n = np.arange(p * p, dtype=np.int64)
+    power, base, e = np.ones_like(n), n.copy(), p - 1
+    while e:
+        if e & 1:
+            power = power * base % (p * p)
+        base = base * base % (p * p)
+        e >>= 1
+    qtab = (power - 1) // p % p
+    qtab[n % p == 0] = 0  # by convention
     qtab.setflags(write=False)
     return qtab
 
@@ -190,7 +222,7 @@ def _require_window(s: int, modulus: int) -> None:
 
 
 def _elements_from_mask(q: int, mask: np.ndarray) -> ResidueSet:
-    return ResidueSet(q, tuple(int(x) for x in np.flatnonzero(mask)))
+    return ResidueSet(q, np.flatnonzero(mask))
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +233,9 @@ def quadratic_residue_set(p: int) -> ResidueSet:
     """The (p-1)/2 nonzero quadratic residues mod the odd prime p."""
     nt._require_odd_prime(p)
     half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    squares = np.unique(half * half % p)
-    return ResidueSet(p, tuple(int(x) for x in squares))
+    mask = np.zeros(p, dtype=bool)
+    mask[half * half % p] = True
+    return _elements_from_mask(p, mask)
 
 
 def primitive_root_set(p: int) -> ResidueSet:
@@ -243,9 +276,9 @@ def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
     exps = np.flatnonzero(np.gcd(np.arange(p - 1, dtype=np.int64), p - 1) == 1)
     xs = table.powers[exps * s % (p - 1)]
     fvals = nt.poly_eval_array(fr, xs, p)
-    keep = _dth_power_mask(p, r)[fvals]
-    elems = np.unique(xs[keep])
-    return ResidueSet(p, tuple(int(x) for x in elems))
+    mask = np.zeros(p, dtype=bool)
+    mask[xs[_dth_power_mask(p, r)[fvals]]] = True
+    return _elements_from_mask(p, mask)
 
 
 def index_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -333,16 +366,18 @@ def character_argument_set(
         order = 1
     else:
         order = chi.order
-        kvals = chi.index * chi.index_table.table[fvals] % order
-    width = beta - alpha
-    elems = []
-    for n in range(p):
-        if fvals[n] == 0:
-            continue
-        theta = Fraction(int(kvals[n]), order) + Fraction(a * int(gvals[n]) % p, p)
-        if (theta - alpha) % 1 < width:
-            elems.append(n)
-    return ResidueSet(p, tuple(elems))
+        kvals = (chi.index % order) * chi.index_table.table[fvals] % order
+    # Scaled by L, the argument theta and the window are integers; theta*L
+    # and theta*L - (alpha*L mod L) lie in (-L, 2L), so int64 is exact below
+    # L = 2^62 and Python ints take over above it.
+    scale = math.lcm(order, p, alpha.denominator, beta.denominator)
+    dtype = np.int64 if scale < 2**62 else object
+    theta = (kvals.astype(dtype) * (scale // order)
+             + (a * gvals % p).astype(dtype) * (scale // p))
+    start = alpha.numerator * (scale // alpha.denominator) % scale
+    width = int((beta - alpha) * scale)
+    member = (fvals != 0) & ((theta - start) % scale < width)
+    return _elements_from_mask(p, member)
 
 
 def fermat_quotient_power_residue_set(p: int, d: int) -> ResidueSet:
@@ -373,7 +408,7 @@ def fermat_quotient_primitive_root_set(p: int) -> ResidueSet:
 
 def explicit_set(q: int, elements) -> ResidueSet:
     """An explicitly listed subset (validated, used for ad-hoc experiments)."""
-    return ResidueSet(q, tuple(elements))
+    return ResidueSet(q, list(elements))
 
 
 # ----------------------------------------------------------------------

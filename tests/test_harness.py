@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -243,6 +244,29 @@ class TestRun:
         assert all(i["status"] == "REPORT_ONLY" for i in entry["items"])
         assert all(not i["budget"]["asserted"] for i in entry["items"])
 
+    def test_report_holds_plain_python_values(self):
+        config = copy.deepcopy(BASE)
+        config["analyses"] += [
+            {"kind": "balance", "sequence": "gap_mod"},
+            {"kind": "correlation_sampled", "k": 2, "samples": 5},
+        ]
+        body = run(ExperimentConfig.from_dict(config)).body
+
+        def leaves(obj):
+            if isinstance(obj, dict):
+                assert all(type(k) is str for k in obj)
+                obj = list(obj.values())
+            if isinstance(obj, list):
+                for value in obj:
+                    yield from leaves(value)
+            else:
+                yield obj
+
+        # numpy scalars are not JSON serializable: json rejects np.int64
+        allowed = (str, int, float, bool, type(None))
+        assert all(type(leaf) in allowed for leaf in leaves(body))
+        json.dumps(body)
+
     def test_sign_patterns_conservation_item(self):
         config = ExperimentConfig.from_dict(
             {
@@ -309,6 +333,34 @@ class TestEstimateCost:
 
         # the exact scan's bound: C(q-1, k-1) lag tuples with d_1 = 0, q cells each
         assert estimate_cost(config) >= math.comb(42, 1) * 43
+
+    def test_sign_patterns_cost_is_one_pass(self):
+        config = ExperimentConfig.from_dict(
+            {
+                "construction": {"kind": "quadratic_residues", "params": {"p": 1000003}},
+                "analyses": [{"kind": "sign_patterns", "window": 8}],
+            }
+        )
+        assert estimate_cost(config) == 1000003 + 1000003 * 8 + 2**8
+
+    def test_run_admits_before_construct(self, monkeypatch):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(harness, "construct", construct)
+        config = ExperimentConfig.from_dict(
+            {
+                "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+                "analyses": [
+                    {"kind": "correlation_sampled", "k": 2, "samples": 10**8}
+                ],
+            }
+        )
+        with pytest.raises(errors.BudgetExceededError) as info:
+            run(config)
+        assert info.value.estimated_cost == estimate_cost(config) == 43 + 43 * 10**8
+        with pytest.raises(errors.BudgetExceededError):
+            run(dataclasses.replace(config, analyses=()), op_budget=42)
 
     def test_run_refuses_over_budget(self):
         config = ExperimentConfig.from_dict(
@@ -453,6 +505,42 @@ class TestCli:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
+
+    def test_verify_over_budget_exits_2_before_construct(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(harness, "construct", construct)
+        cfg = self.write(
+            tmp_path,
+            "v.json",
+            {
+                "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+                "analyses": [
+                    {"kind": "correlation_sampled", "k": 2, "samples": 10**8}
+                ],
+            },
+        )
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "budget is 1000000000" in capsys.readouterr().err
+        assert cli.main(["verify", "--config", cfg, "--budget", "10"]) == 2
+
+    def test_corr_samples_over_budget_exits_2_before_construct(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        cfg = self.write(
+            tmp_path, "c.json", {"kind": "quadratic_residues", "params": {"p": 43}}
+        )
+        args = ["corr", "--config", cfg, "-k", "2", "--samples", "1000"]
+        assert cli.main(args + ["--budget", "42999"]) == 2
+        assert "~43000 cells" in capsys.readouterr().err
+        assert cli.main(args[:-1] + [str(10**8)]) == 2
 
     def test_verify_writes_report_and_exit_codes(self, tmp_path, capsys):
         good = self.write(

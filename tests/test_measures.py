@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,15 @@ from zqlab.measures import (
     correlation_up_to,
     pattern_counts,
     sign_pattern_count,
+    sign_pattern_counts,
     symbol_counts,
 )
-from zqlab.sequences import DerivedSequence, derive_characteristic, derive_gap_mod
+from zqlab.sequences import (
+    DERIVATIONS,
+    DerivedSequence,
+    derive_characteristic,
+    derive_gap_mod,
+)
 from zqlab.subsets import ResidueSet, explicit_set, quadratic_residue_set
 
 QR11 = quadratic_residue_set(11)
@@ -124,6 +131,86 @@ class TestPatternCounts:
             )
             got = sum(counts.get(pat + (a,), 0) for a in (0, 1))
             assert got == expect
+
+
+def counter_reference(symbols, length):
+    """The counts as a Counter over zipped windows of Python ints."""
+    return dict(Counter(zip(*(symbols[i:] for i in range(length)))))
+
+
+# (kind, param) for every derivation kind; M = 10^12 makes |alphabet|^2
+# exceed 2^63, so its length-2 windows take the Python-int codes.
+DERIVED = [
+    ("gap_mod", 2), ("gap_mod", 3), ("gap_mod", 7), ("gap_mod", 10**12),
+    ("gap_threshold", 2), ("gap_threshold", 4), ("characteristic", None),
+]
+
+two_plus_subsets = st.integers(min_value=3, max_value=60).flatmap(
+    lambda q: st.sets(st.integers(0, q - 1), min_size=2, max_size=q).map(
+        lambda els: ResidueSet(q, sorted(els))
+    )
+)
+
+
+class TestWindowCodes:
+    @given(two_plus_subsets, st.sampled_from(DERIVED), st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_equals_counter_reference(self, r, derivation, length):
+        seq = DERIVATIONS[derivation[0]].derive(r, derivation[1])
+        if length > len(seq.symbols):
+            return
+        counts = pattern_counts(seq, length)
+        assert counts == counter_reference(seq.symbols, length)
+        assert list(counts) == sorted(counts)
+        assert all(type(x) is int for pat in counts for x in pat)
+        assert all(type(c) is int for c in counts.values())
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_python_int_codes(self, length):
+        # gaps 1, 2, 4, 8, ...: every length-l window is distinct
+        r = explicit_set(2**12, [2**i - 1 for i in range(12)])
+        seq = derive_gap_mod(r, 10**12)
+        counts = pattern_counts(seq, length)
+        assert counts == counter_reference(seq.symbols, length)
+        assert len(counts) == len(seq.symbols) - length + 1
+
+    def test_symbols_at_the_top_of_a_huge_alphabet(self):
+        M = 10**12
+        seq = DerivedSequence("gap_mod", M, [M, 1, M, M, 1])
+        assert pattern_counts(seq, 2) == {(1, M): 1, (M, 1): 2, (M, M): 1}
+
+    @pytest.mark.parametrize("p", [11, 101, 1009])
+    def test_every_length_on_qr(self, p):
+        r = quadratic_residue_set(p)
+        for kind, param in DERIVED:
+            seq = DERIVATIONS[kind].derive(r, param)
+            for length in range(1, min(6, len(seq.symbols)) + 1):
+                assert pattern_counts(seq, length) == counter_reference(
+                    seq.symbols, length
+                )
+
+
+class TestSignPatternCounts:
+    @given(proper_subsets, st.integers(min_value=1, max_value=6))
+    @settings(max_examples=80)
+    def test_one_pass_equals_per_pattern(self, r, s):
+        if s > r.q:
+            return
+        sv = SignVector.from_set(r)
+        counts = sign_pattern_counts(r, s)
+        patterns = list(itertools.product((-1, 1), repeat=s))
+        assert list(counts) == patterns
+        assert all(counts[pat] == sign_pattern_count(sv, pat) for pat in patterns)
+
+    def test_qr(self):
+        r = quadratic_residue_set(1009)
+        sv = SignVector.from_set(r)
+        for pattern, count in sign_pattern_counts(r, 8).items():
+            assert count == sign_pattern_count(sv, pattern)
+
+    def test_too_long(self):
+        with pytest.raises(errors.PatternTooLongError, match="exceeds q=4"):
+            sign_pattern_counts(explicit_set(4, [0]), 5)
 
 
 class TestCorrelationExact:

@@ -108,6 +108,36 @@ def test_index_table_inverts_powers():
     assert t.powers[t.table[5]] == 5
 
 
+def sequential_powers(p: int):
+    """g^j mod p for j < p - 1 by repeated multiplication."""
+    g, x, powers = find_primitive_root(p), 1, []
+    for _ in range(p - 1):
+        powers.append(x)
+        x = x * g % p
+    return powers
+
+
+def test_index_table_equals_sequential_loop():
+    for p in range(3, 2000, 2):
+        if not is_prime(p):
+            continue
+        t = build_index_table(p)
+        powers = sequential_powers(p)
+        assert t.powers.tolist() == powers
+        table = [-1] * p
+        for j, x in enumerate(powers):
+            table[x] = j
+        assert t.table.tolist() == table
+
+
+def test_index_table_spot_check_large():
+    p = 1000003
+    t = build_index_table(p)
+    assert t.powers.tolist() == sequential_powers(p)
+    assert t.table[0] == -1
+    assert (t.table[t.powers] == range(p - 1)).all()
+
+
 def test_index_of_zero_rejected():
     t = build_index_table(5)
     with pytest.raises(errors.InvalidParameterError):

@@ -87,6 +87,7 @@ def test_json_round_trip():
         {"kind": "gap_mod", "params": {"M": 0}, "symbols": [2, 1]},  # M < 2
         {"kind": "gap_mod", "params": {"M": 2}, "symbols": [0, 7]},  # not in 1..M
         {"kind": "characteristic", "params": {}, "symbols": [0, 1.0]},  # not int
+        {"kind": "gap_mod", "params": {"M": 10**30}, "symbols": [10**25]},  # > int64
     ],
 )
 def test_from_json_rejects_invalid(obj):

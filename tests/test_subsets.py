@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zqlab import errors
+from zqlab import numtheory as nt
 from zqlab.numtheory import MultiplicativeCharacter
 from zqlab.subsets import (
     ConstructionSpec,
     BalancedIndicator,
     ResidueSet,
+    _fermat_quotient_table,
     character_argument_set,
     construct,
     explicit_set,
@@ -49,6 +52,50 @@ class TestResidueSet:
             ResidueSet(10, (10,))
         with pytest.raises(errors.InvalidParameterError):
             ResidueSet(0, ())
+
+    @pytest.mark.parametrize(
+        "q, elements",
+        [
+            (10, (-1, 3)),  # negative
+            (10, (1.0, 2.0)),  # float
+            (10, (1, 2.5)),
+            (10, ("1",)),
+            (10, [[1, 2]]),  # not 1-d
+            (10, [[]]),
+            (10, (True,)),
+            (2**70, (2**63,)),  # uint64, past int64
+            (2**70, (2**65,)),  # object dtype
+        ],
+    )
+    def test_invalid_elements(self, q, elements):
+        with pytest.raises(errors.InvalidParameterError):
+            ResidueSet(q, elements)
+
+    def test_empty_set_is_int64(self):
+        for elements in ((), [], np.array([])):
+            r = ResidueSet(5, elements)
+            assert r.array.dtype == np.int64 and r.cardinality == 0
+            assert r.elements == () and r.to_json()["elements"] == []
+            assert not r.member_mask.any()
+
+    def test_array_backing(self):
+        source = np.array([1, 4, 7], dtype=np.int32)
+        r = ResidueSet(10, source)
+        assert r.array.dtype == np.int64 and not r.array.flags.writeable
+        assert source.flags.writeable  # the input is copied, not frozen
+        assert r == ResidueSet(10, (1, 4, 7)) == explicit_set(10, range(1, 10, 3))
+        assert hash(r) == hash(ResidueSet(10, [1, 4, 7]))
+        assert r != ResidueSet(11, (1, 4, 7)) and r != ResidueSet(10, (1, 4))
+
+    def test_python_ints_out(self):
+        r = quadratic_residue_set(101)
+        out = r.to_json()
+        assert all(type(x) is int for x in r.elements)
+        assert all(type(x) is int for x in out["elements"])
+        assert type(out["cardinality"]) is int
+        json.dumps(out)
+        with pytest.raises(TypeError):
+            json.dumps(r.array[0])  # why the tuple and lists exist
 
     def test_shifted(self):
         r = ResidueSet(10, (8, 9))
@@ -252,6 +299,88 @@ class TestCharacterArgument:
     def test_additive_needs_quadratic_g(self):
         with pytest.raises(errors.DegreeTooSmallError):
             character_argument_set(7, None, 1, (0, 1), (0, 1), Fraction(0), Fraction(1, 2))
+
+
+def character_argument_reference(p, chi, a, f, g, alpha, beta):
+    """Membership decided per n with Fractions."""
+    a %= p
+    members = []
+    for n in range(p):
+        fn = nt.poly_eval_mod(f, n, p)
+        if fn == 0:
+            continue
+        theta = chi.angle(fn) if chi is not None else Fraction(0)
+        if a:
+            theta += Fraction(a * nt.poly_eval_mod(g, n, p) % p, p)
+        if (theta - alpha) % 1 < beta - alpha:
+            members.append(n)
+    return tuple(members)
+
+
+# alpha's denominator is either small or past 2^62 (the Python-int path)
+angles = st.builds(
+    Fraction,
+    st.integers(-(10**25), 10**25),
+    st.one_of(st.integers(1, 12), st.integers(2**62, 2**80)),
+)
+
+
+@st.composite
+def character_params(draw):
+    p = draw(st.sampled_from([5, 7, 11, 13, 31, 37, 61, 101]))
+    divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+    order = draw(st.sampled_from(divisors))
+    index = draw(st.sampled_from([i for i in range(1, 2 * order + 2)
+                                  if np.gcd(i, order) == 1]))
+    chi = None if order == 1 else MultiplicativeCharacter.build(p, order, index)
+    a = draw(st.integers(0, 3 * p))
+    if a % p == 0 and chi is None:
+        a = 1
+    f = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4))
+    g = draw(st.lists(st.integers(-50, 50), min_size=3, max_size=4))
+    if nt.poly_degree(g, p) < 2:
+        g = g[:2] + [1]
+    alpha = draw(angles)
+    alpha -= alpha.numerator // alpha.denominator  # keep it in [0, 1)
+    alpha += draw(st.integers(-2, 2))
+    width = draw(angles.filter(lambda w: w != 0))
+    width = abs(width) - abs(width).numerator // abs(width).denominator or 1
+    return p, chi, a, f, g, alpha, alpha + width
+
+
+class TestCharacterArgumentReference:
+    @given(character_params())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_fraction_reference(self, params):
+        p, chi, a, f, g, alpha, beta = params
+        r = character_argument_set(p, chi, a, f, g, alpha, beta)
+        assert r.elements == character_argument_reference(*params)
+
+    def test_char_index_reduced_before_the_product(self):
+        # 3 * 2^60 + 1 = 1 (mod 3): the character is the one of index 1, and
+        # its product with an index no longer wraps int64
+        window = ((0, 1), None, Fraction(0), Fraction(1, 3))
+        one = MultiplicativeCharacter.build(1009, 3, 1)
+        big = MultiplicativeCharacter.build(1009, 3, 3 * 2**60 + 1)
+        expect = character_argument_reference(1009, one, 0, *window)
+        assert character_argument_set(1009, big, 0, *window).elements == expect
+
+    def test_huge_denominators(self):
+        chi = MultiplicativeCharacter.build(101, 4, 3)
+        alpha = Fraction(-7, 10**20 + 3)
+        beta = Fraction(10**30, 7 * 10**30 + 1)
+        params = (101, chi, 5, (1, 1), (2, 0, 1), alpha, beta)
+        r = character_argument_set(*params)
+        assert r.elements == character_argument_reference(*params)
+        assert 0 < r.cardinality < 100
+
+
+class TestFermatQuotientTable:
+    def test_equals_per_n_quotients(self):
+        for p in range(3, 100, 2):
+            if nt.is_prime(p):
+                expect = [nt.fermat_quotient(n, p) for n in range(p * p)]
+                assert _fermat_quotient_table(p).tolist() == expect
 
 
 class TestFermatQuotientSets:
