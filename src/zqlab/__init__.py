@@ -53,7 +53,6 @@ from .measures import (
     correlation_up_to,
     pattern_counts,
     sign_pattern_count,
-    sign_pattern_counts,
     symbol_counts,
 )
 from .numtheory import (

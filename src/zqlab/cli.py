@@ -24,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, harness, measures, sequences
-from .errors import BudgetExceededError, Error
+from .errors import Error
 from .measures import DEFAULT_BUDGET
 from .subsets import ConstructionSpec, construct
 
@@ -77,9 +77,13 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _derived_sequence(cfg: dict) -> sequences.DerivedSequence:
-    if "sequence" in cfg:
+def _derived_sequence(cfg) -> sequences.DerivedSequence:
+    if isinstance(cfg, dict) and "sequence" in cfg:
         return sequences.DerivedSequence.from_json(cfg["sequence"])
+    if not isinstance(cfg, dict) or not {"construction", "derivation"} <= set(cfg):
+        raise Error(
+            'config must be {"sequence": ..} or {"construction": .., "derivation": ..}'
+        )
     spec = ConstructionSpec.from_json(cfg["construction"])
     dspec = harness.DerivationSpec.from_dict(cfg["derivation"], "derivation")
     return dspec.derive(construct(spec))
@@ -116,12 +120,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_corr(args) -> int:
     spec = ConstructionSpec.from_json(_load_json(args.config))
-    if args.samples is not None and args.samples * spec.modulus > args.budget:
-        cost = args.samples * spec.modulus  # admitted before the set is built
-        raise BudgetExceededError(
-            f"correlation_sampled needs ~{cost} cells, budget is {args.budget}",
-            estimated_cost=cost,
-        )
+    if args.samples is not None:  # admitted before the set is built
+        measures.admit("correlation_sampled", args.samples * spec.modulus, args.budget)
     rset = construct(spec)
     if args.samples is not None:
         seed = args.seed if args.seed is not None else 0

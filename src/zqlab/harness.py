@@ -31,14 +31,15 @@ from typing import Callable
 
 from . import __version__, measures, predictions, sequences
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     EmptyGridError,
     Error,
+    InvalidParameterError,
+    PatternTooLongError,
 )
-from .measures import DEFAULT_BUDGET
+from .measures import DEFAULT_BUDGET, admit
 from .predictions import DeviationBudget
-from .subsets import ConstructionSpec, construct
+from .subsets import ConstructionSpec, _as_fraction, construct
 
 _TOOL_NAME = "zqlab"
 
@@ -125,16 +126,10 @@ class BudgetSpec:
         shape = obj["shape"]
         if shape not in _BUDGET_SHAPES:
             _fail(f"{path}.shape", f"expected one of {_BUDGET_SHAPES}, got {shape!r}")
-        raw = obj["constant"]
-        if isinstance(raw, dict):
-            try:
-                constant = Fraction(raw["num"], raw["den"])
-            except (KeyError, TypeError, ZeroDivisionError):
-                _fail(f"{path}.constant", f"bad rational {raw!r}")
-        elif isinstance(raw, int) and not isinstance(raw, bool):
-            constant = Fraction(raw)
-        else:
-            _fail(f"{path}.constant", f"expected an integer or rational, got {raw!r}")
+        try:
+            constant = _as_fraction(obj["constant"], f"{path}.constant")
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         if constant < 0:
             _fail(f"{path}.constant", "must be nonnegative")
         return cls(constant, shape)
@@ -198,12 +193,10 @@ class AnalysisSpec:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        for key in ("sequence", "length", "window", "k", "samples", "seed"):
+        for key in ANALYSES[self.kind].keys:
             value = getattr(self, key)
             if value is not None:
-                out[key] = value
-        if self.budget is not None:
-            out["budget"] = self.budget.to_dict()
+                out[key] = value.to_dict() if key == "budget" else value
         return out
 
 
@@ -352,52 +345,48 @@ def _run_cardinality(rset, seqs, config, analysis, workers, op_budget):
 
 
 def _run_patterns(
-    rset, seqs, config, analysis, workers, op_budget, *, length=None,
-    prefix="pattern=",
+    rset, seqs, config, analysis, workers, op_budget, *, seq=None, length=None,
+    budget=None, prefix="pattern=", symbol=str,
 ):
     """Every alphabet^length window count against its main term; balance
-    is this at length 1 with symbol= labels."""
-    seq = seqs[analysis.sequence]
+    is this at length 1 with symbol= labels, sign_patterns on the
+    characteristic sequence with +-1 labels."""
+    seq = seqs[analysis.sequence] if seq is None else seq
     length = length or analysis.length
     counts = measures.pattern_counts(seq, length)
     main_term = sequences.DERIVATIONS[seq.kind].main_term
     T, q = rset.cardinality, rset.q
-    budget = _analysis_budget(analysis, q)
+    budget = budget or _analysis_budget(analysis, q)
     items = []
     for pattern in itertools.product(seq.alphabet, repeat=length):
         main = main_term(pattern, T, q, seq.param)
-        label = prefix + ",".join(str(b) for b in pattern)
+        label = prefix + ",".join(map(symbol, pattern))
         items.append(_count_item(label, counts.get(pattern, 0), main, budget))
     return items
 
 
 def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
-    s = analysis.window
-    T, q = rset.cardinality, rset.q
+    """The characteristic sequence's length-s windows, labelled by +-1
+    membership signs, plus the exact conservation row."""
+    s, q = analysis.window, rset.q
+    budget = None
     if analysis.budget is not None and analysis.budget.shape == "lemma":
         cmax = measures.correlation_up_to(
             rset, s, budget=op_budget, workers=workers
         )
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
-    else:
-        budget = _analysis_budget(analysis, q)
-    items = []
-    total = 0
-    for pattern, count in measures.sign_pattern_counts(rset, s).items():
-        total += count
-        main = predictions.sign_pattern_main_term(pattern, T, q)
-        label = "pattern=" + ",".join(f"{e:+d}" for e in pattern)
-        items.append(_count_item(label, count, main, budget))
-    conserved = total == q - s + 1
+    if s > q:
+        raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
+    items = _run_patterns(
+        rset, seqs, config, analysis, workers, op_budget,
+        seq=sequences.DERIVATIONS["characteristic"].derive(rset, None),
+        length=s, budget=budget, symbol=lambda b: f"{2 * b - 1:+d}",
+    )
+    total = sum(item["empirical"] for item in items)
     items.append(
-        {
-            "label": "conservation",
-            "empirical": total,
-            "predicted": _fraction_json(Fraction(q - s + 1)),
-            "deviation": _fraction_json(Fraction(abs(total - (q - s + 1)))),
-            "budget": {"formula": "0 (exact)", "asserted": True, "value": 0.0},
-            "status": "PASS" if conserved else "FAIL",
-        }
+        _count_item(
+            "conservation", total, Fraction(q - s + 1), predictions.exact_budget()
+        )
     )
     return items
 
@@ -515,8 +504,8 @@ def _analysis_name(entry: dict) -> str:
     spec = entry["analysis"]
     details = ",".join(
         f"{key}={spec[key]}"
-        for key in ("sequence", "length", "window", "k", "samples")
-        if key in spec
+        for key in ANALYSES[spec["kind"]].keys
+        if key in spec and key not in _OPTIONAL_FIELDS
     )
     return spec["kind"] + (f"[{details}]" if details else "")
 
@@ -555,12 +544,7 @@ def run(
     raises BudgetExceededError before the set is built.
     """
     t_start = time.perf_counter()
-    cost = estimate_cost(config)
-    if cost > op_budget:
-        raise BudgetExceededError(
-            f"experiment needs ~{cost} operations, budget is {op_budget}",
-            estimated_cost=cost,
-        )
+    admit("experiment", estimate_cost(config), op_budget, "operations")
     rset = construct(config.construction)
     seqs = {}
     for dspec in config.derivations:
@@ -595,19 +579,27 @@ def run(
 # Parameter sweeps.
 
 
+def _list_index(target: list, part: str, path: str) -> int:
+    try:
+        target[int(part)]
+    except (ValueError, IndexError):
+        raise ConfigError(f"grid path {path!r}: no list index {part!r}") from None
+    return int(part)
+
+
 def _set_path(obj, path: str, value):
     parts = path.split(".")
     target = obj
     for part in parts[:-1]:
         if isinstance(target, list):
-            target = target[int(part)]
+            target = target[_list_index(target, part, path)]
         elif isinstance(target, dict) and part in target:
             target = target[part]
         else:
             raise ConfigError(f"grid path {path!r}: missing segment {part!r}")
     last = parts[-1]
     if isinstance(target, list):
-        target[int(last)] = value
+        target[_list_index(target, last, path)] = value
     elif isinstance(target, dict):
         target[last] = value
     else:
@@ -692,12 +684,7 @@ def sweep(
         except Error as exc:
             raise ConfigError(f"grid point {i}: {exc}") from exc
         total_cost += estimate_cost(config)
-    if total_cost > op_budget:
-        raise BudgetExceededError(
-            f"sweep of {len(points)} points needs ~{total_cost} operations, "
-            f"budget is {op_budget}",
-            estimated_cost=total_cost,
-        )
+    admit(f"sweep of {len(points)} points", total_cost, op_budget, "operations")
     if workers > 1 and len(points) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             bodies = list(pool.map(_run_point, [(p, 1, op_budget) for p in points]))

@@ -87,19 +87,6 @@ def sign_pattern_count(sign: SignVector, pattern) -> int:
     return int(np.count_nonzero(match))
 
 
-def sign_pattern_counts(rset: ResidueSet, s: int) -> dict:
-    """sign_pattern_count for every +-1 pattern of length s, in the order
-    of itertools.product((-1, 1), repeat=s), from one pass: they are the
-    length-s pattern counts of the 0/1 characteristic sequence."""
-    if s > rset.q:
-        raise PatternTooLongError(f"pattern length {s} exceeds q={rset.q}")
-    counts = pattern_counts(DerivedSequence("characteristic", None, rset.member_mask), s)
-    return {
-        pattern: counts.get(tuple((e + 1) // 2 for e in pattern), 0)
-        for pattern in itertools.product((-1, 1), repeat=s)
-    }
-
-
 def symbol_counts(seq: DerivedSequence) -> dict:
     """Occurrences of each symbol over the whole sequence (the length-1
     pattern counts, keyed by symbol)."""
@@ -174,18 +161,28 @@ def _validate_order(k: int, q: int) -> None:
         raise OrderTooLargeError(f"correlation order {k} exceeds q={q}")
 
 
+def admit(what: str, cost: int, budget: int, unit: str = "cells") -> None:
+    """Refuse work estimated above the budget, before any of it is done."""
+    if cost > budget:
+        raise BudgetExceededError(
+            f"{what} needs ~{cost} {unit}, budget is {budget}", estimated_cost=cost
+        )
+
+
 def exact_cost(q: int, k: int) -> int:
     """Upper bound on the cells the exact order-k scan visits: one period
     per lag tuple with d_1 = 0 (it keeps about a k-th of them)."""
     return math.comb(q - 1, k - 1) * q
 
 
-def _kernel(rset: ResidueSet, k: int, dtype):
+def _kernel(rset: ResidueSet, k: int):
     """The map from a (rows, k) lag array to the prefix sums S_0 = 0,
     S_1, ..., S_q of P(n) = prod_i q*f(n + d_i), one row per lag tuple.
     With j the number of members among the n + d_i, P(n) is the table
-    entry (q-T)^j * (-T)^(k-j)."""
+    entry (q-T)^j * (-T)^(k-j).  Sums are int64 when 3*q^(k+1) < 2^62,
+    Python ints otherwise."""
     q, t = rset.q, rset.cardinality
+    dtype = np.int64 if 3 * q ** (k + 1) < _INT64_HEADROOM else object
     mask = rset.member_mask.astype(np.min_scalar_type(k))
     # windows[d, n] is the membership of (d + n) mod q
     windows = sliding_window_view(np.concatenate([mask, mask]), q)
@@ -304,22 +301,14 @@ def correlation_exact(
     (see _representatives), each maximized over all cyclic windows.
 
     Work is at most exact_cost(q, k) cells; requests above the budget are
-    refused with that estimate attached.  Arithmetic is int64 when
-    3*q^(k+1) < 2^62, Python ints otherwise.  The witness is the first
+    refused with that estimate attached.  The witness is the first
     maximizing representative, its window with the lowest start, then the
     shortest length; its lags are the representative shifted by the start.
     """
     q = rset.q
     _validate_order(k, q)
-    cost = exact_cost(q, k)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"correlation_exact(q={q}, k={k}) needs ~{cost} cells, "
-            f"budget is {budget}",
-            estimated_cost=cost,
-        )
-    dtype = np.int64 if 3 * q ** (k + 1) < _INT64_HEADROOM else object
-    prefix_sums = _kernel(rset, k, dtype)
+    admit(f"correlation_exact(q={q}, k={k})", exact_cost(q, k), budget)
+    prefix_sums = _kernel(rset, k)
     blocks = _representatives(q, k, max(1, _CHUNK_CELLS // q))
     best, rep = _best_row(blocks, prefix_sums, _cyclic_best, workers)
     start, window = _cyclic_witness(prefix_sums(np.array([rep]))[0], best)
@@ -391,22 +380,18 @@ def correlation_sampled(
     Draws `samples` uniform lag tuples (with replacement across draws)
     from a seeded generator; deterministic for a fixed seed.  Each tuple
     gets its exact max over the windows [0, M), M = 1..q, from the same
-    count-table kernel as the exact scan; ties keep the earliest draw.
+    count-table kernel as the exact scan, in its arithmetic; ties keep the
+    earliest draw.
     """
     q = rset.q
     _validate_order(k, q)
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
-    if q ** (k + 1) >= 2**62:
-        raise TooLargeError(
-            f"sampled scan needs q^(k+1) < 2**62 for exact arithmetic, "
-            f"got q={q}, k={k}"
-        )
     rng = np.random.default_rng(seed)
     tuples = np.empty((samples, k), dtype=np.int32)
     for i in range(samples):
         tuples[i] = np.sort(rng.choice(q, size=k, replace=False))
-    prefix_sums = _kernel(rset, k, np.int64)
+    prefix_sums = _kernel(rset, k)
     rows = max(1, _CHUNK_CELLS // q)
     blocks = (tuples[lo : lo + rows] for lo in range(0, samples, rows))
     best, lags = _best_row(blocks, prefix_sums, lambda s: abs(s).max(axis=1), workers)

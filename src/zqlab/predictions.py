@@ -6,13 +6,12 @@ Expected pattern counts for the derived sequences:
   gap_mod pattern a:       rho^l * (1-rho)^(sum a - l) / (1-(1-rho)^M)^l * T
   gap_threshold pattern b: (1-rho)^((m-1)(l-z)) * (1-(1-rho)^(m-1))^z * T
   characteristic pattern:  rho^w * (1-rho)^(l-w) * q
-  sign pattern (+-1):      rho^z * (1-rho)^(s-z) * q
 
-where l is the pattern length, z the number of ones (+1s), w the number
-of ones, and the counts they predict are window counts of the matching
-statistic; a symbol term is the length-1 pattern term.  Summed over all
-symbols/patterns these recover T (or q) exactly, which the test suite
-checks as identities.
+where l is the pattern length, z and w the number of ones, and the counts
+they predict are window counts of the matching statistic; a symbol term
+is the length-1 pattern term, and a +-1 sign-pattern term the
+characteristic term with -1 read as 0.  Summed over all symbols/patterns
+these recover T (or q) exactly, which the test suite checks as identities.
 
 Deviation budgets carry an exact rational coefficient and a symbolic
 sqrt/log shape; sqrt-only budgets are compared exactly via squaring,
@@ -102,20 +101,14 @@ def characteristic_pattern_main_term(pattern, T: int, q: int) -> Fraction:
 
 
 def sign_pattern_main_term(pattern, T: int, q: int) -> Fraction:
-    """Expected count of windows matching a +-1 membership pattern.
-
-    Division-free, so degenerate densities (T = 0 or T = q) are fine.
-    """
+    """Expected count of windows matching a +-1 membership pattern: the
+    characteristic term of the 0/1 pattern with -1 read as 0."""
     pattern = tuple(pattern)
     if len(pattern) < 1 or any(e not in (-1, 1) for e in pattern):
         raise InvalidParameterError(f"need a nonempty +-1 pattern, got {pattern}")
-    if q < 1 or not 0 <= T <= q:
-        raise InvalidParameterError(f"need 0 <= T <= q, got T={T}, q={q}")
     if len(pattern) > q:
         raise PatternTooLongError(f"pattern length {len(pattern)} exceeds q={q}")
-    rho = Fraction(T, q)
-    z = sum(1 for e in pattern if e == 1)
-    return rho**z * (1 - rho) ** (len(pattern) - z) * q
+    return characteristic_pattern_main_term(tuple((e + 1) // 2 for e in pattern), T, q)
 
 
 # ----------------------------------------------------------------------

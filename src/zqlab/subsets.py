@@ -562,7 +562,10 @@ def _as_fraction(value, where: str) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return Fraction(_as_int(value["num"], where), _as_int(value["den"], where))
+        num, den = _as_int(value["num"], where), _as_int(value["den"], where)
+        if den == 0:
+            raise InvalidParameterError(f"{where}: zero denominator in {value!r}")
+        return Fraction(num, den)
     raise InvalidParameterError(
         f'{where}: expected a rational as {{"num": .., "den": ..}}, got {value!r}'
     )

@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zqlab import cli, errors, harness
 from zqlab.harness import (
@@ -16,6 +19,8 @@ from zqlab.harness import (
     run,
     sweep,
 )
+from zqlab.measures import SignVector, sign_pattern_count
+from zqlab.subsets import ResidueSet
 
 BASE = {
     "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
@@ -144,6 +149,29 @@ class TestConfigParsing:
         bad["analyses"][0]["k"] = 2
         with pytest.raises(errors.ConfigError, match=r"analyses\[0\]"):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "constant",
+        [
+            {"num": True, "den": 2},  # a bool is not an integer
+            {"num": 1, "den": 0},
+            {"num": 1, "den": 2, "scale": 3},  # unknown key
+            "1/2",
+            {"num": -1, "den": 2},
+        ],
+    )
+    def test_bad_budget_constant_rejected(self, constant):
+        bad = copy.deepcopy(BASE)
+        bad["analyses"][1]["budget"]["constant"] = constant
+        with pytest.raises(errors.ConfigError, match=r"analyses\[1\]\.budget\.constant"):
+            ExperimentConfig.from_dict(bad)
+
+    def test_rational_budget_constant(self):
+        spec = BudgetSpec.from_dict(
+            {"constant": {"num": 2, "den": 6}, "shape": "absolute"}, "budget"
+        )
+        assert spec.constant == Fraction(1, 3)
+        assert BudgetSpec.from_dict(spec.to_dict(), "budget") == spec
 
 
 class TestRun:
@@ -281,6 +309,43 @@ class TestRun:
         assert conservation["status"] == "PASS"
         # 8 patterns + the conservation row
         assert len(entry["items"]) == 9
+
+    @given(
+        st.integers(min_value=4, max_value=24).flatmap(
+            lambda q: st.sets(st.integers(0, q - 1), min_size=1, max_size=q - 1).map(
+                lambda els: ResidueSet(q, tuple(sorted(els)))
+            )
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sign_patterns_items_are_sign_pattern_counts(self, r, s):
+        config = ExperimentConfig.from_dict(
+            {
+                "construction": {
+                    "kind": "explicit",
+                    "params": {"q": r.q, "elements": list(r.elements)},
+                },
+                "analyses": [{"kind": "sign_patterns", "window": s}],
+            }
+        )
+        if s > r.q:
+            with pytest.raises(
+                errors.PatternTooLongError, match=f"pattern length {s} exceeds q={r.q}"
+            ):
+                run(config)
+            return
+        items = run(config).body["analyses"][0]["items"]
+        sv = SignVector.from_set(r)
+        patterns = list(itertools.product((-1, 1), repeat=s))
+        assert [i["label"] for i in items[:-1]] == [
+            "pattern=" + ",".join(f"{e:+d}" for e in pat) for pat in patterns
+        ]
+        assert [i["empirical"] for i in items[:-1]] == [
+            sign_pattern_count(sv, pat) for pat in patterns
+        ]
+        assert items[-1]["label"] == "conservation"
+        assert items[-1]["empirical"] == r.q - s + 1
 
     def test_lemma_budget_uses_exact_correlation(self):
         config = ExperimentConfig.from_dict(
@@ -422,6 +487,12 @@ class TestSweep:
     def test_bad_grid_path(self):
         with pytest.raises(errors.ConfigError):
             sweep(self.SWEEP_BASE, [{"path": "construction.nope.p", "values": [1]}])
+
+    @pytest.mark.parametrize("path", ["derivations.x", "derivations.5"])
+    def test_bad_list_index_in_grid_path(self, path):
+        base = dict(self.SWEEP_BASE, derivations=[{"kind": "gap_threshold", "m": 2}])
+        with pytest.raises(errors.ConfigError, match=f"grid path '{path}': no list index"):
+            sweep(base, [{"path": path, "values": [3]}])
 
     def test_total_cost_refused_up_front(self):
         base = {
@@ -633,6 +704,76 @@ class TestCli:
         cfg = self.write(tmp_path, "s.json", seq)
         assert cli.main(["stats", "--config", cfg]) == 2
         assert "exceeds sequence length 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["derive", "stats"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"derivation": {"kind": "characteristic"}},
+            {"construction": {"kind": "quadratic_residues", "params": {"p": 11}}},
+            [{"kind": "quadratic_residues", "params": {"p": 11}}],
+        ],
+    )
+    def test_derive_incomplete_config_exits_2(self, tmp_path, capsys, command, config):
+        cfg = self.write(tmp_path, "d.json", config)
+        assert cli.main([command, "--config", cfg]) == 2
+        assert '{"construction": .., "derivation": ..}' in capsys.readouterr().err
+
+    def test_gap_mod_modulus_beyond_int64(self, tmp_path, capsys):
+        # gaps lie in 1..q-1, so from M = q on they are their own symbols
+        qr43 = {"kind": "quadratic_residues", "params": {"p": 43}}
+        cfg = self.write(
+            tmp_path,
+            "v.json",
+            {
+                "construction": qr43,
+                "derivations": [{"kind": "gap_mod", "M": 10**30}],
+                "analyses": [{"kind": "cardinality"}],
+            },
+        )
+        assert cli.main(["verify", "--config", cfg]) == 0
+        capsys.readouterr()
+        cfg = self.write(
+            tmp_path,
+            "s.json",
+            {"construction": qr43, "derivation": {"kind": "gap_mod", "M": 10**30}},
+        )
+        assert cli.main(["stats", "--config", cfg]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert sum(c["count"] for c in counts) == 20  # 21 residues, 20 gaps
+        assert all(1 <= c["pattern"][0] < 43 for c in counts)
+
+    def test_construct_zero_denominator_exits_2(self, tmp_path, capsys):
+        cfg = self.write(
+            tmp_path,
+            "c.json",
+            {
+                "kind": "character_argument",
+                "params": {"p": 11, "order": 2, "additive": 1, "f": [1, 1],
+                           "alpha": {"num": 0, "den": 0}, "beta": {"num": 1, "den": 2}},
+            },
+        )
+        assert cli.main(["construct", "--config", cfg]) == 2
+        assert "character_argument.params.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", ["derivations.x.m", "derivations.5.m"])
+    def test_sweep_bad_list_index_exits_2(self, tmp_path, capsys, path):
+        base = dict(TestSweep.SWEEP_BASE, derivations=[{"kind": "gap_threshold", "m": 2}])
+        cfg = self.write(
+            tmp_path, "sw.json", {"base": base, "grid": [{"path": path, "values": [3]}]}
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert f"grid path '{path}': no list index" in capsys.readouterr().err
+
+    def test_corr_sampled_beyond_int64(self, tmp_path, capsys):
+        # 3 * 100003^4 >= 2^62: the draws are scanned on Python ints
+        cfg = self.write(
+            tmp_path, "c.json", {"kind": "quadratic_residues", "params": {"p": 100003}}
+        )
+        args = ["corr", "--config", cfg, "-k", "3", "--samples", "16"]
+        assert cli.main(args) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["mode"], out["tuples"], len(out["lags"])) == ("sampled", 16, 3)
 
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["construct", "--config", "/nonexistent.json"]) == 2

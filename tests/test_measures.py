@@ -16,7 +16,6 @@ from zqlab.measures import (
     correlation_up_to,
     pattern_counts,
     sign_pattern_count,
-    sign_pattern_counts,
     symbol_counts,
 )
 from zqlab.sequences import (
@@ -190,29 +189,6 @@ class TestWindowCodes:
                 )
 
 
-class TestSignPatternCounts:
-    @given(proper_subsets, st.integers(min_value=1, max_value=6))
-    @settings(max_examples=80)
-    def test_one_pass_equals_per_pattern(self, r, s):
-        if s > r.q:
-            return
-        sv = SignVector.from_set(r)
-        counts = sign_pattern_counts(r, s)
-        patterns = list(itertools.product((-1, 1), repeat=s))
-        assert list(counts) == patterns
-        assert all(counts[pat] == sign_pattern_count(sv, pat) for pat in patterns)
-
-    def test_qr(self):
-        r = quadratic_residue_set(1009)
-        sv = SignVector.from_set(r)
-        for pattern, count in sign_pattern_counts(r, 8).items():
-            assert count == sign_pattern_count(sv, pattern)
-
-    def test_too_long(self):
-        with pytest.raises(errors.PatternTooLongError, match="exceeds q=4"):
-            sign_pattern_counts(explicit_set(4, [0]), 5)
-
-
 class TestCorrelationExact:
     def test_qr11_order1(self):
         res = correlation_exact(QR11, 1)
@@ -254,6 +230,13 @@ class TestCorrelationExact:
     def test_budget_can_be_lowered(self):
         with pytest.raises(errors.BudgetExceededError):
             correlation_exact(QR11, 2, budget=100)
+
+    def test_admit_message(self):
+        measures.admit("scan", 10, 10)  # at the budget: admitted
+        with pytest.raises(errors.BudgetExceededError) as info:
+            measures.admit("scan", 11, 10, "operations")
+        assert str(info.value) == "scan needs ~11 operations, budget is 10"
+        assert info.value.estimated_cost == 11
 
     def test_workers_agree(self):
         r = explicit_set(40, sorted({(n * n + 3 * n) % 40 for n in range(40)}))
@@ -491,3 +474,44 @@ class TestCorrelationSampled:
     def test_validation(self):
         with pytest.raises(errors.InvalidParameterError):
             correlation_sampled(QR11, 1, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "r, k, samples, seed, value, window, lags",
+        [
+            (quadratic_residue_set(1009), 3, 200, 5,
+             Fraction(8860358434, 1027243729), 973, (357, 610, 925)),
+            (quadratic_residue_set(43), 2, 64, 9, Fraction(5069, 1849), 23, (24, 40)),
+            # q^(k+1) < 2^62 <= 3 q^(k+1): int64 before, Python ints now
+            (explicit_set(20, [0, 1, 4, 6, 7, 11, 12, 15, 19]), 13, 30, 2,
+             Fraction(1115802127143, 1024 * 10**12), 20,
+             (0, 1, 2, 3, 4, 5, 10, 11, 13, 14, 16, 17, 18)),
+        ],
+    )
+    def test_admitted_results_pinned(self, r, k, samples, seed, value, window, lags):
+        # the draws, values and witnesses of inputs the scan always ran
+        res = correlation_sampled(r, k, samples, seed=seed)
+        assert (res.value, res.window, res.lags) == (value, window, lags)
+
+    @pytest.mark.parametrize(
+        "r, k",
+        [
+            (explicit_set(18, [0, 1, 4, 6, 7, 11, 12, 15]), 14),
+            (explicit_set(30, range(15)), 29),  # every product is -15^29
+        ],
+    )
+    def test_python_int_path(self, r, k):
+        # 3 * q^(k+1) >= 2^62: the sums run on Python ints, like the exact scan
+        assert 3 * r.q ** (k + 1) >= measures._INT64_HEADROOM
+        res = correlation_sampled(r, k, 40, seed=3)
+        assert res.value <= correlation_exact(r, k).value
+        assert Fraction(abs(witness_sum(r, res)), r.q**k) == res.value
+
+    @given(small_cases, st.integers(min_value=1, max_value=20), st.integers(0, 99))
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic_paths_agree(self, case, samples, seed):
+        r, k = case
+        fast = correlation_sampled(r, k, samples, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_INT64_HEADROOM", 0)  # Python ints throughout
+            slow = correlation_sampled(r, k, samples, seed=seed)
+        assert (fast.value, fast.window, fast.lags) == (slow.value, slow.window, slow.lags)

@@ -33,6 +33,14 @@ def test_gap_mod_larger_modulus():
     assert seq.symbols == (2, 1, 1, 4)
 
 
+@pytest.mark.parametrize("M", [11, 10**30])
+def test_gap_mod_from_modulus_q_on_is_raw_gaps(M):
+    # gaps lie in 1..q-1, so no reduction happens, even past int64
+    seq = derive_gap_mod(QR11, M)
+    assert seq.symbols == (2, 1, 1, 4)
+    assert seq.param == M
+
+
 def test_gap_threshold_qr11():
     seq = derive_gap_threshold(QR11, 2)
     assert seq.symbols == (0, 1, 1, 0)

@@ -477,6 +477,14 @@ class TestConstructionSpec:
         assert spec.params["alpha"] == Fraction(-1, 4)
         assert construct(spec).elements == quadratic_residue_set(11).elements
 
+    def test_from_json_rejects_zero_denominator(self):
+        params = {"p": 11, "order": 2, "additive": 1, "f": [1, 1],
+                  "alpha": {"num": 0, "den": 0}, "beta": {"num": 1, "den": 2}}
+        with pytest.raises(
+            errors.InvalidParameterError, match="alpha: zero denominator"
+        ):
+            ConstructionSpec.from_json({"kind": "character_argument", "params": params})
+
     def test_from_json_rejects_bool(self):
         with pytest.raises(errors.InvalidParameterError):
             ConstructionSpec.from_json(
