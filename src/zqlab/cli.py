@@ -120,8 +120,12 @@ def _cmd_stats(args) -> int:
 
 def _cmd_corr(args) -> int:
     spec = ConstructionSpec.from_json(_load_json(args.config))
-    if args.samples is not None:  # admitted before the set is built
-        measures.admit("correlation_sampled", args.samples * spec.modulus, args.budget)
+    q = spec.modulus  # both scans are admitted before the set is built
+    if args.samples is not None:
+        measures.admit("correlation_sampled", args.samples * q, args.budget)
+    else:
+        cost = measures.exact_cost(q, args.order)
+        measures.admit(f"correlation_exact(q={q}, k={args.order})", cost, args.budget)
     rset = construct(spec)
     if args.samples is not None:
         seed = args.seed if args.seed is not None else 0
@@ -232,10 +236,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (Error, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,14 +39,23 @@ from .errors import (
 )
 from .measures import DEFAULT_BUDGET, admit
 from .predictions import DeviationBudget
-from .subsets import ConstructionSpec, _as_fraction, construct
+from .subsets import ConstructionSpec, _as_fraction, _fraction_to_json, construct
 
 _TOOL_NAME = "zqlab"
 
 # Feasibility guards: enumerated pattern families stay enumerable.
 _MAX_PATTERN_FAMILY = 4096
 
-_BUDGET_SHAPES = ("absolute", "sqrt_log", "sqrt_log2", "lemma")
+# Budget shape -> (formula, sqrt(q) factor or not, log(q) power); lemma: c*2^s*Cmax.
+_BUDGET_SHAPES = {
+    "absolute": ("{c}", False, 0),
+    "sqrt_log": ("{c}*sqrt(q)*log(q)", True, 1),
+    "sqrt_log2": ("{c}*sqrt(q)*log(q)^2", True, 2),
+    "lemma": ("{c}*2^s*Cmax", False, 0),
+}
+
+# A report's CSV columns; a sweep summary puts the point's around them.
+_REPORT_COLUMNS = "analysis item empirical predicted deviation budget status".split()
 
 
 def _fail(path: str, message: str):
@@ -66,7 +75,7 @@ def _fraction_json(fr: Fraction) -> dict:
     with decimal.localcontext() as ctx:
         ctx.prec = 15
         dec = Decimal(fr.numerator) / Decimal(fr.denominator)
-    return {"num": fr.numerator, "den": fr.denominator, "decimal": str(dec)}
+    return {**_fraction_to_json(fr), "decimal": str(dec)}
 
 
 def _budget_json(budget: DeviationBudget) -> dict:
@@ -123,9 +132,9 @@ class BudgetSpec:
     def from_dict(cls, obj, path: str) -> "BudgetSpec":
         if not isinstance(obj, dict) or set(obj) != {"constant", "shape"}:
             _fail(path, 'expected {"constant": .., "shape": ..}')
-        shape = obj["shape"]
-        if shape not in _BUDGET_SHAPES:
-            _fail(f"{path}.shape", f"expected one of {_BUDGET_SHAPES}, got {shape!r}")
+        shape, shapes = obj["shape"], tuple(_BUDGET_SHAPES)
+        if shape not in shapes:
+            _fail(f"{path}.shape", f"expected one of {shapes}, got {shape!r}")
         try:
             constant = _as_fraction(obj["constant"], f"{path}.constant")
         except InvalidParameterError as exc:
@@ -135,28 +144,14 @@ class BudgetSpec:
         return cls(constant, shape)
 
     def to_dict(self) -> dict:
-        return {
-            "constant": {
-                "num": self.constant.numerator,
-                "den": self.constant.denominator,
-            },
-            "shape": self.shape,
-        }
+        return {"constant": _fraction_to_json(self.constant), "shape": self.shape}
 
     def realize(self, q: int, cmax: Fraction | None = None) -> DeviationBudget:
-        c = self.constant
-        if self.shape == "absolute":
-            return DeviationBudget(f"{c}", True, c)
-        if self.shape == "sqrt_log":
-            return DeviationBudget(
-                f"{c}*sqrt(q)*log(q)", True, c, sqrt_arg=q, log_power=1, log_arg=q
-            )
-        if self.shape == "sqrt_log2":
-            return DeviationBudget(
-                f"{c}*sqrt(q)*log(q)^2", True, c, sqrt_arg=q, log_power=2, log_arg=q
-            )
-        # lemma: caller supplies the exact max correlation
-        return DeviationBudget(f"{c}*2^s*Cmax", True, c * cmax)
+        template, root, log_power = _BUDGET_SHAPES[self.shape]
+        c, arg = self.constant, q if root else 1
+        coefficient = c * cmax if self.shape == "lemma" else c  # cmax: 2^s*Cmax
+        formula = template.format(c=c)
+        return DeviationBudget(formula, True, coefficient, arg, log_power, arg)
 
 
 @dataclass(frozen=True)
@@ -420,7 +415,7 @@ def _sign_patterns_cost(analysis, q: int) -> int:
     s = analysis.window
     cost = q * s + 2**s  # one pass of window codes, then one item per pattern
     if analysis.budget is not None and analysis.budget.shape == "lemma":
-        cost += sum(measures.exact_cost(q, j) for j in range(1, min(s, q) + 1))
+        cost += measures.up_to_cost(q, s)
     return cost
 
 
@@ -482,17 +477,7 @@ class VerificationReport:
         return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
 
     def csv_rows(self) -> list:
-        rows = [
-            [
-                "analysis",
-                "item",
-                "empirical",
-                "predicted",
-                "deviation",
-                "budget",
-                "status",
-            ]
-        ]
+        rows = [list(_REPORT_COLUMNS)]
         for entry in self.body["analyses"]:
             name = _analysis_name(entry)
             for item in entry["items"]:
@@ -633,11 +618,9 @@ def _point_dict(base: dict, axes, values) -> dict:
     return point
 
 
-def _run_point(args):
+def _run_point(config: ExperimentConfig, workers: int, op_budget: int) -> dict:
     """Worker entry: returns a report body or an error marker."""
-    point_dict, workers, op_budget = args
     try:
-        config = ExperimentConfig.from_dict(point_dict)
         return run(config, workers=workers, op_budget=op_budget).body
     except Error as exc:  # keep the sweep going; note the failure
         return {"error": f"{type(exc).__name__}: {exc}"}
@@ -673,32 +656,25 @@ def sweep(
     with one row per (point, analysis), ordered by grid coordinates.
     """
     axes = _grid_axes(grid)
-    points = [
-        _point_dict(base, axes, values)
-        for values in itertools.product(*(vals for _, vals in axes))
-    ]
-    total_cost = 0
+    coords = list(itertools.product(*(vals for _, vals in axes)))
+    points = [_point_dict(base, axes, values) for values in coords]
+    configs = []
     for i, point in enumerate(points):
         try:
-            config = ExperimentConfig.from_dict(point)
+            configs.append(ExperimentConfig.from_dict(point))
         except Error as exc:
             raise ConfigError(f"grid point {i}: {exc}") from exc
-        total_cost += estimate_cost(config)
-    admit(f"sweep of {len(points)} points", total_cost, op_budget, "operations")
-    if workers > 1 and len(points) > 1:
+    total_cost = sum(map(estimate_cost, configs))
+    admit(f"sweep of {len(configs)} points", total_cost, op_budget, "operations")
+    if workers > 1 and len(configs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            bodies = list(pool.map(_run_point, [(p, 1, op_budget) for p in points]))
+            point = partial(_run_point, workers=1, op_budget=op_budget)
+            bodies = list(pool.map(point, configs))
     else:
-        bodies = [_run_point((p, workers, op_budget)) for p in points]
+        bodies = [_run_point(c, workers, op_budget) for c in configs]
 
-    header = (
-        ["point"]
-        + [path for path, _ in axes]
-        + ["analysis", "item", "empirical", "predicted", "deviation", "budget",
-           "status", "seconds"]
-    )
+    header = ["point", *(path for path, _ in axes), *_REPORT_COLUMNS, "seconds"]
     rows = [header]
-    coords = list(itertools.product(*(vals for _, vals in axes)))
     for i, (values, body) in enumerate(zip(coords, bodies)):
         prefix = [str(i)] + [json.dumps(v) if not isinstance(v, (int, str)) else str(v)
                              for v in values]
@@ -712,7 +688,7 @@ def sweep(
         outdir.mkdir(parents=True, exist_ok=True)
         for i, body in enumerate(bodies):
             if "error" not in body:
-                text = json.dumps(body, sort_keys=True, indent=2) + "\n"
+                text = VerificationReport(body).to_json_text()
                 (outdir / f"report_{i:04d}.json").write_text(text)
         with (outdir / "summary.csv").open("w", newline="") as fh:
             csv.writer(fh).writerows(rows)

@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
 )
 from .sequences import DERIVATIONS, DerivedSequence
-from .subsets import ResidueSet
+from .subsets import ResidueSet, _fraction_to_json
 
 #: Default elementary-operation budget shared by correlation scans and
 #: sweep sizing.  Oversized requests are refused, never truncated.
@@ -45,7 +45,9 @@ DEFAULT_BUDGET = 10**9
 # Block size (array cells) for the vectorized tuple scans.
 _CHUNK_CELLS = 1 << 20
 
-# int64 bound on 3*q^(k+1): |S| <= q^(k+1), and |Tot - U| <= 3*q^(k+1).
+# int64 bound on 3*q*max(T, q-T)^k: every |P(n)| <= max(T, q-T)^k, so prefix
+# sums, drawups, |Tot +- U| and the witness's two-period differences all stay
+# below 4*q*max(T, q-T)^k < 2^63.
 _INT64_HEADROOM = 2**62
 
 
@@ -146,7 +148,7 @@ class CorrelationResult:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "value": {"num": self.value.numerator, "den": self.value.denominator},
+            "value": _fraction_to_json(self.value),
             "window": self.window,
             "lags": list(self.lags),
             "mode": self.mode,
@@ -171,18 +173,26 @@ def admit(what: str, cost: int, budget: int, unit: str = "cells") -> None:
 
 def exact_cost(q: int, k: int) -> int:
     """Upper bound on the cells the exact order-k scan visits: one period
-    per lag tuple with d_1 = 0 (it keeps about a k-th of them)."""
+    per lag tuple with d_1 = 0 (it keeps about a k-th of them).  Orders
+    outside 1..q cost 0: the scan refuses them before it visits a cell."""
+    if not 1 <= k <= q:
+        return 0
     return math.comb(q - 1, k - 1) * q
+
+
+def up_to_cost(q: int, s: int) -> int:
+    """The cells of the exact scans of orders 1..min(s, q) together."""
+    return sum(exact_cost(q, k) for k in range(1, min(s, q) + 1))
 
 
 def _kernel(rset: ResidueSet, k: int):
     """The map from a (rows, k) lag array to the prefix sums S_0 = 0,
     S_1, ..., S_q of P(n) = prod_i q*f(n + d_i), one row per lag tuple.
     With j the number of members among the n + d_i, P(n) is the table
-    entry (q-T)^j * (-T)^(k-j).  Sums are int64 when 3*q^(k+1) < 2^62,
-    Python ints otherwise."""
+    entry (q-T)^j * (-T)^(k-j).  Sums are int64 when
+    3*q*max(T, q-T)^k < 2^62, Python ints otherwise."""
     q, t = rset.q, rset.cardinality
-    dtype = np.int64 if 3 * q ** (k + 1) < _INT64_HEADROOM else object
+    dtype = np.int64 if 3 * q * max(t, q - t) ** k < _INT64_HEADROOM else object
     mask = rset.member_mask.astype(np.min_scalar_type(k))
     # windows[d, n] is the membership of (d + n) mod q
     windows = sliding_window_view(np.concatenate([mask, mask]), q)
@@ -359,8 +369,11 @@ def correlation_up_to(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> Fraction:
-    """max over 1 <= k <= s of the exact order-k correlation value."""
-    _validate_order(s, rset.q)
+    """max over 1 <= k <= s of the exact order-k correlation value; the s
+    scans are admitted together, up_to_cost(q, s) cells, before any runs."""
+    q = rset.q
+    _validate_order(s, q)
+    admit(f"correlation_up_to(q={q}, s={s})", up_to_cost(q, s), budget)
     return max(
         correlation_exact(rset, k, budget=budget, workers=workers).value
         for k in range(1, s + 1)

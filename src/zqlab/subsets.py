@@ -166,17 +166,6 @@ def _primitive_root_mask(p: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=32)
-def _inverse_table(p: int) -> np.ndarray:
-    """inv[y] = y^-1 mod p for y != 0, inv[0] = 0 (read-only)."""
-    table = nt.build_index_table(p)
-    inv = np.zeros(p, dtype=np.int64)
-    rev = (p - 1 - np.arange(p - 1)) % (p - 1)
-    inv[table.powers] = table.powers[rev]
-    inv.setflags(write=False)
-    return inv
-
-
 @lru_cache(maxsize=16)
 def _fermat_quotient_table(p: int) -> np.ndarray:
     """Fermat quotients of 0 .. p^2 - 1 as a dense array (read-only)."""
@@ -212,6 +201,13 @@ def _reduced_nonconstant(f, p: int) -> tuple[int, ...]:
     if len(fr) <= 1:
         raise ConstantPolynomialError(f"polynomial {tuple(f)} is constant mod {p}")
     return fr
+
+
+def _require_divisor(name: str, value: int, p: int) -> None:
+    if value < 1 or (p - 1) % value != 0:
+        raise NotDivisorError(
+            f"{name}={value} must be a positive divisor of p-1={p - 1}"
+        )
 
 
 def _require_window(s: int, modulus: int) -> None:
@@ -253,8 +249,7 @@ def power_residue_set(p: int, d: int, f) -> ResidueSet:
     d | p - 1 and f non-constant and squarefree mod p.
     """
     nt._require_odd_prime(p)
-    if d < 1 or (p - 1) % d != 0:
-        raise NotDivisorError(f"d={d} must be a positive divisor of p-1={p - 1}")
+    _require_divisor("d", d, p)
     fr = _reduced_nonconstant(f, p)
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
@@ -266,11 +261,8 @@ def power_residue_set(p: int, d: int, f) -> ResidueSet:
 def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
     """{g^s mod p : g a primitive root of p, f(g^s) a nonzero r-th power}."""
     nt._require_odd_prime(p)
-    for name, val in (("s", s), ("r", r)):
-        if val < 1 or (p - 1) % val != 0:
-            raise NotDivisorError(
-                f"{name}={val} must be a positive divisor of p-1={p - 1}"
-            )
+    _require_divisor("s", s, p)
+    _require_divisor("r", r, p)
     fr = _checked_poly(f, p)
     table = nt.build_index_table(p)
     exps = np.flatnonzero(np.gcd(np.arange(p - 1, dtype=np.int64), p - 1) == 1)
@@ -318,7 +310,9 @@ def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
     values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
-    inv = _inverse_table(p)[values]
+    table = nt.build_index_table(p)
+    # (g^j)^-1 = g^-j; zeros of f (index -1, the sentinel) are masked out below
+    inv = table.powers[-table.table[values] % (p - 1)]
     member = (values != 0) & ((inv - r) % p < s)
     return _elements_from_mask(p, member)
 
@@ -367,16 +361,14 @@ def character_argument_set(
     else:
         order = chi.order
         kvals = (chi.index % order) * chi.index_table.table[fvals] % order
-    # Scaled by L, the argument theta and the window are integers; theta*L
-    # and theta*L - (alpha*L mod L) lie in (-L, 2L), so int64 is exact below
-    # L = 2^62 and Python ints take over above it.
-    scale = math.lcm(order, p, alpha.denominator, beta.denominator)
-    dtype = np.int64 if scale < 2**62 else object
-    theta = (kvals.astype(dtype) * (scale // order)
-             + (a * gvals % p).astype(dtype) * (scale // p))
-    start = alpha.numerator * (scale // alpha.denominator) % scale
-    width = int((beta - alpha) * scale)
-    member = (fvals != 0) & ((theta - start) % scale < width)
+    # theta*scale is an integer in [0, scale) for scale = order*p < 2^52 (order
+    # divides p-1), and an integer lies in [alpha*scale, beta*scale) exactly
+    # when it lies in [ceil(alpha*scale), ceil(beta*scale)): int64 decides
+    # every window, whatever its denominators.
+    scale = order * p
+    theta = kvals * p + (a * gvals % p) * order
+    start, stop = math.ceil(alpha * scale), math.ceil(beta * scale)
+    member = (fvals != 0) & ((theta - start % scale) % scale < stop - start)
     return _elements_from_mask(p, member)
 
 
@@ -388,8 +380,7 @@ def fermat_quotient_power_residue_set(p: int, d: int) -> ResidueSet:
     times, and multiples of p (quotient 0 by convention) never qualify.
     """
     nt._require_odd_prime(p)
-    if d < 1 or (p - 1) % d != 0:
-        raise NotDivisorError(f"d={d} must be a positive divisor of p-1={p - 1}")
+    _require_divisor("d", d, p)
     qtab = _fermat_quotient_table(p)
     member = _dth_power_mask(p, d)[qtab]
     return _elements_from_mask(p * p, member)
@@ -571,6 +562,11 @@ def _as_fraction(value, where: str) -> Fraction:
     )
 
 
+def _fraction_to_json(value: Fraction) -> dict:
+    """The {"num": .., "den": ..} form _as_fraction reads back."""
+    return {"num": value.numerator, "den": value.denominator}
+
+
 def _as_ints(
     value, where: str, what: str = "a coefficient list (lowest degree first)"
 ) -> tuple[int, ...]:
@@ -642,7 +638,7 @@ class ConstructionSpec:
         out = {}
         for key, value in self.params.items():
             if isinstance(value, Fraction):
-                out[key] = {"num": value.numerator, "den": value.denominator}
+                out[key] = _fraction_to_json(value)
             elif isinstance(value, tuple):
                 out[key] = list(value)
             else:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,14 @@ from zqlab.harness import (
     BudgetSpec,
     DerivationSpec,
     ExperimentConfig,
+    VerificationReport,
     config_hash,
     estimate_cost,
     run,
     sweep,
 )
 from zqlab.measures import SignVector, sign_pattern_count
+from zqlab.predictions import DeviationBudget
 from zqlab.subsets import ResidueSet
 
 BASE = {
@@ -165,6 +168,36 @@ class TestConfigParsing:
         bad["analyses"][1]["budget"]["constant"] = constant
         with pytest.raises(errors.ConfigError, match=r"analyses\[1\]\.budget\.constant"):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("shape", ["cubic", ["sqrt_log"], None])
+    def test_unknown_budget_shape_rejected(self, shape):
+        bad = copy.deepcopy(BASE)
+        bad["analyses"][1]["budget"]["shape"] = shape
+        shapes = "('absolute', 'sqrt_log', 'sqrt_log2', 'lemma')"
+        with pytest.raises(errors.ConfigError) as info:
+            ExperimentConfig.from_dict(bad)
+        assert str(info.value) == (
+            f"analyses[1].budget.shape: expected one of {shapes}, got {shape!r}"
+        )
+
+    def test_realize_each_shape(self):
+        c = Fraction(3, 2)
+
+        def realize(shape, **kwargs):
+            return BudgetSpec(c, shape).realize(101, **kwargs)
+
+        assert realize("absolute") == DeviationBudget("3/2", True, c)
+        assert realize("sqrt_log") == DeviationBudget(
+            "3/2*sqrt(q)*log(q)", True, c, sqrt_arg=101, log_power=1, log_arg=101
+        )
+        assert realize("sqrt_log2") == DeviationBudget(
+            "3/2*sqrt(q)*log(q)^2", True, c, sqrt_arg=101, log_power=2, log_arg=101
+        )
+        assert realize("lemma", cmax=Fraction(8, 5)) == DeviationBudget(
+            "3/2*2^s*Cmax", True, Fraction(12, 5)
+        )
+        with pytest.raises(TypeError):  # a lemma budget needs its 2^s * Cmax
+            realize("lemma")
 
     def test_rational_budget_constant(self):
         spec = BudgetSpec.from_dict(
@@ -470,6 +503,31 @@ class TestSweep:
         assert len(error_rows) == 1
         assert "NotPrime" in error_rows[0][3]
 
+    def test_points_parsed_once_and_written_as_reports(self, tmp_path, monkeypatch):
+        parse, parsed = ExperimentConfig.from_dict, []
+
+        def counted(obj):
+            parsed.append(obj)
+            return parse(obj)
+
+        monkeypatch.setattr(ExperimentConfig, "from_dict", counted)
+        bodies, _ = sweep(self.SWEEP_BASE, self.GRID, outdir=tmp_path)
+        assert len(parsed) == 3
+        for i, body in enumerate(bodies):
+            text = (tmp_path / f"report_{i:04d}.json").read_text()
+            assert text == VerificationReport(body).to_json_text()
+
+    def test_point_with_q_zero_is_an_error_row(self):
+        base = {
+            "construction": {"kind": "explicit", "params": {"q": 5, "elements": [1, 2]}},
+            "analyses": [{"kind": "correlation", "k": 2}],
+        }
+        grid = [{"path": "construction.params.q", "values": [5, 0]}]
+        bodies, rows = sweep(base, grid)
+        assert bodies[0]["status"] == "PASS"
+        assert bodies[1] == {"error": "InvalidParameterError: q must be >= 1, got 0"}
+        assert rows[2][-2] == "ERROR"
+
     def test_bug_in_point_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
@@ -612,6 +670,35 @@ class TestCli:
         assert cli.main(args + ["--budget", "42999"]) == 2
         assert "~43000 cells" in capsys.readouterr().err
         assert cli.main(args[:-1] + [str(10**8)]) == 2
+
+    def test_corr_exact_over_budget_exits_2_before_construct(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        cfg = self.write(
+            tmp_path, "c.json", {"kind": "quadratic_residues", "params": {"p": 10007}}
+        )
+        assert cli.main(["corr", "--config", cfg, "-k", "3"]) == 2
+        cells = math.comb(10006, 2) * 10007
+        assert (
+            f"correlation_exact(q=10007, k=3) needs ~{cells} cells"
+            in capsys.readouterr().err
+        )
+
+    def test_verify_q_zero_exits_2(self, tmp_path, capsys):
+        cfg = self.write(
+            tmp_path,
+            "v.json",
+            {
+                "construction": {"kind": "explicit", "params": {"q": 0, "elements": []}},
+                "analyses": [{"kind": "correlation", "k": 2}],
+            },
+        )
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: q must be >= 1, got 0\n"
 
     def test_verify_writes_report_and_exit_codes(self, tmp_path, capsys):
         good = self.write(

@@ -297,9 +297,10 @@ class TestBigintFallback:
         assert res.value == Fraction(30 * 15**30, 30**30)
         assert (res.window, res.lags) == (30, tuple(range(30)))
 
-    @pytest.mark.parametrize("k", [14, 15])
+    @pytest.mark.parametrize("k", [14, 15, 17])
     def test_public_call_finishes_without_int64_headroom(self, k):
-        # 3 * 18^(k+1) >= 2^62, so correlation_exact runs on Python ints
+        # T = 8: 3 * 18 * 10^k < 2^62 keeps k = 14 and 15 on int64, although
+        # 3 * 18^(k+1) >= 2^62; at k = 17 the sums run on Python ints
         r = explicit_set(18, [0, 1, 4, 6, 7, 11, 12, 15])
         result = correlation_exact(r, k)
         q, t = r.q, r.cardinality
@@ -421,6 +422,11 @@ class TestCountTableScan:
     def test_cost_model(self):
         assert measures.exact_cost(10007, 2) == 10006 * 10007
         assert measures.exact_cost(18, 14) == math.comb(17, 13) * 18
+        # orders outside 1..q are refused by the scan: they cost nothing
+        assert measures.exact_cost(0, 1) == measures.exact_cost(5, 0) == 0
+        assert measures.exact_cost(5, 6) == 0
+        assert measures.up_to_cost(43, 3) == 43 + 42 * 43 + math.comb(42, 2) * 43
+        assert measures.up_to_cost(5, 9) == measures.up_to_cost(5, 5)
 
 
 class TestShiftCovariance:
@@ -446,6 +452,19 @@ class TestCorrelationUpTo:
     def test_is_max_over_orders(self):
         vals = [correlation_exact(QR11, k).value for k in (1, 2, 3)]
         assert correlation_up_to(QR11, 3) == max(vals)
+
+    def test_orders_admitted_as_one_sum(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a scan ran before admission")
+
+        monkeypatch.setattr(measures, "correlation_exact", scan)
+        # orders 1..3 at q = 43 cost 43 + 1806 + 37023 cells; each one alone fits
+        refused = pytest.raises(
+            errors.BudgetExceededError, match=r"correlation_up_to\(q=43, s=3\)"
+        )
+        with refused as info:
+            correlation_up_to(quadratic_residue_set(43), 3, budget=37023)
+        assert info.value.estimated_cost == 38872
 
 
 class TestCorrelationSampled:
@@ -481,7 +500,7 @@ class TestCorrelationSampled:
             (quadratic_residue_set(1009), 3, 200, 5,
              Fraction(8860358434, 1027243729), 973, (357, 610, 925)),
             (quadratic_residue_set(43), 2, 64, 9, Fraction(5069, 1849), 23, (24, 40)),
-            # q^(k+1) < 2^62 <= 3 q^(k+1): int64 before, Python ints now
+            # 3 q^(k+1) >= 2^62, but 3 q max(T, q-T)^k < 2^62: int64
             (explicit_set(20, [0, 1, 4, 6, 7, 11, 12, 15, 19]), 13, 30, 2,
              Fraction(1115802127143, 1024 * 10**12), 20,
              (0, 1, 2, 3, 4, 5, 10, 11, 13, 14, 16, 17, 18)),
@@ -495,13 +514,15 @@ class TestCorrelationSampled:
     @pytest.mark.parametrize(
         "r, k",
         [
-            (explicit_set(18, [0, 1, 4, 6, 7, 11, 12, 15]), 14),
+            (explicit_set(18, [0, 1, 4, 6, 7, 11, 12, 15]), 17),
             (explicit_set(30, range(15)), 29),  # every product is -15^29
         ],
     )
     def test_python_int_path(self, r, k):
-        # 3 * q^(k+1) >= 2^62: the sums run on Python ints, like the exact scan
-        assert 3 * r.q ** (k + 1) >= measures._INT64_HEADROOM
+        # 3 * q * max(T, q-T)^k >= 2^62: the sums run on Python ints, like the
+        # exact scan
+        t = r.cardinality
+        assert 3 * r.q * max(t, r.q - t) ** k >= measures._INT64_HEADROOM
         res = correlation_sampled(r, k, 40, seed=3)
         assert res.value <= correlation_exact(r, k).value
         assert Fraction(abs(witness_sum(r, res)), r.q**k) == res.value

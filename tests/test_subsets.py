@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +259,20 @@ class TestInverseRange:
         with pytest.raises(errors.NotSquarefreeError):
             inverse_range_set(7, (0, 0, 1), 0, 2)
 
+    def test_equals_per_n_inverses(self):
+        rng = random.Random(11)
+        for p in filter(nt.is_prime, range(3, 300, 2)):
+            f = ()
+            while nt.poly_degree(f, p) < 1 or not nt.poly_is_squarefree(f, p):
+                f = tuple(rng.randrange(-p, 2 * p) for _ in range(rng.randint(2, 4)))
+            r, s = rng.randrange(-p, 2 * p), rng.randint(1, p - 1)
+            expect = tuple(
+                n for n in range(p)
+                if (fn := nt.poly_eval_mod(f, n, p))
+                and (pow(fn, -1, p) - r) % p < s
+            )
+            assert inverse_range_set(p, f, r, s).elements == expect, (p, f, r, s)
+
 
 class TestCharacterArgument:
     def test_legendre_recovers_quadratic_residues(self):
@@ -317,7 +332,7 @@ def character_argument_reference(p, chi, a, f, g, alpha, beta):
     return tuple(members)
 
 
-# alpha's denominator is either small or past 2^62 (the Python-int path)
+# alpha's denominator is either small or far past int64
 angles = st.builds(
     Fraction,
     st.integers(-(10**25), 10**25),
