@@ -20,7 +20,6 @@ import dataclasses
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, harness, measures, sequences
@@ -47,13 +46,10 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _add_io_flags(p, fmt=True):
+def _add_io_flags(p):
     p.add_argument("--config", required=True, help="path to a JSON config file")
     p.add_argument("--out", help="write output here instead of stdout")
-    if fmt:
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json", dest="fmt"
-        )
+    p.add_argument("--format", choices=("json", "csv"), default="json", dest="fmt")
 
 
 def _add_run_flags(p):
@@ -102,11 +98,8 @@ def _cmd_derive(args) -> int:
 def _cmd_stats(args) -> int:
     cfg = _load_json(args.config)
     seq = _derived_sequence(cfg)
-    counts = measures.pattern_counts(seq, args.length)
-    items = [
-        {"pattern": list(pat), "count": counts.get(pat, 0)}
-        for pat in sorted(counts)
-    ]
+    counts = measures.pattern_counts(seq, args.length)  # observed, in order
+    items = [{"pattern": list(pat), "count": n} for pat, n in counts.items()]
     if args.fmt == "json":
         text = json.dumps({"length": args.length, "counts": items}, indent=2) + "\n"
     else:
@@ -120,22 +113,17 @@ def _cmd_stats(args) -> int:
 
 def _cmd_corr(args) -> int:
     spec = ConstructionSpec.from_json(_load_json(args.config))
-    q = spec.modulus  # both scans are admitted before the set is built
+    q = spec.modulus  # admitted before the set is built
+    kind, what = "correlation", f"correlation_exact(q={q}, k={args.order})"
     if args.samples is not None:
-        measures.admit("correlation_sampled", args.samples * q, args.budget)
-    else:
-        cost = measures.exact_cost(q, args.order)
-        measures.admit(f"correlation_exact(q={q}, k={args.order})", cost, args.budget)
-    rset = construct(spec)
-    if args.samples is not None:
-        seed = args.seed if args.seed is not None else 0
-        result = measures.correlation_sampled(
-            rset, args.order, args.samples, seed, workers=args.workers
-        )
-    else:
-        result = measures.correlation_exact(
-            rset, args.order, budget=args.budget, workers=args.workers
-        )
+        kind = what = "correlation_sampled"
+    analysis = harness.AnalysisSpec(
+        kind, k=args.order, samples=args.samples, seed=args.seed
+    )
+    measures.admit(what, harness.ANALYSES[kind].cost(analysis, q), args.budget)
+    result = harness.correlate(
+        construct(spec), analysis, 0, workers=args.workers, budget=args.budget
+    )
     if args.fmt == "json":
         text = json.dumps(result.to_json(), indent=2) + "\n"
     else:

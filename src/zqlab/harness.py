@@ -257,12 +257,12 @@ class ExperimentConfig:
         analyses = []
         for i, raw in enumerate(obj.get("analyses", ())):
             analysis = AnalysisSpec.from_dict(raw, f"analyses[{i}]")
-            if analysis.sequence is not None and analysis.sequence not in kinds:
-                _fail(
-                    f"analyses[{i}].sequence",
-                    f"no derivation of kind {analysis.sequence!r} configured",
-                )
             if analysis.sequence is not None:  # balance: patterns of length 1
+                if analysis.sequence not in kinds:
+                    _fail(
+                        f"analyses[{i}].sequence",
+                        f"no derivation of kind {analysis.sequence!r} configured",
+                    )
                 dspec = derivations[kinds.index(analysis.sequence)]
                 alphabet = sequences.DERIVATIONS[dspec.kind].alphabet(dspec.param)
                 # stop - start, not len(): len() overflows past 2**63 symbols.
@@ -329,8 +329,8 @@ def _count_item(label, empirical, predicted: Fraction, budget: DeviationBudget):
 
 
 def _analysis_budget(analysis, q: int) -> DeviationBudget:
-    if analysis.budget is None:  # report-only
-        return DeviationBudget("sqrt(q)*log(q)", False, Fraction(1), q, 1, q)
+    if analysis.budget is None:
+        return predictions.report_only_budget("sqrt(q)*log(q)", 1, q)
     return analysis.budget.realize(q)
 
 
@@ -341,7 +341,7 @@ def _run_cardinality(rset, seqs, config, analysis, workers, op_budget):
 
 def _run_patterns(
     rset, seqs, config, analysis, workers, op_budget, *, seq=None, length=None,
-    budget=None, prefix="pattern=", symbol=str,
+    budget=None, label=lambda pattern: "pattern=" + ",".join(map(str, pattern)),
 ):
     """Every alphabet^length window count against its main term; balance
     is this at length 1 with symbol= labels, sign_patterns on the
@@ -355,8 +355,7 @@ def _run_patterns(
     items = []
     for pattern in itertools.product(seq.alphabet, repeat=length):
         main = main_term(pattern, T, q, seq.param)
-        label = prefix + ",".join(map(symbol, pattern))
-        items.append(_count_item(label, counts.get(pattern, 0), main, budget))
+        items.append(_count_item(label(pattern), counts.get(pattern, 0), main, budget))
     return items
 
 
@@ -375,7 +374,8 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
     items = _run_patterns(
         rset, seqs, config, analysis, workers, op_budget,
         seq=sequences.DERIVATIONS["characteristic"].derive(rset, None),
-        length=s, budget=budget, symbol=lambda b: f"{2 * b - 1:+d}",
+        length=s, budget=budget,
+        label=lambda pat: "pattern=" + ",".join(f"{2 * b - 1:+d}" for b in pat),
     )
     total = sum(item["empirical"] for item in items)
     items.append(
@@ -386,17 +386,24 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
     return items
 
 
-def _run_correlation(rset, seqs, config, analysis, workers, op_budget):
-    """The exact scan, or the sampled one when samples are given."""
+def correlate(
+    rset, analysis: AnalysisSpec, seed: int, *, workers: int, budget: int
+) -> measures.CorrelationResult:
+    """The correlation a correlation analysis asks for: the exact scan, or
+    the sampled one when it gives samples, drawn from its own seed or else
+    from `seed`."""
     if analysis.samples is None:
-        result = measures.correlation_exact(
-            rset, analysis.k, budget=op_budget, workers=workers
+        return measures.correlation_exact(
+            rset, analysis.k, budget=budget, workers=workers
         )
-    else:
-        seed = analysis.seed if analysis.seed is not None else config.seed
-        result = measures.correlation_sampled(
-            rset, analysis.k, analysis.samples, seed, workers=workers
-        )
+    seed = seed if analysis.seed is None else analysis.seed
+    return measures.correlation_sampled(
+        rset, analysis.k, analysis.samples, seed, budget=budget, workers=workers
+    )
+
+
+def _run_correlation(rset, seqs, config, analysis, workers, op_budget):
+    result = correlate(rset, analysis, config.seed, workers=workers, budget=op_budget)
     trivial = Fraction(min(rset.cardinality, rset.q - rset.cardinality))
     item = {
         "label": f"order={analysis.k}",
@@ -440,7 +447,7 @@ ANALYSES = {
     "balance": AnalysisKind(
         ("sequence", "budget"),
         lambda a, q: q,
-        partial(_run_patterns, length=1, prefix="symbol="),
+        partial(_run_patterns, length=1, label=lambda pattern: f"symbol={pattern[0]}"),
     ),
     "patterns": AnalysisKind(
         ("sequence", "length", "budget"),
@@ -451,7 +458,7 @@ ANALYSES = {
         ("window", "budget"), _sign_patterns_cost, _run_sign_patterns, lemma=True
     ),
     "correlation": AnalysisKind(
-        ("k",), lambda a, q: measures.exact_cost(q, min(a.k, q)), _run_correlation
+        ("k",), lambda a, q: measures.exact_cost(q, a.k), _run_correlation
     ),
     "correlation_sampled": AnalysisKind(
         ("k", "samples", "seed"), lambda a, q: a.samples * q, _run_correlation

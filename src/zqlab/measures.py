@@ -386,6 +386,7 @@ def correlation_sampled(
     samples: int,
     seed: int,
     *,
+    budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> CorrelationResult:
     """Lower bound on the order-k correlation from sampled lag tuples.
@@ -394,12 +395,14 @@ def correlation_sampled(
     from a seeded generator; deterministic for a fixed seed.  Each tuple
     gets its exact max over the windows [0, M), M = 1..q, from the same
     count-table kernel as the exact scan, in its arithmetic; ties keep the
-    earliest draw.
+    earliest draw.  Work is samples * q cells; requests above the budget
+    are refused before anything is drawn.
     """
     q = rset.q
     _validate_order(k, q)
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    admit("correlation_sampled", samples * q, budget)
     rng = np.random.default_rng(seed)
     tuples = np.empty((samples, k), dtype=np.int32)
     for i in range(samples):

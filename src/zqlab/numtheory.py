@@ -170,7 +170,7 @@ class IndexTable:
         return int(self.table[n])
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=4)
 def build_index_table(p: int) -> IndexTable:
     """Index table for odd prime p < 2**26 (Theta(p) memory)."""
     _require_odd_prime(p)

@@ -195,14 +195,17 @@ def exact_budget() -> DeviationBudget:
     return DeviationBudget("0 (exact)", True, Fraction(0))
 
 
+def report_only_budget(formula: str, coefficient: int, q: int) -> DeviationBudget:
+    """Report-only budget coefficient * sqrt(q) * log(q)."""
+    return DeviationBudget(formula, False, Fraction(coefficient), q, 1, q)
+
+
 @dataclass(frozen=True)
 class CardinalityPrediction:
     """Predicted cardinality: exact rational main term plus budget."""
 
     main: Fraction
     budget: DeviationBudget
-    degree: int | None = None
-    zeros: int | None = None
 
 
 def predicted_cardinality(spec: ConstructionSpec) -> CardinalityPrediction:

@@ -62,8 +62,8 @@ class DerivedSequence:
         return tuple(self.array.tolist())
 
     @property
-    def alphabet(self) -> tuple[int, ...]:
-        return tuple(DERIVATIONS[self.kind].alphabet(self.param))
+    def alphabet(self) -> range:
+        return DERIVATIONS[self.kind].alphabet(self.param)
 
     def to_json(self) -> dict:
         pname = DERIVATIONS[self.kind].param

@@ -34,7 +34,8 @@ from .errors import (
     TooLargeError,
     UnknownKindError,
 )
-from .predictions import CardinalityPrediction, DeviationBudget, exact_budget
+from .predictions import CardinalityPrediction, DeviationBudget
+from .predictions import exact_budget, report_only_budget
 
 # The Fermat-quotient constructions build dense tables over Z_{p^2}.
 _FERMAT_TABLE_LIMIT = 2**11
@@ -166,7 +167,7 @@ def _primitive_root_mask(p: int) -> np.ndarray:
     return mask
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=4)
 def _fermat_quotient_table(p: int) -> np.ndarray:
     """Fermat quotients of 0 .. p^2 - 1 as a dense array (read-only)."""
     if p >= _FERMAT_TABLE_LIMIT:
@@ -413,55 +414,42 @@ def _exact_count(main) -> CardinalityPrediction:
     return CardinalityPrediction(Fraction(main), exact_budget())
 
 
-def _log_budget(formula: str, coefficient: int, p: int) -> DeviationBudget:
-    """Report-only budget coefficient * sqrt(p) * log(p)."""
-    return DeviationBudget(
-        formula, False, Fraction(coefficient), sqrt_arg=p, log_power=1, log_arg=p
-    )
-
-
-def _degree(f, p: int) -> int:
-    return max(len(nt.poly_reduce(f, p)) - 1, 0)
-
-
 def _power_residue_count(p, d, f) -> CardinalityPrediction:
     fr = nt.poly_reduce(f, p)
-    deg = len(fr) - 1
     values = nt.poly_eval_array(fr or (0,), np.arange(p, dtype=np.int64), p)
     zeros = int(np.count_nonzero(values == 0))
     budget = DeviationBudget(
         "((d-1)/d) * (deg f - 1) * sqrt(p)",
         True,
-        Fraction((d - 1) * (deg - 1), d),
+        Fraction((d - 1) * (nt.poly_degree(f, p) - 1), d),
         sqrt_arg=p,
     )
-    return CardinalityPrediction(Fraction(p - zeros, d), budget, deg, zeros)
+    return CardinalityPrediction(Fraction(p - zeros, d), budget)
 
 
 def _primitive_root_power_count(p, s, r, f) -> CardinalityPrediction:
-    deg = _degree(f, p)
     cofactor = nt.factorize((p - 1) // s)
-    budget = _log_budget(
+    budget = report_only_budget(
         "deg(f) * 2^omega((p-1)/s) * sqrt(p) * log(p)",
-        max(deg, 1) * 2**cofactor.omega,
+        max(nt.poly_degree(f, p), 1) * 2**cofactor.omega,
         p,
     )
-    return CardinalityPrediction(Fraction(nt.euler_phi(cofactor), r), budget, deg)
+    return CardinalityPrediction(Fraction(nt.euler_phi(cofactor), r), budget)
 
 
 def _window_count(p, f, r, s) -> CardinalityPrediction:
-    deg = _degree(f, p)
-    budget = _log_budget("deg(f) * sqrt(p) * log(p)", max(deg, 1), p)
-    return CardinalityPrediction(Fraction(s), budget, deg)
+    deg = max(nt.poly_degree(f, p), 1)
+    budget = report_only_budget("deg(f) * sqrt(p) * log(p)", deg, p)
+    return CardinalityPrediction(Fraction(s), budget)
 
 
 def _character_argument_count(p, f, alpha, beta, g=None, **_) -> CardinalityPrediction:
-    deg_f = _degree(f, p)
-    deg_g = _degree(g, p) if g else 0
-    budget = _log_budget(
-        "(deg(f) + deg(g)) * sqrt(p) * log(p)", max(deg_f + deg_g, 1), p
+    # a zero (or absent) polynomial adds no degree
+    degree = sum(max(nt.poly_degree(h, p), 0) for h in (f, g or ()))
+    budget = report_only_budget(
+        "(deg(f) + deg(g)) * sqrt(p) * log(p)", max(degree, 1), p
     )
-    return CardinalityPrediction((beta - alpha) * p, budget, deg_f)
+    return CardinalityPrediction((beta - alpha) * p, budget)
 
 
 def _character_argument(p, order, additive, f, alpha, beta, char_index=1, g=None):
@@ -548,8 +536,6 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_fraction(value, where: str) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, dict) and set(value) == {"num", "den"}:

@@ -52,6 +52,18 @@ BASE = {
 }
 
 
+def replaced(path, value):
+    """BASE with the entry at `path` (a tuple of keys) set to value."""
+    if not path:
+        return value
+    config = copy.deepcopy(BASE)
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
 def scrub(obj):
     """Strip the timing keys, the only nondeterministic report fields."""
     if isinstance(obj, dict):
@@ -88,6 +100,36 @@ class TestConfigParsing:
         del bad["construction"]
         with pytest.raises(errors.ConfigError, match="construction"):
             ExperimentConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("derivations", 0), {"kind": "gap_mod", "M": "2"},
+             "derivations[0].M: expected an integer, got '2'"),
+            (("derivations", 0), 5, "derivations[0]: expected an object"),
+            (("derivations", 0), {"kind": "gaps"},
+             "derivations[0].kind: unknown derivation kind 'gaps'"),
+            (("derivations", 0), {"kind": "gap_mod", "M": 2, "m": 3},
+             "derivations[0]: unexpected keys ['m']"),
+            (("derivations", 0), {"kind": "gap_mod"}, "derivations[0].M: required"),
+            (("analyses", 1, "budget"), {"constant": 4},
+             'analyses[1].budget: expected {"constant": .., "shape": ..}'),
+            (("analyses", 0), "cardinality", "analyses[0]: expected an object"),
+            (("analyses", 0), {"kind": "entropy"},
+             "analyses[0].kind: unknown analysis kind 'entropy'"),
+            (("analyses", 1), {"kind": "balance"}, "analyses[1].sequence: required"),
+            (("analyses", 1), {"kind": "balance", "sequence": 3},
+             "analyses[1].sequence: expected a derivation kind name"),
+            ((), [BASE], "config: expected an object"),
+            (("extra",), 1, "config: unexpected keys ['extra']"),
+            (("construction",), {"kind": "mystery", "params": {}},
+             "construction: unknown construction kind 'mystery'"),
+        ],
+    )
+    def test_invalid_config_names_its_path(self, path, value, message):
+        with pytest.raises(errors.ConfigError) as info:
+            ExperimentConfig.from_dict(replaced(path, value))
+        assert str(info.value) == message
 
     def test_unknown_sequence_rejected(self):
         bad = copy.deepcopy(BASE)
@@ -542,6 +584,23 @@ class TestSweep:
         with pytest.raises(errors.EmptyGridError):
             sweep(self.SWEEP_BASE, [{"path": "seed", "values": []}])
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([{"path": "construction.params.p"}],
+             'grid[0]: expected {"path": .., "values": [..]}'),
+            ([{"path": "construction.kind.x", "values": [1]}],
+             "grid path 'construction.kind.x': cannot set 'x'"),
+            ([{"path": "construction.params.p", "values": [11, "x"]}],
+             "grid point 1: construction: quadratic_residues.params.p: "
+             "expected an integer, got 'x'"),
+        ],
+    )
+    def test_invalid_grid_names_its_path(self, grid, message):
+        with pytest.raises(errors.ConfigError) as info:
+            sweep(self.SWEEP_BASE, grid)
+        assert str(info.value) == message
+
     def test_bad_grid_path(self):
         with pytest.raises(errors.ConfigError):
             sweep(self.SWEEP_BASE, [{"path": "construction.nope.p", "values": [1]}])
@@ -862,6 +921,16 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert (out["mode"], out["tuples"], len(out["lags"])) == ("sampled", 16, 3)
 
+    @pytest.mark.parametrize(
+        "config", [{"base": TestSweep.SWEEP_BASE}, {"grid": TestSweep.GRID}, []]
+    )
+    def test_sweep_without_base_or_grid_exits_2(self, tmp_path, capsys, config):
+        cfg = self.write(tmp_path, "sw.json", config)
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            'error: sweep config must be {"base": .., "grid": [..]}\n'
+        )
+
     def test_missing_file_exits_2(self, capsys):
         assert cli.main(["construct", "--config", "/nonexistent.json"]) == 2
 
@@ -875,6 +944,73 @@ class TestCli:
         assert cli.main(["sweep", "--config", cfg, "--out", str(outdir)]) == 0
         assert (outdir / "summary.csv").exists()
         assert len(list(outdir.glob("report_*.json"))) == 3
+
+    # The output forms of every subcommand, pinned byte for byte on QR 11.
+    QR11 = {"kind": "quadratic_residues", "params": {"p": 11}}
+    GAPS11 = {"construction": QR11, "derivation": {"kind": "gap_mod", "M": 2}}
+
+    @pytest.mark.parametrize(
+        "command, config, flags, expected",
+        [
+            ("construct", QR11, ["--format", "csv"],
+             "element\r\n1\r\n3\r\n4\r\n5\r\n9\r\n"),
+            ("derive", GAPS11, [],
+             '{\n  "kind": "gap_mod",\n  "params": {\n    "M": 2\n  },\n'
+             '  "symbols": [\n    2,\n    1,\n    1,\n    2\n  ]\n}\n'),
+            ("stats", GAPS11, ["--length", "2", "--format", "csv"],
+             "pattern,count\r\n1 1,1\r\n1 2,1\r\n2 1,1\r\n"),
+            ("corr", QR11, ["-k", "2", "--format", "csv"],
+             "k,value,window,lags,mode,tuples\r\n2,150/121,5,2 5,exact,55\r\n"),
+            ("corr", QR11, ["-k", "2", "--samples", "5", "--seed", "3", "--format", "csv"],
+             "k,value,window,lags,mode,tuples\r\n2,144/121,7,0 3,sampled,5\r\n"),
+            # no --seed: the draws come from seed 0
+            ("corr", QR11, ["-k", "2", "--samples", "5", "--format", "csv"],
+             "k,value,window,lags,mode,tuples\r\n2,105/121,9,5 6,sampled,5\r\n"),
+        ],
+    )
+    def test_output_bytes(self, tmp_path, capsys, command, config, flags, expected):
+        cfg = self.write(tmp_path, "c.json", config)
+        assert cli.main([command, "--config", cfg, *flags]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_verify_seed_overrides_config_seed(self, tmp_path, capsys):
+        config = {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "analyses": [{"kind": "correlation_sampled", "k": 2, "samples": 5}],
+            "seed": 1,
+        }
+        cfg = self.write(tmp_path, "v.json", config)
+        assert cli.main(["verify", "--config", cfg, "--seed", "9"]) == 0
+        overridden = json.loads(capsys.readouterr().out)
+        cfg = self.write(tmp_path, "v9.json", dict(config, seed=9))
+        assert cli.main(["verify", "--config", cfg]) == 0
+        assert scrub(overridden) == scrub(json.loads(capsys.readouterr().out))
+        assert overridden["config"]["seed"] == 9
+
+    def test_sweep_without_out_writes_csv_to_stdout(self, tmp_path, capsys):
+        base = {
+            "construction": self.QR11,
+            "derivations": [{"kind": "gap_threshold", "m": 2}],
+            "analyses": [
+                {"kind": "cardinality"},
+                {"kind": "balance", "sequence": "gap_threshold",
+                 "budget": {"constant": 4, "shape": "sqrt_log"}},
+            ],
+        }
+        grid = [{"path": "construction.params.p", "values": [11, 10]}]
+        cfg = self.write(tmp_path, "sw.json", {"base": base, "grid": grid})
+        assert cli.main(["sweep", "--config", cfg]) == 1  # point 1 is an error row
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert [row[:-1] for row in rows] == [
+            "point,construction.params.p,analysis,item,empirical,predicted,"
+            "deviation,budget,status".split(","),
+            "0,11,cardinality,cardinality,5,5,0,0.0,PASS".split(","),
+            "0,11,balance[sequence=gap_threshold],symbol=0,2,2.72727272727273,"
+            "0.727272727272727,31.8116756257564,PASS".split(","),
+            "1,10,-,NotPrimeError: 10 is not an odd prime,,,,,ERROR".split(","),
+        ]
+        assert rows[0][-1] == "seconds" and rows[-1][-1] == ""
+        assert not list(tmp_path.glob("report_*.json"))
 
     def test_verify_csv_format(self, tmp_path, capsys):
         cfg = self.write(

@@ -352,6 +352,22 @@ small_cases = st.integers(min_value=1, max_value=16).flatmap(
 class TestCountTableScan:
     """Properties of the orbit-reduced exact scan and the sampled scan."""
 
+    @pytest.mark.parametrize(
+        "r, k",
+        [
+            # every product fits in int64 (10^18 < 2^63), but the window sums
+            # reach 1.84 * 2^63: the int64 rule must pick Python ints
+            (explicit_set(20, range(10)), 18),
+            (explicit_set(22, range(11)), 18),  # sums up to 9.0 * 2^63
+        ],
+    )
+    def test_near_the_int64_bound_equals_brute_force(self, r, k):
+        t = r.cardinality
+        assert 3 * r.q * max(t, r.q - t) ** k >= measures._INT64_HEADROOM
+        res = correlation_exact(r, k)
+        assert res.value == Fraction(brute_force(r, k), r.q**k)
+        assert Fraction(abs(witness_sum(r, res)), r.q**k) == res.value
+
     @given(small_cases, st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_equals_brute_force(self, case, python_ints):
@@ -493,6 +509,18 @@ class TestCorrelationSampled:
     def test_validation(self):
         with pytest.raises(errors.InvalidParameterError):
             correlation_sampled(QR11, 1, 0, seed=0)
+
+    def test_budget_refusal_draws_nothing(self, monkeypatch):
+        def default_rng(seed):
+            raise AssertionError("drew before admission")
+
+        monkeypatch.setattr(measures.np.random, "default_rng", default_rng)
+        with pytest.raises(errors.BudgetExceededError) as info:
+            correlation_sampled(QR11, 2, 10, seed=0, budget=109)
+        assert info.value.estimated_cost == 10 * 11
+        with pytest.raises(errors.BudgetExceededError) as info:
+            correlation_sampled(quadratic_residue_set(1009), 3, 10**7, seed=0)
+        assert info.value.estimated_cost == 10**7 * 1009
 
     @pytest.mark.parametrize(
         "r, k, samples, seed, value, window, lags",

@@ -146,6 +146,13 @@ def test_index_of_zero_rejected():
         t.index_of(10)  # multiple of p
 
 
+def test_index_table_cache_keeps_four_primes():
+    for p in (101, 103, 107, 109, 113):
+        build_index_table(p)
+    info = build_index_table.cache_info()
+    assert info.currsize == info.maxsize == 4
+
+
 def test_index_table_requires_odd_prime():
     with pytest.raises(errors.NotPrimeError):
         build_index_table(2)

