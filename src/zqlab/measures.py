@@ -13,14 +13,31 @@ Translating the lags by c turns the window [0, M) into the cyclic window
 [c, c+M), so the exact scan visits one lag tuple per translation class and
 takes its max over all cyclic windows.  No product is multiplied out: it
 is a table lookup by the number of members among the lagged positions.
-The sampled scan shares that kernel; an independent oracle recomputes
-every window sum from scratch for cross-validation.
+
+Most rows cannot reach the maximum, and a coarse pass proves it cheaply.
+It cuts the period into blocks of 32, then 16, then 8 positions and gets
+each block's exact sum from popcounts of ANDs of bit-packed rotated
+membership masks.  The best window with both ends on block boundaries is
+reached by a real window, so it is a lower bound; adding the largest
+positive or negative mass of one block for each free end makes it an
+upper bound.  A row goes on to the full kernel only if its upper bound
+reaches the best value known so far, so every row at the maximum gets
+there, in order, and values and witnesses are those of the full scan.
+The pass runs where it pays, which the input decides: orders 2 to 4, q of
+at least 128, and int64 arithmetic (on Python ints every row goes to the
+full kernel).  correlation_up_to carries the best value of the lower
+orders into each higher order's scan as its starting bound.
+
+The sampled scan shares the kernel and the coarse pass, over prefix
+windows (one free end); an independent oracle recomputes every window sum
+from scratch for cross-validation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +66,12 @@ _CHUNK_CELLS = 1 << 20
 # sums, drawups, |Tot +- U| and the witness's two-period differences all stay
 # below 4*q*max(T, q-T)^k < 2^63.
 _INT64_HEADROOM = 2**62
+
+# The coarse pass (_coarse) runs at these orders when q has at least four of
+# the widest blocks; each width in turn bounds the rows the last one kept.
+_COARSE_ORDERS = range(2, 5)
+_COARSE_WIDTHS = (32, 16, 8)
+_COARSE_MIN_Q = 4 * _COARSE_WIDTHS[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,6 +208,16 @@ def up_to_cost(q: int, s: int) -> int:
     return sum(exact_cost(q, k) for k in range(1, min(s, q) + 1))
 
 
+def _sums_dtype(q: int, t: int, k: int):
+    """int64 when 3*q*max(T, q-T)^k < 2^62, Python ints otherwise."""
+    return np.int64 if 3 * q * max(t, q - t) ** k < _INT64_HEADROOM else object
+
+
+def _table(q: int, t: int, k: int, dtype) -> np.ndarray:
+    """P(n) by the number j of members among the n + d_i: (q-T)^j (-T)^(k-j)."""
+    return np.array([(q - t) ** j * (-t) ** (k - j) for j in range(k + 1)], dtype)
+
+
 def _kernel(rset: ResidueSet, k: int):
     """The map from a (rows, k) lag array to the prefix sums S_0 = 0,
     S_1, ..., S_q of P(n) = prod_i q*f(n + d_i), one row per lag tuple.
@@ -192,11 +225,11 @@ def _kernel(rset: ResidueSet, k: int):
     entry (q-T)^j * (-T)^(k-j).  Sums are int64 when
     3*q*max(T, q-T)^k < 2^62, Python ints otherwise."""
     q, t = rset.q, rset.cardinality
-    dtype = np.int64 if 3 * q * max(t, q - t) ** k < _INT64_HEADROOM else object
+    dtype = _sums_dtype(q, t, k)
     mask = rset.member_mask.astype(np.min_scalar_type(k))
     # windows[d, n] is the membership of (d + n) mod q
     windows = sliding_window_view(np.concatenate([mask, mask]), q)
-    table = np.array([(q - t) ** j * (-t) ** (k - j) for j in range(k + 1)], dtype)
+    table = _table(q, t, k, dtype)
 
     def prefix_sums(lags: np.ndarray) -> np.ndarray:
         counts = windows[lags[:, 0]]
@@ -207,6 +240,98 @@ def _kernel(rset: ResidueSet, k: int):
         return sums
 
     return prefix_sums
+
+
+def _coarse(rset: ResidueSet, k: int):
+    """Certified bounds on each row's best from block sums, or None where
+    they cannot pay: outside _COARSE_ORDERS (there are 2^k AND terms),
+    below _COARSE_MIN_Q (too few blocks to prune), or where the kernel
+    runs on Python ints, where every row survives.
+
+    The period is cut into blocks of `width` positions, the last one the
+    shorter tail.  Expanding prod_i (q*m(n + d_i) - T) over the subsets S
+    of the lags, a block's sum is sum_S q^|S| (-T)^(k-|S|) times the
+    block's popcount of AND_{i in S} m(. + d_i), taken from membership
+    masks packed 8 positions a byte.  With e_i the popcounts summed over
+    |S| = i, the positions with exactly j members number
+    sum_i (-1)^(i-j) C(i, j) e_i, so the block's positive mass of P is
+    linear in the e_i too.  The ANDs without d_k are taken once per run of
+    rows sharing d_1, ..., d_{k-1}.
+    """
+    q, t = rset.q, rset.cardinality
+    wide = _COARSE_WIDTHS[0]
+    if (
+        k not in _COARSE_ORDERS
+        or q < _COARSE_MIN_Q
+        or _sums_dtype(q, t, k) is object
+        # keeps every term of the weighted sums below inside int64; at the
+        # orders above, the kernel's int64 rule already implies it
+        or wide * (3 * max(t, q - t)) ** k >= 2**63
+    ):
+        return None
+    size = wide // 8 * -(-q // wide)  # bytes of a packed row, in whole blocks
+    span = -(-q // 8) + size
+    bits = np.zeros(8 * span + 8, dtype=bool)
+    bits[:q] = bits[q : 2 * q] = rset.member_mask
+    # shifted[o, b] packs positions 8b + o .. 8b + o + 7 of the doubled mask,
+    # so m(. + d) is the byte slice [d // 8, d // 8 + size) of shifted[d % 8]
+    shifted = np.stack([np.packbits(bits[o : o + 8 * span]) for o in range(8)])
+    slices = sliding_window_view(shifted, size, axis=1)
+    cut = q // 8
+    inside = np.packbits(np.arange(8 * size) < q)[cut:]
+
+    def rotated(d: np.ndarray) -> np.ndarray:
+        masks = slices[d % 8, d // 8]
+        masks[:, cut:] &= inside  # positions q and past: another period
+        return masks
+
+    table = _table(q, t, k, object)
+    weights = np.array(
+        [
+            [q**i * (-t) ** (k - i) for i in range(k + 1)],  # block sums
+            [  # positive masses
+                sum(
+                    table[j] * (-1) ** (i - j) * math.comb(i, j)
+                    for j in range(i + 1)
+                    if table[j] > 0
+                )
+                for i in range(k + 1)
+            ],
+        ],
+        dtype=np.int64,
+    )
+
+    def bounds(lags: np.ndarray, width: int, row_best, ends: int):
+        """(lower, upper) per row: row_best of the block-boundary prefix
+        sums, which some real window reaches, and that plus `ends` times
+        the largest positive or negative mass of P inside one block, by
+        which moving a window end to its block's start can change a sum."""
+        rows, blocks = len(lags), 8 * size // width
+        view = np.dtype(f"<u{width // 8}")
+        e = np.zeros((k + 1, rows, blocks), dtype=np.int64)
+        e[0] = np.clip(q - width * np.arange(blocks), 0, width)  # block lengths
+        new = np.ones(rows, dtype=bool)
+        new[1:] = (lags[1:, :-1] != lags[:-1, :-1]).any(axis=1)
+        run = np.cumsum(new) - 1
+        heads = [(0, None)]  # (|S|, AND over S) for each S within the prefix
+        for i in range(k - 1):
+            masks = rotated(lags[new, i])
+            heads += [(n + 1, masks if a is None else a & masks) for n, a in heads]
+        last = rotated(lags[:, -1])
+        for n, a in heads:
+            if a is not None:
+                e[n] += np.bitwise_count(a.view(view))[run]
+                a = a[run] & last
+            e[n + 1] += np.bitwise_count((last if a is None else a).view(view))
+        block_sums, pos = np.einsum("wi,irb->wrb", weights, e)
+        sums = np.zeros((rows, blocks + 1), dtype=np.int64)
+        np.cumsum(block_sums, axis=1, out=sums[:, 1:])
+        lower = row_best(sums)
+        # max(positive mass, negative mass), the latter pos - block_sums
+        slack = (pos - np.minimum(block_sums, 0)).max(axis=1)
+        return lower, lower + ends * slack
+
+    return bounds
 
 
 def _cyclic_best(sums: np.ndarray) -> np.ndarray:
@@ -223,6 +348,11 @@ def _cyclic_best(sums: np.ndarray) -> np.ndarray:
     np.maximum.accumulate(sums, axis=1, out=run)
     down = np.subtract(run, sums, out=run).max(axis=1)
     return np.maximum.reduce([up, down, np.abs(total - up), np.abs(total + down)])
+
+
+def _prefix_best(sums: np.ndarray) -> np.ndarray:
+    """Per row, the largest |sum| over the windows [0, M)."""
+    return abs(sums).max(axis=1)
 
 
 def _first_length(s: np.ndarray, best) -> int:
@@ -281,14 +411,39 @@ def _representatives(q: int, k: int, rows: int):
         yield np.concatenate(parts)
 
 
-def _best_row(blocks, prefix_sums, row_best, workers: int):
+class _Floor:
+    """The largest value known to be reached, by a real window of the scan
+    or by the caller's earlier scans; shared by the scan's blocks."""
+
+    def __init__(self, value: int):
+        self.value = value
+        self._lock = threading.Lock()
+
+    def raise_to(self, value: int) -> None:
+        with self._lock:
+            self.value = max(self.value, value)
+
+
+def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0):
     """(value, lags) of the best lag tuple over the blocks: the highest
-    value, then the first in block order.  Blocks run on `workers`
-    threads, 2 * workers at a time."""
+    value, then the first in block order; (-1, None) if no row reaches
+    `floor`.  row_best gives each row's best over windows with `ends`
+    free ends (2: cyclic, 1: prefix windows).  Where _coarse selects it,
+    rows whose upper bound is below the running floor skip the full
+    kernel; a row at the maximum never does, and survivors keep their
+    order.  Blocks run on `workers` threads, 2 * workers at a time."""
+    prefix_sums, bounds, running = _kernel(rset, k), _coarse(rset, k), _Floor(floor)
 
     def scan(lags):
+        for width in _COARSE_WIDTHS if bounds is not None else ():
+            lower, upper = bounds(lags, width, row_best, ends)
+            running.raise_to(int(lower.max()))
+            lags = lags[upper >= running.value]
+            if not len(lags):
+                return -1, None
         best = row_best(prefix_sums(lags))
         r = int(np.argmax(best))
+        running.raise_to(int(best[r]))
         return int(best[r]), tuple(int(d) for d in lags[r])
 
     if workers <= 1:
@@ -298,6 +453,10 @@ def _best_row(blocks, prefix_sums, row_best, workers: int):
         while batch := list(itertools.islice(blocks, 2 * workers)):
             results += pool.map(scan, batch)
     return max(results, key=lambda r: r[0])
+
+
+def _exact_rows(q: int, k: int):
+    return _representatives(q, k, max(1, _CHUNK_CELLS // q))
 
 
 def correlation_exact(
@@ -318,10 +477,9 @@ def correlation_exact(
     q = rset.q
     _validate_order(k, q)
     admit(f"correlation_exact(q={q}, k={k})", exact_cost(q, k), budget)
-    prefix_sums = _kernel(rset, k)
-    blocks = _representatives(q, k, max(1, _CHUNK_CELLS // q))
-    best, rep = _best_row(blocks, prefix_sums, _cyclic_best, workers)
-    start, window = _cyclic_witness(prefix_sums(np.array([rep]))[0], best)
+    best, rep = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers)
+    sums = _kernel(rset, k)(np.array([rep]))[0]
+    start, window = _cyclic_witness(sums, best)
     return CorrelationResult(
         k=k,
         value=Fraction(best, q**k),
@@ -370,14 +528,18 @@ def correlation_up_to(
     workers: int = 1,
 ) -> Fraction:
     """max over 1 <= k <= s of the exact order-k correlation value; the s
-    scans are admitted together, up_to_cost(q, s) cells, before any runs."""
+    scans are admitted together, up_to_cost(q, s), before any runs.  The
+    best of the lower orders, in q^k units, is the floor of order k's scan,
+    so its rows that cannot pass it skip the full kernel."""
     q = rset.q
     _validate_order(s, q)
     admit(f"correlation_up_to(q={q}, s={s})", up_to_cost(q, s), budget)
-    return max(
-        correlation_exact(rset, k, budget=budget, workers=workers).value
-        for k in range(1, s + 1)
-    )
+    best = 0
+    for k in range(1, s + 1):
+        floor = best * q
+        best, _ = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers, floor)
+        best = max(best, floor)
+    return Fraction(best, q**s)
 
 
 def correlation_sampled(
@@ -407,14 +569,13 @@ def correlation_sampled(
     tuples = np.empty((samples, k), dtype=np.int32)
     for i in range(samples):
         tuples[i] = np.sort(rng.choice(q, size=k, replace=False))
-    prefix_sums = _kernel(rset, k)
     rows = max(1, _CHUNK_CELLS // q)
     blocks = (tuples[lo : lo + rows] for lo in range(0, samples, rows))
-    best, lags = _best_row(blocks, prefix_sums, lambda s: abs(s).max(axis=1), workers)
+    best, lags = _best_row(rset, k, blocks, _prefix_best, 1, workers)
     return CorrelationResult(
         k=k,
         value=Fraction(best, q**k),
-        window=_first_length(prefix_sums(np.array([lags]))[0], best),
+        window=_first_length(_kernel(rset, k)(np.array([lags]))[0], best),
         lags=lags,
         mode="sampled",
         tuples_examined=samples,

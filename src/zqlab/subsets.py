@@ -333,7 +333,8 @@ def character_argument_set(
     The argument of chi(f(n)) * exp(2*pi*i * a*g(n)/p) is the exact
     rational k/order + a*g(n)/p (mod 1), so membership is decided with
     integer arithmetic only.  At least one of chi, the additive part must
-    be nontrivial; a nontrivial additive part requires deg g >= 2.
+    be nontrivial; a nontrivial additive part requires deg g >= 2.  An f
+    that is zero mod p is refused: it would leave the set empty.
     """
     nt._require_odd_prime(p)
     alpha, beta = Fraction(alpha), Fraction(beta)
@@ -347,7 +348,12 @@ def character_argument_set(
         raise InvalidParameterError(
             "at least one of the characters must be nontrivial"
         )
-    fvals = nt.poly_eval_array(_checked_poly(f, p), np.arange(p), p)
+    fr = _checked_poly(f, p)
+    if fr == (0,):
+        raise InvalidParameterError(
+            f"polynomial {tuple(f)} is zero mod {p}: no n has gcd(f(n), p) = 1"
+        )
+    fvals = nt.poly_eval_array(fr, np.arange(p), p)
     if a != 0:
         gr = nt.poly_reduce(g if g is not None else (), p)
         if len(gr) - 1 < 2:

@@ -902,6 +902,21 @@ class TestCli:
         assert cli.main(["construct", "--config", cfg]) == 2
         assert "character_argument.params.alpha" in capsys.readouterr().err
 
+    def test_verify_zero_character_polynomial_exits_2(self, tmp_path, capsys):
+        # f = 0 would build the empty set against a predicted 11/2 members
+        construction = {
+            "kind": "character_argument",
+            "params": {"p": 11, "order": 2, "additive": 1, "f": [0], "g": [0, 0, 1],
+                       "alpha": {"num": 0, "den": 1}, "beta": {"num": 1, "den": 2}},
+        }
+        cfg = self.write(
+            tmp_path,
+            "v.json",
+            {"construction": construction, "analyses": [{"kind": "cardinality"}]},
+        )
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "polynomial (0,) is zero mod 11" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", ["derivations.x.m", "derivations.5.m"])
     def test_sweep_bad_list_index_exits_2(self, tmp_path, capsys, path):
         base = dict(TestSweep.SWEEP_BASE, derivations=[{"kind": "gap_threshold", "m": 2}])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from zqlab import errors, measures
 from zqlab.measures import (
+    DEFAULT_BUDGET,
     SignVector,
     correlation_exact,
     correlation_oracle,
@@ -445,6 +446,160 @@ class TestCountTableScan:
         assert measures.up_to_cost(5, 9) == measures.up_to_cost(5, 5)
 
 
+# primes p = 1 mod 4 from _COARSE_MIN_Q to 300: -1 is a square, so the
+# residues are symmetric (R = -R) and many lag tuples tie at the maximum
+QR_1_MOD_4 = [137, 149, 157, 173, 181, 193, 197, 229, 233, 241, 257, 269, 277, 281, 293]
+
+
+@st.composite
+def coarse_cases(draw):
+    """(set, k) in Z_q with q >= _COARSE_MIN_Q, so several blocks and a
+    short tail block: quadratic residues mod p = 1 mod 4, arithmetic
+    progressions and random sets, or their complements.  q stays at most
+    132 at k = 4 and 200 at k = 3, to keep the unpruned scans short."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    top = {3: 200, 4: 132}.get(k, 300)
+    kinds = ["progression", "random"] + (["residues"] if k < 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "residues":
+        q = draw(st.sampled_from([p for p in QR_1_MOD_4 if p <= top]))
+        els = set(quadratic_residue_set(q).elements)
+    else:
+        q = draw(st.integers(min_value=measures._COARSE_MIN_Q, max_value=top))
+        if kind == "progression":
+            start, step = draw(st.integers(0, q - 1)), draw(st.integers(1, q - 1))
+            els = {(start + step * i) % q for i in range(draw(st.integers(1, q - 1)))}
+        else:
+            els = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=q - 1))
+    if draw(st.booleans()):
+        els = set(range(q)) - els
+    return ResidueSet(q, tuple(sorted(els))), k
+
+
+def unpruned(scan):
+    """scan() with the coarse pass off: every row goes to the full kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_COARSE_ORDERS", range(0))
+        return scan()
+
+
+def witness(res):
+    return res.value, res.window, res.lags
+
+
+class TestCoarsePass:
+    """The certified block bounds in front of the full kernel."""
+
+    @given(coarse_cases(), st.integers(0, 99))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_unpruned_scan(self, case, seed):
+        r, k = case
+        assert (measures._coarse(r, k) is not None) == (k >= 2)
+        for scan in (
+            lambda: witness(correlation_exact(r, k)),
+            lambda: witness(correlation_sampled(r, k, 200, seed=seed)),
+            lambda: correlation_up_to(r, k),
+        ):
+            assert scan() == unpruned(scan)
+
+    @pytest.mark.parametrize(
+        "r, k",
+        [
+            (quadratic_residue_set(137), 2),
+            (explicit_set(131, range(0, 131, 3)), 3),
+            (ResidueSet(129, tuple(n for n in range(129) if n * n % 129 < 43)), 4),
+            # sparse and dense sets: one sign of P carries most of a block's mass
+            (explicit_set(133, [0, 40, 41, 90]), 2),
+            (explicit_set(140, [5, 6, 70]), 3),
+            (ResidueSet(130, tuple(n for n in range(130) if n % 29)), 3),
+        ],
+    )
+    def test_bounds_hold_on_every_row(self, r, k):
+        # the exact scan's rows, and rows whose first lag is not 0, as the
+        # sampled scan draws them
+        rows = list(measures._representatives(r.q, k, 1000))
+        rows.append((rows[0] + r.q // 3) % r.q)
+        bounds, prefix_sums = measures._coarse(r, k), measures._kernel(r, k)
+        for lags in rows:
+            sums = prefix_sums(lags)
+            for row_best, ends in (
+                (measures._cyclic_best, 2),
+                (measures._prefix_best, 1),
+            ):
+                best = row_best(sums)
+                for width in measures._COARSE_WIDTHS:
+                    lower, upper = bounds(lags, width, row_best, ends)
+                    assert (lower <= best).all() and (best <= upper).all()
+
+    def test_zero_slack_is_caught(self, monkeypatch):
+        r = quadratic_residue_set(137)
+        exact = (Fraction(108109, 137**2), 73, (79, 123))
+        res = correlation_exact(r, 2)
+        assert res.value == Fraction(brute_force(r, 2), 137**2)
+        assert witness(res) == exact
+        sampled = witness(unpruned(lambda: correlation_sampled(r, 2, 50, seed=1)))
+        assert witness(correlation_sampled(r, 2, 50, seed=1)) == sampled
+        coarse = measures._coarse
+
+        def zero_slack(rset, k):
+            bounds = coarse(rset, k)
+
+            def tight(lags, width, row_best, ends):
+                lower, _ = bounds(lags, width, row_best, ends)
+                return lower, lower
+
+            return tight
+
+        # upper bounds without the slack prune rows that reach the maximum
+        monkeypatch.setattr(measures, "_coarse", zero_slack)
+        assert witness(correlation_exact(r, 2)) != exact
+        assert witness(correlation_sampled(r, 2, 50, seed=1)) != sampled
+
+    def test_workers_agree(self, monkeypatch):
+        r = quadratic_residue_set(173)
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 40)  # 40 rows a block
+
+        def scans(workers):
+            return (
+                witness(correlation_exact(r, 3, workers=workers)),
+                witness(correlation_sampled(r, 3, 2000, seed=5, workers=workers)),
+                correlation_up_to(r, 3, workers=workers),
+            )
+
+        assert scans(1) == scans(2) == unpruned(lambda: scans(1))
+
+    @pytest.mark.parametrize(
+        "r, k, selected",
+        [
+            (explicit_set(127, range(0, 127, 3)), 3, False),  # under four blocks of 32
+            (explicit_set(128, range(0, 128, 3)), 3, True),
+            (explicit_set(128, range(0, 128, 3)), 1, False),  # one row
+            (explicit_set(128, range(0, 128, 3)), 5, False),  # 2^5 AND terms
+            (explicit_set(6000, [0]), 4, False),  # sums on Python ints
+        ],
+    )
+    def test_selection(self, r, k, selected):
+        assert (measures._coarse(r, k) is not None) == selected
+        if measures.exact_cost(r.q, k) <= DEFAULT_BUDGET:
+            res = correlation_exact(r, k)
+            assert witness(res) == witness(unpruned(lambda: correlation_exact(r, k)))
+
+    def test_lower_orders_seed_the_bound(self, monkeypatch):
+        # QR 10007: the order-1 value, 6.5e9 in order-2 units, is above every
+        # order-2 row's maximum (5.7e9), so no order-2 row needs the kernel
+        rows = []
+        kernel = measures._kernel
+
+        def counting(rset, k):
+            prefix_sums = kernel(rset, k)
+            return lambda lags: rows.append(len(lags)) or prefix_sums(lags)
+
+        monkeypatch.setattr(measures, "_kernel", counting)
+        r = quadratic_residue_set(10007)
+        assert correlation_up_to(r, 2) == Fraction(653386, 10007)  # order 1
+        assert rows == [1]  # the one order-1 row
+
+
 class TestShiftCovariance:
     """C_k agrees on a set and its translate (lags permute mod q)."""
 
@@ -473,7 +628,7 @@ class TestCorrelationUpTo:
         def scan(*args, **kwargs):
             raise AssertionError("a scan ran before admission")
 
-        monkeypatch.setattr(measures, "correlation_exact", scan)
+        monkeypatch.setattr(measures, "_best_row", scan)
         # orders 1..3 at q = 43 cost 43 + 1806 + 37023 cells; each one alone fits
         refused = pytest.raises(
             errors.BudgetExceededError, match=r"correlation_up_to\(q=43, s=3\)"

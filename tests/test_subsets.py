@@ -315,6 +315,13 @@ class TestCharacterArgument:
         with pytest.raises(errors.DegreeTooSmallError):
             character_argument_set(7, None, 1, (0, 1), (0, 1), Fraction(0), Fraction(1, 2))
 
+    @pytest.mark.parametrize("f", [(0,), (11,), (0, 22, -11)])
+    def test_zero_f_refused(self, f):
+        # every f(n) = 0 mod 11: the set would be empty, against a predicted
+        # (beta - alpha) * p members
+        with pytest.raises(errors.InvalidParameterError, match="is zero mod 11"):
+            character_argument_set(11, None, 1, f, (0, 0, 1), Fraction(0), Fraction(1, 2))
+
 
 def character_argument_reference(p, chi, a, f, g, alpha, beta):
     """Membership decided per n with Fractions."""
@@ -352,6 +359,8 @@ def character_params(draw):
     if a % p == 0 and chi is None:
         a = 1
     f = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4))
+    if not nt.poly_reduce(f, p):  # a zero f is refused
+        f = f + [1]
     g = draw(st.lists(st.integers(-50, 50), min_size=3, max_size=4))
     if nt.poly_degree(g, p) < 2:
         g = g[:2] + [1]
