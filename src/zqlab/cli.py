@@ -62,6 +62,11 @@ def _add_run_flags(p):
     )
 
 
+def _seed(args) -> int | None:
+    """--seed, refused below 0 as a config's seed is."""
+    return None if args.seed is None else harness.parse_seed(args.seed)
+
+
 def _cmd_construct(args) -> int:
     spec = ConstructionSpec.from_json(_load_json(args.config))
     rset = construct(spec)
@@ -118,7 +123,7 @@ def _cmd_corr(args) -> int:
     if args.samples is not None:
         kind = what = "correlation_sampled"
     analysis = harness.AnalysisSpec(
-        kind, k=args.order, samples=args.samples, seed=args.seed
+        kind, k=args.order, samples=args.samples, seed=_seed(args)
     )
     measures.admit(what, harness.ANALYSES[kind].cost(analysis, q), args.budget)
     result = harness.correlate(
@@ -144,9 +149,10 @@ def _cmd_corr(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    seed = _seed(args)
     config = harness.ExperimentConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
     report = harness.run(config, workers=args.workers, op_budget=args.budget)
     if args.fmt == "json":
         text = report.to_json_text()

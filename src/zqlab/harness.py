@@ -70,6 +70,11 @@ def _expect_int(value, path: str, minimum=None) -> int:
     return value
 
 
+def parse_seed(value, path: str = "seed") -> int:
+    """A sampling seed: an integer >= 0 (numpy's generators refuse less)."""
+    return _expect_int(value, path, minimum=0)
+
+
 def _fraction_json(fr: Fraction) -> dict:
     """Exact rational plus a 15-significant-digit decimal rendering."""
     with decimal.localcontext() as ctx:
@@ -217,7 +222,7 @@ _FIELDS = {
     "window": _window_field,
     "k": partial(_expect_int, minimum=1),
     "samples": partial(_expect_int, minimum=1),
-    "seed": partial(_expect_int, minimum=0),
+    "seed": parse_seed,
     "budget": BudgetSpec.from_dict,
 }
 _OPTIONAL_FIELDS = ("seed", "budget")
@@ -273,7 +278,7 @@ class ExperimentConfig:
                         f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
                     )
             analyses.append(analysis)
-        seed = _expect_int(obj.get("seed", 0), "seed", minimum=0)
+        seed = parse_seed(obj.get("seed", 0))
         return cls(spec, tuple(derivations), tuple(analyses), seed)
 
     def to_dict(self) -> dict:

@@ -24,13 +24,20 @@ upper bound.  A row goes on to the full kernel only if its upper bound
 reaches the best value known so far, so every row at the maximum gets
 there, in order, and values and witnesses are those of the full scan.
 The pass runs where it pays, which the input decides: orders 2 to 4, q of
-at least 128, and int64 arithmetic (on Python ints every row goes to the
-full kernel).  correlation_up_to carries the best value of the lower
-orders into each higher order's scan as its starting bound.
+at least 128, blocks of at least 2^15 cells, and int64 arithmetic (on
+Python ints every row goes to the full kernel).  correlation_up_to carries
+the best value of the lower orders into each higher order's scan as its
+starting bound.
 
 The sampled scan shares the kernel and the coarse pass, over prefix
-windows (one free end); an independent oracle recomputes every window sum
-from scratch for cross-validation.
+windows (one free end).  Its lag tuples are those of one
+Generator.choice(q, k, replace=False) call per draw, sorted, but drawn a
+block at a time: one rng.integers call draws the bounds that the choice
+calls would draw, in their order, through the same bounded-integer
+routine, and Floyd's rule turns each row's draws into its tuple.  So the
+random stream, and every sampled value and witness, is that of the
+per-draw calls.  An independent oracle recomputes every window sum from
+scratch for cross-validation.
 """
 
 from __future__ import annotations
@@ -69,9 +76,14 @@ _INT64_HEADROOM = 2**62
 
 # The coarse pass (_coarse) runs at these orders when q has at least four of
 # the widest blocks; each width in turn bounds the rows the last one kept.
+# It bounds a block of rows only if the block spans _COARSE_MIN_CELLS cells
+# (rows * q); a smaller one costs the full kernel less than the pass's fixed
+# numpy calls per width (the exact order-2 scan, q // 2 rows in one block,
+# breaks even near q = 256).
 _COARSE_ORDERS = range(2, 5)
 _COARSE_WIDTHS = (32, 16, 8)
 _COARSE_MIN_Q = 4 * _COARSE_WIDTHS[0]
+_COARSE_MIN_CELLS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,11 +443,14 @@ def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0
     free ends (2: cyclic, 1: prefix windows).  Where _coarse selects it,
     rows whose upper bound is below the running floor skip the full
     kernel; a row at the maximum never does, and survivors keep their
-    order.  Blocks run on `workers` threads, 2 * workers at a time."""
+    order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip the bounds.
+    Blocks run on `workers` threads, 2 * workers at a time, pulled from
+    `blocks` on the calling thread."""
     prefix_sums, bounds, running = _kernel(rset, k), _coarse(rset, k), _Floor(floor)
 
     def scan(lags):
-        for width in _COARSE_WIDTHS if bounds is not None else ():
+        coarse = bounds is not None and len(lags) * rset.q >= _COARSE_MIN_CELLS
+        for width in _COARSE_WIDTHS if coarse else ():
             lower, upper = bounds(lags, width, row_best, ends)
             running.raise_to(int(lower.max()))
             lags = lags[upper >= running.value]
@@ -542,6 +557,43 @@ def correlation_up_to(
     return Fraction(best, q**s)
 
 
+def _sampled_rows(q: int, k: int, samples: int, seed: int, rows: int):
+    """Blocks of `rows` sorted int64 lag tuples, `samples` in all: those of
+    np.sort(rng.choice(q, k, replace=False)) called `samples` times on
+    rng = default_rng(seed), for any `rows`.
+
+    One rng.integers call per block draws the bounds each choice call
+    draws, in its order; both share numpy's bounded-integer routine, so
+    they consume the stream alike.  Below q = 10^4 or at k <= q // 50,
+    choice runs Floyd's algorithm over the bounds q-k, ..., q-1, then
+    shuffles its k picks (bounds k-1, ..., 1; sorting drops that order).
+    Otherwise it shuffles the tail of range(q) (bounds q-1 down to
+    max(q-k, 1)), which selects the set Floyd's algorithm selects from the
+    same draw per bound.  So one rule picks both: the draw for bound
+    q-k+c, unless an earlier pick of the row equals it, then q-k+c.  That
+    costs k^2/2 comparisons a row, within the kernel's k*q cells.
+    """
+    rng = np.random.default_rng(seed)
+    picked = np.arange(q - k, q, dtype=np.int64)  # pick c's bound
+    tail = q > 10000 and k > q // 50
+    if tail:
+        highs = picked[::-1][: min(k, q - 1)]  # no draw for bound 0
+    else:
+        highs = np.concatenate([picked, np.arange(k - 1, 0, -1)])
+    for lo in range(0, samples, rows):
+        n = min(rows, samples - lo)
+        draws = rng.integers(0, highs, size=(n, len(highs)), endpoint=True)
+        if tail:
+            lags = np.zeros((n, k), dtype=np.int64)
+            lags[:, k - len(highs) :] = draws[:, ::-1]
+        else:
+            lags = draws[:, :k]
+        for c in range(1, k):
+            lags[(lags[:, :c] == lags[:, c, None]).any(axis=1), c] = picked[c]
+        lags.sort(axis=1)
+        yield lags
+
+
 def correlation_sampled(
     rset: ResidueSet,
     k: int,
@@ -554,23 +606,21 @@ def correlation_sampled(
     """Lower bound on the order-k correlation from sampled lag tuples.
 
     Draws `samples` uniform lag tuples (with replacement across draws)
-    from a seeded generator; deterministic for a fixed seed.  Each tuple
-    gets its exact max over the windows [0, M), M = 1..q, from the same
-    count-table kernel as the exact scan, in its arithmetic; ties keep the
-    earliest draw.  Work is samples * q cells; requests above the budget
-    are refused before anything is drawn.
+    from default_rng(seed): the tuples of `samples` calls of
+    sorted(rng.choice(q, k, replace=False)), drawn a block at a time (see
+    _sampled_rows).  Each tuple gets its exact max over the windows
+    [0, M), M = 1..q, from the same count-table kernel as the exact scan,
+    in its arithmetic; ties keep the earliest draw.  Work is samples * q
+    cells; requests above the budget are refused before anything is drawn.
     """
     q = rset.q
     _validate_order(k, q)
     if samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     admit("correlation_sampled", samples * q, budget)
-    rng = np.random.default_rng(seed)
-    tuples = np.empty((samples, k), dtype=np.int32)
-    for i in range(samples):
-        tuples[i] = np.sort(rng.choice(q, size=k, replace=False))
-    rows = max(1, _CHUNK_CELLS // q)
-    blocks = (tuples[lo : lo + rows] for lo in range(0, samples, rows))
+    blocks = _sampled_rows(q, k, samples, seed, max(1, _CHUNK_CELLS // q))
     best, lags = _best_row(rset, k, blocks, _prefix_best, 1, workers)
     return CorrelationResult(
         k=k,

@@ -694,6 +694,39 @@ class TestCli:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
 
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_corr_negative_seed_exits_2_before_construct(
+        self, tmp_path, capsys, monkeypatch, sampled
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before the seed check")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        cfg = self.write(
+            tmp_path, "c.json", {"kind": "quadratic_residues", "params": {"p": 43}}
+        )
+        args = ["corr", "--config", cfg, "-k", "2", "--seed", "-1"]
+        assert cli.main(args + (["--samples", "10"] if sampled else [])) == 2
+        assert capsys.readouterr().err == "error: seed: expected >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "analysis",
+        [{"kind": "correlation_sampled", "k": 2, "samples": 10}, {"kind": "cardinality"}],
+    )
+    def test_verify_negative_seed_exits_2(self, tmp_path, capsys, analysis):
+        cfg = self.write(
+            tmp_path,
+            "v.json",
+            {
+                "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+                "analyses": [analysis],
+            },
+        )
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--config", cfg, "--seed", "-5", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: seed: expected >= 0, got -5\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_verify_over_budget_exits_2_before_construct(
         self, tmp_path, capsys, monkeypatch
     ):

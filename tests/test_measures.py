@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -446,26 +447,32 @@ class TestCountTableScan:
         assert measures.up_to_cost(5, 9) == measures.up_to_cost(5, 5)
 
 
-# primes p = 1 mod 4 from _COARSE_MIN_Q to 300: -1 is a square, so the
+# primes p = 1 mod 4 from _COARSE_MIN_Q to 400: -1 is a square, so the
 # residues are symmetric (R = -R) and many lag tuples tie at the maximum
-QR_1_MOD_4 = [137, 149, 157, 173, 181, 193, 197, 229, 233, 241, 257, 269, 277, 281, 293]
+QR_1_MOD_4 = [
+    137, 149, 157, 173, 181, 193, 197, 229, 233, 241, 257, 269, 277, 281, 293,
+    313, 317, 337, 349, 353, 373, 389, 397,
+]
 
 
 @st.composite
 def coarse_cases(draw):
     """(set, k) in Z_q with q >= _COARSE_MIN_Q, so several blocks and a
     short tail block: quadratic residues mod p = 1 mod 4, arithmetic
-    progressions and random sets, or their complements.  q stays at most
-    132 at k = 4 and 200 at k = 3, to keep the unpruned scans short."""
+    progressions and random sets, or their complements.  At k = 2, q is
+    at least 256, where the exact scan's q // 2 rows reach
+    _COARSE_MIN_CELLS.  q stays at most 132 at k = 4, 200 at k = 3 and
+    400 at k = 2, to keep the unpruned scans short."""
     k = draw(st.integers(min_value=1, max_value=4))
-    top = {3: 200, 4: 132}.get(k, 300)
+    low = 256 if k == 2 else measures._COARSE_MIN_Q
+    top = {2: 400, 3: 200, 4: 132}.get(k, 300)
     kinds = ["progression", "random"] + (["residues"] if k < 4 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "residues":
-        q = draw(st.sampled_from([p for p in QR_1_MOD_4 if p <= top]))
+        q = draw(st.sampled_from([p for p in QR_1_MOD_4 if low <= p <= top]))
         els = set(quadratic_residue_set(q).elements)
     else:
-        q = draw(st.integers(min_value=measures._COARSE_MIN_Q, max_value=top))
+        q = draw(st.integers(min_value=low, max_value=top))
         if kind == "progression":
             start, step = draw(st.integers(0, q - 1)), draw(st.integers(1, q - 1))
             els = {(start + step * i) % q for i in range(draw(st.integers(1, q - 1)))}
@@ -532,13 +539,14 @@ class TestCoarsePass:
                     assert (lower <= best).all() and (best <= upper).all()
 
     def test_zero_slack_is_caught(self, monkeypatch):
-        r = quadratic_residue_set(137)
-        exact = (Fraction(108109, 137**2), 73, (79, 123))
-        res = correlation_exact(r, 2)
-        assert res.value == Fraction(brute_force(r, 2), 137**2)
-        assert witness(res) == exact
-        sampled = witness(unpruned(lambda: correlation_sampled(r, 2, 50, seed=1)))
-        assert witness(correlation_sampled(r, 2, 50, seed=1)) == sampled
+        # q = 257 at k = 2: 128 exact rows of 257 cells, 150 draws, so both
+        # scans' blocks reach _COARSE_MIN_CELLS
+        r = quadratic_residue_set(257)
+        exact = (Fraction(577783, 257**2), 69, (79, 110))
+        assert witness(correlation_exact(r, 2)) == exact
+        assert witness(unpruned(lambda: correlation_exact(r, 2))) == exact
+        sampled = witness(unpruned(lambda: correlation_sampled(r, 2, 150, seed=1)))
+        assert witness(correlation_sampled(r, 2, 150, seed=1)) == sampled
         coarse = measures._coarse
 
         def zero_slack(rset, k):
@@ -553,11 +561,12 @@ class TestCoarsePass:
         # upper bounds without the slack prune rows that reach the maximum
         monkeypatch.setattr(measures, "_coarse", zero_slack)
         assert witness(correlation_exact(r, 2)) != exact
-        assert witness(correlation_sampled(r, 2, 50, seed=1)) != sampled
+        assert witness(correlation_sampled(r, 2, 150, seed=1)) != sampled
 
     def test_workers_agree(self, monkeypatch):
         r = quadratic_residue_set(173)
-        monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 40)  # 40 rows a block
+        # 200 rows a block, above _COARSE_MIN_CELLS: the bounds run on each
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 200)
 
         def scans(workers):
             return (
@@ -567,6 +576,22 @@ class TestCoarsePass:
             )
 
         assert scans(1) == scans(2) == unpruned(lambda: scans(1))
+
+    @pytest.mark.parametrize("q, bounded", [(255, False), (256, True)])
+    def test_small_blocks_skip_the_bounds(self, monkeypatch, q, bounded):
+        # the order-2 scan is one block of q // 2 rows: 127 * 255 cells are
+        # below _COARSE_MIN_CELLS, 128 * 256 are not
+        r = explicit_set(q, range(0, q, 3))
+        full = witness(unpruned(lambda: correlation_exact(r, 2)))
+        calls, coarse = [], measures._coarse
+
+        def counting(rset, k):
+            bounds = coarse(rset, k)
+            return lambda lags, *rest: calls.append(len(lags)) or bounds(lags, *rest)
+
+        monkeypatch.setattr(measures, "_coarse", counting)
+        assert witness(correlation_exact(r, 2)) == full
+        assert bool(calls) == bounded
 
     @pytest.mark.parametrize(
         "r, k, selected",
@@ -661,9 +686,16 @@ class TestCorrelationSampled:
             == correlation_exact(r, 2).value
         )
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(errors.InvalidParameterError):
             correlation_sampled(QR11, 1, 0, seed=0)
+
+        def default_rng(seed):
+            raise AssertionError("drew before the seed check")
+
+        monkeypatch.setattr(measures.np.random, "default_rng", default_rng)
+        with pytest.raises(errors.InvalidParameterError, match="seed must be >= 0"):
+            correlation_sampled(QR11, 1, 5, seed=-1)
 
     def test_budget_refusal_draws_nothing(self, monkeypatch):
         def default_rng(seed):
@@ -687,6 +719,9 @@ class TestCorrelationSampled:
             (explicit_set(20, [0, 1, 4, 6, 7, 11, 12, 15, 19]), 13, 30, 2,
              Fraction(1115802127143, 1024 * 10**12), 20,
              (0, 1, 2, 3, 4, 5, 10, 11, 13, 14, 16, 17, 18)),
+            # 20 blocks of 1039 draws
+            (quadratic_residue_set(1009), 3, 20000, 0,
+             Fraction(12715069367, 1027243729), 821, (568, 632, 744)),
         ],
     )
     def test_admitted_results_pinned(self, r, k, samples, seed, value, window, lags):
@@ -719,3 +754,63 @@ class TestCorrelationSampled:
             mp.setattr(measures, "_INT64_HEADROOM", 0)  # Python ints throughout
             slow = correlation_sampled(r, k, samples, seed=seed)
         assert (fast.value, fast.window, fast.lags) == (slow.value, slow.window, slow.lags)
+
+
+def choice_rows(q, k, samples, seed):
+    """The per-draw oracle: sorted rng.choice(q, k, replace=False), one call a
+    draw on one generator."""
+    rng = np.random.default_rng(seed)
+    rows = [np.sort(rng.choice(q, size=k, replace=False)) for _ in range(samples)]
+    return np.array(rows, dtype=np.int64).reshape(samples, k)
+
+
+def batched_rows(q, k, samples, seed, rows):
+    blocks = list(measures._sampled_rows(q, k, samples, seed, rows))
+    assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    out = np.concatenate(blocks)
+    assert out.dtype == np.int64 and out.shape == (samples, k)
+    return out
+
+
+class TestSampledDraws:
+    """The block-at-a-time lag draws equal numpy's per-draw choice calls."""
+
+    @given(
+        st.one_of(st.integers(1, 3000), st.integers(2**31 - 8, 2**45)).flatmap(
+            lambda q: st.tuples(st.just(q), st.integers(1, min(q, 12)))
+        ),
+        st.integers(1, 40),
+        st.integers(0, 2**32),
+        st.integers(1, 50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_the_choice_loop(self, qk, samples, seed, rows):
+        q, k = qk
+        batched = batched_rows(q, k, samples, seed, rows)
+        assert (batched == choice_rows(q, k, samples, seed)).all()
+
+    @pytest.mark.parametrize(
+        "q, k",
+        [
+            # choice runs Floyd's algorithm at q <= 10^4 or k <= q // 50 and
+            # shuffles the tail of range(q) beyond
+            (10000, 200), (10000, 201), (10001, 200), (10001, 201),
+            # k = q, where the tail shuffle draws no bound 0
+            (1, 1), (2, 2), (7, 7), (10001, 10001),
+            (20050, 402),
+        ],
+    )
+    def test_both_choice_branches(self, q, k):
+        for seed in (0, 1):
+            assert (batched_rows(q, k, 3, seed, 2) == choice_rows(q, k, 3, seed)).all()
+
+    @pytest.mark.parametrize("q", [2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**62])
+    def test_beyond_32_bits(self, q):
+        # draws only: bounds past 2^32 take numpy's 64-bit route in both calls
+        for k in (1, 3):
+            assert (batched_rows(q, k, 20, 5, 7) == choice_rows(q, k, 20, 5)).all()
+
+    def test_any_split_into_blocks(self):
+        rows = [batched_rows(1009, 3, 500, 7, n) for n in (1, 13, 104, 499, 500, 600)]
+        assert all((r == rows[0]).all() for r in rows)
+        assert (rows[0] == choice_rows(1009, 3, 500, 7)).all()
