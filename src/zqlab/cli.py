@@ -67,15 +67,9 @@ def _seed(args) -> int | None:
     return None if args.seed is None else harness.parse_seed(args.seed)
 
 
-def _cmd_construct(args) -> int:
-    spec = ConstructionSpec.from_json(_load_json(args.config))
-    rset = construct(spec)
-    if args.fmt == "json":
-        text = json.dumps(rset.to_json(), indent=2) + "\n"
-    else:
-        text = _csv_text([["element"]] + [[n] for n in rset.elements])
-    _emit(text, args.out)
-    return 0
+def _cmd_construct(args) -> tuple:
+    rset = construct(ConstructionSpec.from_json(_load_json(args.config)))
+    return rset.to_json(), ([n] for n in ("element", *rset.elements))
 
 
 def _derived_sequence(cfg) -> sequences.DerivedSequence:
@@ -100,23 +94,16 @@ def _cmd_derive(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    cfg = _load_json(args.config)
-    seq = _derived_sequence(cfg)
+def _cmd_stats(args) -> tuple:
+    seq = _derived_sequence(_load_json(args.config))
     counts = measures.pattern_counts(seq, args.length)  # observed, in order
     items = [{"pattern": list(pat), "count": n} for pat, n in counts.items()]
-    if args.fmt == "json":
-        text = json.dumps({"length": args.length, "counts": items}, indent=2) + "\n"
-    else:
-        rows = [["pattern", "count"]] + [
-            [" ".join(str(s) for s in it["pattern"]), it["count"]] for it in items
-        ]
-        text = _csv_text(rows)
-    _emit(text, args.out)
-    return 0
+    rows = [["pattern", "count"]]
+    rows += ([" ".join(map(str, pat)), n] for pat, n in counts.items())
+    return {"length": args.length, "counts": items}, rows
 
 
-def _cmd_corr(args) -> int:
+def _cmd_corr(args) -> tuple:
     spec = ConstructionSpec.from_json(_load_json(args.config))
     q = spec.modulus  # admitted before the set is built
     kind, what = "correlation", f"correlation_exact(q={q}, k={args.order})"
@@ -129,23 +116,13 @@ def _cmd_corr(args) -> int:
     result = harness.correlate(
         construct(spec), analysis, 0, workers=args.workers, budget=args.budget
     )
-    if args.fmt == "json":
-        text = json.dumps(result.to_json(), indent=2) + "\n"
-    else:
-        rows = [
-            ["k", "value", "window", "lags", "mode", "tuples"],
-            [
-                result.k,
-                f"{result.value.numerator}/{result.value.denominator}",
-                result.window,
-                " ".join(str(d) for d in result.lags),
-                result.mode,
-                result.tuples_examined,
-            ],
-        ]
-        text = _csv_text(rows)
-    _emit(text, args.out)
-    return 0
+    fields = result.to_json()
+    row = {
+        **fields,
+        "value": f"{result.value.numerator}/{result.value.denominator}",
+        "lags": " ".join(map(str, result.lags)),
+    }
+    return fields, [list(row), list(row.values())]
 
 
 def _cmd_verify(args) -> int:
@@ -181,6 +158,12 @@ def _cmd_sweep(args) -> int:
         print(f"{len(bodies)} reports written to {args.out}")
     bad = any("error" in b or b.get("status") == "FAIL" for b in bodies)
     return 1 if bad else 0
+
+
+# Handlers of the commands main renders: (JSON object, CSV rows).
+_RENDERED = {"construct": _cmd_construct, "stats": _cmd_stats, "corr": _cmd_corr}
+# Handlers that write their own output: the exit code.
+_COMMANDS = {"derive": _cmd_derive, "verify": _cmd_verify, "sweep": _cmd_sweep}
 
 
 def main(argv=None) -> int:
@@ -220,16 +203,15 @@ def main(argv=None) -> int:
     _add_run_flags(p)
 
     args = parser.parse_args(argv)
-    handler = {
-        "construct": _cmd_construct,
-        "derive": _cmd_derive,
-        "stats": _cmd_stats,
-        "corr": _cmd_corr,
-        "verify": _cmd_verify,
-        "sweep": _cmd_sweep,
-    }[args.command]
     try:
-        return handler(args)
+        if args.command not in _RENDERED:
+            return _COMMANDS[args.command](args)
+        obj, rows = _RENDERED[args.command](args)
+        if args.fmt == "json":
+            _emit(json.dumps(obj, indent=2) + "\n", args.out)
+        else:
+            _emit(_csv_text(rows), args.out)
+        return 0
     except (Error, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -368,14 +368,14 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
     """The characteristic sequence's length-s windows, labelled by +-1
     membership signs, plus the exact conservation row."""
     s, q = analysis.window, rset.q
+    if s > q:  # before the lemma's scans, which would refuse order s instead
+        raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
     budget = None
     if analysis.budget is not None and analysis.budget.shape == "lemma":
         cmax = measures.correlation_up_to(
             rset, s, budget=op_budget, workers=workers
         )
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
-    if s > q:
-        raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
     items = _run_patterns(
         rset, seqs, config, analysis, workers, op_budget,
         seq=sequences.DERIVATIONS["characteristic"].derive(rset, None),
@@ -410,16 +410,14 @@ def correlate(
 def _run_correlation(rset, seqs, config, analysis, workers, op_budget):
     result = correlate(rset, analysis, config.seed, workers=workers, budget=op_budget)
     trivial = Fraction(min(rset.cardinality, rset.q - rset.cardinality))
-    item = {
-        "label": f"order={analysis.k}",
-        "value": _fraction_json(result.value),
-        "window": result.window,
-        "lags": list(result.lags),
-        "mode": result.mode,
-        "tuples": result.tuples_examined,
-        "trivial_bound": _fraction_json(trivial),
-        "status": "PASS" if result.value <= trivial else "FAIL",
-    }
+    item = result.to_json()  # the result's fields, k in the label instead
+    del item["k"]
+    item.update(
+        label=f"order={analysis.k}",
+        value=_fraction_json(result.value),
+        trivial_bound=_fraction_json(trivial),
+        status="PASS" if result.value <= trivial else "FAIL",
+    )
     return [item]
 
 

@@ -443,14 +443,22 @@ def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0
     free ends (2: cyclic, 1: prefix windows).  Where _coarse selects it,
     rows whose upper bound is below the running floor skip the full
     kernel; a row at the maximum never does, and survivors keep their
-    order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip the bounds.
+    order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip the bounds;
+    _coarse packs its masks once, for the first block that does not.
     Blocks run on `workers` threads, 2 * workers at a time, pulled from
     `blocks` on the calling thread."""
-    prefix_sums, bounds, running = _kernel(rset, k), _coarse(rset, k), _Floor(floor)
+    prefix_sums, running = _kernel(rset, k), _Floor(floor)
+    packed, lock = [], threading.Lock()
+
+    def coarse():
+        with lock:  # blocks run on worker threads: pack the masks once
+            if not packed:
+                packed.append(_coarse(rset, k))
+        return packed[0]
 
     def scan(lags):
-        coarse = bounds is not None and len(lags) * rset.q >= _COARSE_MIN_CELLS
-        for width in _COARSE_WIDTHS if coarse else ():
+        bounds = coarse() if len(lags) * rset.q >= _COARSE_MIN_CELLS else None
+        for width in _COARSE_WIDTHS if bounds is not None else ():
             lower, upper = bounds(lags, width, row_best, ends)
             running.raise_to(int(lower.max()))
             lags = lags[upper >= running.value]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import cli, errors, harness
+from zqlab import cli, errors, harness, measures
 from zqlab.harness import (
     AnalysisSpec,
     BudgetSpec,
@@ -23,7 +23,7 @@ from zqlab.harness import (
 )
 from zqlab.measures import SignVector, sign_pattern_count
 from zqlab.predictions import DeviationBudget
-from zqlab.subsets import ResidueSet
+from zqlab.subsets import ResidueSet, construct
 
 BASE = {
     "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
@@ -62,6 +62,15 @@ def replaced(path, value):
         target = target[key]
     target[path[-1]] = value
     return config
+
+
+def window_past_q(shape):
+    """A sign_patterns analysis of window 6 on {0, 2} in Z_5, under `shape`."""
+    budget = {"constant": 2, "shape": shape}
+    return {
+        "construction": {"kind": "explicit", "params": {"q": 5, "elements": [0, 2]}},
+        "analyses": [{"kind": "sign_patterns", "window": 6, "budget": budget}],
+    }
 
 
 def scrub(obj):
@@ -421,6 +430,24 @@ class TestRun:
         ]
         assert items[-1]["label"] == "conservation"
         assert items[-1]["empirical"] == r.q - s + 1
+
+    @pytest.mark.parametrize("shape", ["sqrt_log", "lemma"])
+    def test_sign_patterns_window_past_q_under_either_budget(self, shape):
+        # the window check comes before the lemma's correlation scans
+        config = ExperimentConfig.from_dict(window_past_q(shape))
+        with pytest.raises(errors.PatternTooLongError, match="pattern length 6 exceeds q=5"):
+            run(config)
+
+    def test_correlation_item_is_the_result_fields(self):
+        config = ExperimentConfig.from_dict(BASE)
+        entry = run(config).body["analyses"][-1]
+        (item,) = entry["items"]
+        result = measures.correlation_exact(construct(config.construction), 2)
+        fields = result.to_json()
+        assert set(item) == set(fields) - {"k"} | {"label", "trivial_bound", "status"}
+        assert item["label"] == "order=2"
+        assert item["value"] == {**fields["value"], "decimal": item["value"]["decimal"]}
+        assert all(item[key] == fields[key] for key in fields if key not in ("k", "value"))
 
     def test_lemma_budget_uses_exact_correlation(self):
         config = ExperimentConfig.from_dict(
@@ -791,6 +818,11 @@ class TestCli:
         )
         assert cli.main(["verify", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: q must be >= 1, got 0\n"
+
+    def test_verify_sign_patterns_window_past_q_exits_2(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "v.json", window_past_q("lemma"))
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: pattern length 6 exceeds q=5\n"
 
     def test_verify_writes_report_and_exit_codes(self, tmp_path, capsys):
         good = self.write(

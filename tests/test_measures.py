@@ -594,6 +594,27 @@ class TestCoarsePass:
         assert bool(calls) == bounded
 
     @pytest.mark.parametrize(
+        "q, k, workers, packs",
+        [(255, 2, 1, 0), (256, 2, 1, 1), (256, 3, 1, 1), (256, 3, 2, 1)],
+    )
+    def test_masks_packed_once_for_the_first_bounded_block(
+        self, monkeypatch, q, k, workers, packs
+    ):
+        # q = 255, k = 2 has no block of _COARSE_MIN_CELLS cells; q = 256,
+        # k = 3 has three blocks of up to 4096 rows, on one or two threads
+        r = explicit_set(q, range(0, q, 3))
+        full = witness(unpruned(lambda: correlation_exact(r, k)))
+        calls, coarse = [], measures._coarse
+
+        def counting(rset, k):
+            calls.append(k)
+            return coarse(rset, k)
+
+        monkeypatch.setattr(measures, "_coarse", counting)
+        assert witness(correlation_exact(r, k, workers=workers)) == full
+        assert len(calls) == packs
+
+    @pytest.mark.parametrize(
         "r, k, selected",
         [
             (explicit_set(127, range(0, 127, 3)), 3, False),  # under four blocks of 32

@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import errors
+from zqlab import errors, numtheory
 from zqlab.numtheory import (
     IndexTable,
     MultiplicativeCharacter,
@@ -17,6 +18,7 @@ from zqlab.numtheory import (
     is_prime,
     legendre_symbol,
     poly_derivative,
+    poly_eval_array,
     poly_eval_mod,
     poly_gcd,
     poly_is_squarefree,
@@ -52,6 +54,19 @@ def test_factorize_known():
     assert f.omega == 4
     assert factorize(1).factors == ()
     assert factorize(2**10).factors == ((2, 10),)
+
+
+def test_factorize_refuses_out_of_range():
+    with pytest.raises(errors.OutOfRangeError):
+        factorize(0)
+    with pytest.raises(errors.OutOfRangeError):
+        factorize(2**63)
+
+
+def test_factorize_refuses_a_composite_cofactor():
+    # both primes lie past trial division, and their product is not prime
+    with pytest.raises(errors.TooLargeError):
+        factorize(1000003 * 1000033)
 
 
 @given(st.integers(min_value=1, max_value=10**6))
@@ -208,6 +223,11 @@ def test_poly_eval_mod():
         poly_eval_mod((1,), 2, 0)
 
 
+def test_poly_eval_array_needs_a_coefficient():
+    with pytest.raises(errors.EmptyPolynomialError):
+        poly_eval_array((), np.arange(5), 7)
+
+
 def test_poly_reduce_drops_leading_zeros():
     assert poly_reduce((3, 7, 14), 7) == (3,)
     assert poly_reduce((0, 0), 5) == ()
@@ -231,6 +251,7 @@ def test_poly_squarefree():
     assert not poly_is_squarefree((0, 0, 0, 1), 7) # x^3
     # x^5 - x mod 5 has derivative -1, squarefree as a polynomial
     assert poly_is_squarefree((0, 4, 0, 0, 0, 1), 5) is True
+    assert poly_is_squarefree((3,), 7) is True     # a constant
 
 
 def test_character_legendre_angles():
@@ -247,6 +268,11 @@ def test_character_order_must_divide():
         MultiplicativeCharacter.build(7, 4)
     with pytest.raises(errors.InvalidParameterError):
         MultiplicativeCharacter.build(7, 3, index=3)  # gcd(index, order) != 1
+
+
+def test_character_order_must_be_positive():
+    with pytest.raises(errors.InvalidParameterError):
+        MultiplicativeCharacter(build_index_table(11), 0)
 
 
 def test_character_trivial():
@@ -268,3 +294,20 @@ def test_index_table_is_immutable():
     assert isinstance(t, IndexTable)
     with pytest.raises(ValueError):
         t.table[1] = 0
+
+
+def test_index_table_refused_past_the_limit(monkeypatch):
+    # 67108879 is the first prime above 2**26: refused before any work
+    def no_search(p):
+        raise AssertionError("searched for a primitive root")
+
+    monkeypatch.setattr(numtheory, "find_primitive_root", no_search)
+    with pytest.raises(errors.TooLargeError):
+        build_index_table(67108879)
+
+
+def test_fermat_quotient_refuses_p_squared_past_a_word():
+    # 3037000493 and 3037000507 are the primes either side of sqrt(2**63)
+    assert 0 <= fermat_quotient(5, 3037000493) < 3037000493
+    with pytest.raises(errors.TooLargeError):
+        fermat_quotient(5, 3037000507)

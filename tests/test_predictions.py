@@ -37,6 +37,10 @@ class TestGapModSymbol:
         with pytest.raises(errors.DegenerateDensityError):
             gap_mod_symbol_main_term(1, 0, 10, 2)
 
+    def test_more_elements_than_residues(self):
+        with pytest.raises(errors.InvalidParameterError):
+            gap_mod_symbol_main_term(1, 11, 10, 2)  # T > q
+
     def test_symbol_range(self):
         with pytest.raises(errors.InvalidParameterError):
             gap_mod_symbol_main_term(0, 5, 10, 2)
@@ -96,6 +100,12 @@ class TestPatternMainTerms:
         assert characteristic_pattern_main_term((0,), 5, 11) == 6
         # rho = 1/2, l = 3: every pattern q/8
         assert characteristic_pattern_main_term((1, 0, 1), 4, 8) == 1
+
+    def test_characteristic_validation(self):
+        with pytest.raises(errors.InvalidParameterError):
+            characteristic_pattern_main_term((1, 2), 5, 11)  # not 0/1
+        with pytest.raises(errors.InvalidParameterError):
+            characteristic_pattern_main_term((1,), 12, 11)  # T > q
 
     def test_characteristic_accepts_degenerate_density(self):
         assert characteristic_pattern_main_term((0, 0), 0, 9) == 9

@@ -85,6 +85,8 @@ def test_json_round_trip():
     ):
         again = DerivedSequence.from_json(seq.to_json())
         assert again == seq
+        assert hash(again) == hash(seq)
+    assert derive_characteristic(QR11) != QR11.elements  # another type
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,7 @@ class TestResidueSet:
         assert r == ResidueSet(10, (1, 4, 7)) == explicit_set(10, range(1, 10, 3))
         assert hash(r) == hash(ResidueSet(10, [1, 4, 7]))
         assert r != ResidueSet(11, (1, 4, 7)) and r != ResidueSet(10, (1, 4))
+        assert r != (1, 4, 7)  # another type
 
     def test_python_ints_out(self):
         r = quadratic_residue_set(101)
@@ -120,6 +121,9 @@ class TestBalancedIndicator:
         assert f.value(0) == Fraction(3, 4)
         assert f.value(1) == Fraction(-1, 4)
         assert f.value(4) == Fraction(3, 4)
+
+    def test_density(self):
+        assert BalancedIndicator(quadratic_residue_set(11)).density == Fraction(5, 11)
 
     def test_numerators(self):
         f = BalancedIndicator(quadratic_residue_set(11))
