@@ -87,7 +87,6 @@ from .sequences import (
     derive_gap_threshold,
 )
 from .subsets import (
-    BalancedIndicator,
     ConstructionSpec,
     ResidueSet,
     character_argument_set,

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness, measures, sequences
-from .errors import Error
+from .errors import ConfigError, Error
 from .measures import DEFAULT_BUDGET
 from .subsets import ConstructionSpec, construct
 
@@ -67,12 +67,34 @@ def _seed(args) -> int | None:
     return None if args.seed is None else harness.parse_seed(args.seed)
 
 
+def _count(args, name: str) -> int:
+    """--workers or --length, refused below 1."""
+    value = getattr(args, name)
+    if value < 1:
+        raise ConfigError(f"{name}: expected >= 1, got {value}")
+    return value
+
+
+def _admit(command: str, spec, derivations=(), analyses=()) -> None:
+    """Refuse a command's work above the default budget before anything is
+    built, costed as verify costs a config of the same parts."""
+    config = harness.ExperimentConfig(spec, derivations, analyses)
+    cost = harness.estimate_cost(config)
+    measures.admit(command, cost, DEFAULT_BUDGET, "operations")
+
+
 def _cmd_construct(args) -> tuple:
-    rset = construct(ConstructionSpec.from_json(_load_json(args.config)))
+    spec = ConstructionSpec.from_json(_load_json(args.config))
+    _admit(args.command, spec)
+    rset = construct(spec)
     return rset.to_json(), ([n] for n in ("element", *rset.elements))
 
 
-def _derived_sequence(cfg) -> sequences.DerivedSequence:
+def _derived_sequence(args, length=None) -> sequences.DerivedSequence:
+    """The sequence a derive or stats config names, admitted with the
+    count of its `length` windows if given; a {"sequence": ..} config is
+    already in memory."""
+    cfg = _load_json(args.config)
     if isinstance(cfg, dict) and "sequence" in cfg:
         return sequences.DerivedSequence.from_json(cfg["sequence"])
     if not isinstance(cfg, dict) or not {"construction", "derivation"} <= set(cfg):
@@ -81,11 +103,13 @@ def _derived_sequence(cfg) -> sequences.DerivedSequence:
         )
     spec = ConstructionSpec.from_json(cfg["construction"])
     dspec = harness.DerivationSpec.from_dict(cfg["derivation"], "derivation")
+    windows = harness.AnalysisSpec("patterns", dspec.kind, length)
+    _admit(args.command, spec, (dspec,), () if length is None else (windows,))
     return dspec.derive(construct(spec))
 
 
 def _cmd_derive(args) -> int:
-    seq = _derived_sequence(_load_json(args.config))
+    seq = _derived_sequence(args)
     if args.fmt == "json":
         text = json.dumps(seq.to_json(), indent=2) + "\n"
     else:
@@ -95,15 +119,17 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_stats(args) -> tuple:
-    seq = _derived_sequence(_load_json(args.config))
-    counts = measures.pattern_counts(seq, args.length)  # observed, in order
+    length = _count(args, "length")
+    seq = _derived_sequence(args, length)
+    counts = measures.pattern_counts(seq, length)  # observed, in order
     items = [{"pattern": list(pat), "count": n} for pat, n in counts.items()]
     rows = [["pattern", "count"]]
     rows += ([" ".join(map(str, pat)), n] for pat, n in counts.items())
-    return {"length": args.length, "counts": items}, rows
+    return {"length": length, "counts": items}, rows
 
 
 def _cmd_corr(args) -> tuple:
+    workers = _count(args, "workers")
     spec = ConstructionSpec.from_json(_load_json(args.config))
     q = spec.modulus  # admitted before the set is built
     kind, what = "correlation", f"correlation_exact(q={q}, k={args.order})"
@@ -114,7 +140,7 @@ def _cmd_corr(args) -> tuple:
     )
     measures.admit(what, harness.ANALYSES[kind].cost(analysis, q), args.budget)
     result = harness.correlate(
-        construct(spec), analysis, 0, workers=args.workers, budget=args.budget
+        construct(spec), analysis, 0, workers=workers, budget=args.budget
     )
     fields = result.to_json()
     row = {
@@ -126,11 +152,11 @@ def _cmd_corr(args) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    seed = _seed(args)
+    seed, workers = _seed(args), _count(args, "workers")
     config = harness.ExperimentConfig.from_dict(_load_json(args.config))
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    report = harness.run(config, workers=args.workers, op_budget=args.budget)
+    report = harness.run(config, workers=workers, op_budget=args.budget)
     if args.fmt == "json":
         text = report.to_json_text()
     else:
@@ -142,13 +168,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    workers = _count(args, "workers")
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict) or "base" not in cfg or "grid" not in cfg:
         raise Error('sweep config must be {"base": .., "grid": [..]}')
     bodies, rows = harness.sweep(
         cfg["base"],
         cfg["grid"],
-        workers=args.workers,
+        workers=workers,
         op_budget=args.budget,
         outdir=args.out,
     )

@@ -296,9 +296,15 @@ def config_hash(config: ExperimentConfig) -> str:
 
 
 def estimate_cost(config: ExperimentConfig) -> int:
-    """Elementary-operation estimate used for budget admission control."""
-    q = config.construction.modulus
-    return q + sum(ANALYSES[a.kind].cost(a, q) for a in config.analyses)
+    """Elementary-operation estimate used for budget admission control:
+    building the set, deriving its sequences and running the analyses."""
+    spec = config.construction
+    q = spec.modulus
+    return (
+        spec.cost
+        + sum(sequences.DERIVATIONS[d.kind].cost(q) for d in config.derivations)
+        + sum(ANALYSES[a.kind].cost(a, q) for a in config.analyses)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +384,7 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
     items = _run_patterns(
         rset, seqs, config, analysis, workers, op_budget,
-        seq=sequences.DERIVATIONS["characteristic"].derive(rset, None),
+        seq=seqs.get("characteristic") or sequences.derive_characteristic(rset),
         length=s, budget=budget,
         label=lambda pat: "pattern=" + ",".join(f"{2 * b - 1:+d}" for b in pat),
     )
@@ -660,7 +666,8 @@ def sweep(
 
     Every point is validated and cost-estimated before anything runs;
     an oversized total is refused outright.  Points run independently
-    (optionally on a process pool); one point's failure is recorded in
+    (on a process pool of at most `workers` processes, one a point and one
+    a CPU, when that is more than one); one point's failure is recorded in
     the summary without stopping the rest.  Returns (bodies, rows) and,
     when outdir is given, writes report_NNNN.json files plus summary.csv
     with one row per (point, analysis), ordered by grid coordinates.
@@ -676,8 +683,9 @@ def sweep(
             raise ConfigError(f"grid point {i}: {exc}") from exc
     total_cost = sum(map(estimate_cost, configs))
     admit(f"sweep of {len(configs)} points", total_cost, op_budget, "operations")
-    if workers > 1 and len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = measures._pool_size(workers, len(configs))
+    if processes > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             point = partial(_run_point, workers=1, op_budget=op_budget)
             bodies = list(pool.map(point, configs))
     else:

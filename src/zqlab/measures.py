@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -423,6 +424,19 @@ def _representatives(q: int, k: int, rows: int):
         yield np.concatenate(parts)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, tasks: float = math.inf) -> int:
+    """Workers worth starting: no more than asked for, than there are tasks
+    or than there are CPUs to run them on."""
+    return min(workers, tasks, _cpus())
+
+
 class _Floor:
     """The largest value known to be reached, by a real window of the scan
     or by the caller's earlier scans; shared by the scan's blocks."""
@@ -444,20 +458,17 @@ def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0
     rows whose upper bound is below the running floor skip the full
     kernel; a row at the maximum never does, and survivors keep their
     order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip the bounds;
-    _coarse packs its masks once, for the first block that does not.
-    Blocks run on `workers` threads, 2 * workers at a time, pulled from
-    `blocks` on the calling thread."""
+    the first block is never smaller than a later one, so _coarse packs its
+    masks once, here, if it does not.  Blocks run on `workers` threads, at
+    most one a CPU, 2 * workers at a time, pulled from `blocks` on the
+    calling thread."""
     prefix_sums, running = _kernel(rset, k), _Floor(floor)
-    packed, lock = [], threading.Lock()
-
-    def coarse():
-        with lock:  # blocks run on worker threads: pack the masks once
-            if not packed:
-                packed.append(_coarse(rset, k))
-        return packed[0]
+    first = next(blocks)
+    coarse = _coarse(rset, k) if len(first) * rset.q >= _COARSE_MIN_CELLS else None
+    blocks = itertools.chain([first], blocks)
 
     def scan(lags):
-        bounds = coarse() if len(lags) * rset.q >= _COARSE_MIN_CELLS else None
+        bounds = coarse if len(lags) * rset.q >= _COARSE_MIN_CELLS else None
         for width in _COARSE_WIDTHS if bounds is not None else ():
             lower, upper = bounds(lags, width, row_best, ends)
             running.raise_to(int(lower.max()))
@@ -469,9 +480,10 @@ def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0
         running.raise_to(int(best[r]))
         return int(best[r]), tuple(int(d) for d in lags[r])
 
+    workers = _pool_size(workers)  # a pool starts no more threads than blocks
     if workers <= 1:
         return max(map(scan, blocks), key=lambda r: r[0])  # first of equals
-    results, blocks = [], iter(blocks)
+    results = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         while batch := list(itertools.islice(blocks, 2 * workers)):
             results += pool.map(scan, batch)

@@ -144,13 +144,15 @@ def derive_characteristic(rset: ResidueSet) -> DerivedSequence:
 class DerivationKind:
     """A derivation kind: its parameter's name (None if it has none), its
     builder (rset, param), its alphabet (param; a range, so its size and
-    membership cost nothing for any M) and the main term of a pattern
-    window (pattern, T, q, param)."""
+    membership cost nothing for any M), the main term of a pattern window
+    (pattern, T, q, param) and its cost (q) for admission control, beyond
+    the set's own: a gap sequence is shorter than the set."""
 
     param: str | None
     derive: Callable[[ResidueSet, int | None], DerivedSequence]
     alphabet: Callable[[int | None], range]
     main_term: Callable
+    cost: Callable[[int], int] = lambda q: 0
 
 
 DERIVATIONS = {
@@ -171,5 +173,6 @@ DERIVATIONS = {
         lambda rset, _: derive_characteristic(rset),
         lambda _: range(2),
         lambda pat, T, q, _: predictions.characteristic_pattern_main_term(pat, T, q),
+        cost=lambda q: q,
     ),
 }

@@ -122,31 +122,6 @@ class ResidueSet:
         }
 
 
-@dataclass(frozen=True)
-class BalancedIndicator:
-    """Density-centered membership indicator of a set R in Z_q.
-
-    Takes the value 1 - T/q on members and -T/q off members, so the sum
-    over a full period is exactly zero.  sign_numerators() returns the
-    integer values q*f(n).
-    """
-
-    source: ResidueSet
-
-    @property
-    def density(self) -> Fraction:
-        return self.source.density
-
-    def value(self, n: int) -> Fraction:
-        q, t = self.source.q, self.source.cardinality
-        return Fraction(q - t, q) if n in self.source else Fraction(-t, q)
-
-    def sign_numerators(self) -> np.ndarray:
-        """Integer array of q*f(n) for n = 0 .. q-1 (values q-T and -T)."""
-        q, t = self.source.q, self.source.cardinality
-        return np.where(self.source.member_mask, q - t, -t).astype(np.int64)
-
-
 # ----------------------------------------------------------------------
 # Shared per-prime tables.
 
@@ -471,13 +446,15 @@ def _character_argument(p, order, additive, f, alpha, beta, char_index=1, g=None
 @dataclass(frozen=True)
 class ConstructionKind:
     """A construction kind: its params (some optional), the builder of
-    its set, the predicted cardinality, and the q the set lives in."""
+    its set, the predicted cardinality, the q the set lives in, and the
+    cost of building the set for admission control (its q if None)."""
 
     params: set
     build: Callable[..., ResidueSet]
     cardinality: Callable[..., CardinalityPrediction]
     modulus: Callable[..., int] = lambda p, **_: p
     optional: set = frozenset()
+    cost: Callable[..., int] | None = None
 
 
 CONSTRUCTIONS = {
@@ -486,6 +463,7 @@ CONSTRUCTIONS = {
         explicit_set,
         lambda q, elements: _exact_count(len(elements)),
         modulus=lambda q, elements: q,
+        cost=lambda q, elements: len(elements),
     ),
     "quadratic_residues": ConstructionKind(
         {"p"}, quadratic_residue_set, lambda p: _exact_count(Fraction(p - 1, 2))
@@ -606,6 +584,11 @@ class ConstructionSpec:
     def modulus(self) -> int:
         """The q of the set this spec constructs."""
         return self.record.modulus(**self.params)
+
+    @property
+    def cost(self) -> int:
+        """Operations to build the set: its elements if explicit, else q."""
+        return (self.record.cost or self.record.modulus)(**self.params)
 
     @classmethod
     def from_json(cls, obj) -> "ConstructionSpec":

@@ -1,15 +1,20 @@
 import copy
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import cli, errors, harness, measures
+from zqlab import cli, errors, harness, measures, sequences
 from zqlab.harness import (
     AnalysisSpec,
     BudgetSpec,
@@ -270,7 +275,8 @@ class TestRun:
         assert len(body["analyses"]) == len(BASE["analyses"])
         assert not report.failed
 
-    def test_determinism_across_runs_and_workers(self):
+    def test_determinism_across_runs_and_workers(self, monkeypatch):
+        monkeypatch.setattr(measures, "_cpus", lambda: 4)  # threads on any machine
         config = ExperimentConfig.from_dict(BASE)
         a = run(config, workers=1).body
         b = run(config, workers=4).body
@@ -304,6 +310,25 @@ class TestRun:
         assert item["empirical"] == 36
         assert item["predicted"]["num"] == 36
         assert item["status"] == "PASS"
+
+    @pytest.mark.parametrize("derived", [True, False])
+    def test_sign_patterns_derive_the_characteristic_once(self, monkeypatch, derived):
+        calls, derive = [], sequences.derive_characteristic
+
+        def counting(rset):
+            calls.append(rset.q)
+            return derive(rset)
+
+        # the DERIVATIONS lambdas look the builder up by name
+        monkeypatch.setattr(sequences, "derive_characteristic", counting)
+        config = {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "derivations": [{"kind": "characteristic"}] if derived else [],
+            "analyses": [{"kind": "sign_patterns", "window": 3}],
+        }
+        items = run(ExperimentConfig.from_dict(config)).body["analyses"][0]["items"]
+        assert calls == [43]
+        assert items[-1]["label"] == "conservation" and items[-1]["empirical"] == 41
 
     def test_qr_balance_passes(self):
         config = ExperimentConfig.from_dict(
@@ -510,6 +535,28 @@ class TestEstimateCost:
         )
         assert estimate_cost(config) == 1000003 + 1000003 * 8 + 2**8
 
+    @pytest.mark.parametrize(
+        "construction, derivation, cost",
+        [
+            # an explicit set costs its elements, any other kind its q
+            ({"kind": "explicit", "params": {"q": 10**11, "elements": [1, 5]}},
+             {"kind": "gap_mod", "M": 2}, 2),
+            ({"kind": "explicit", "params": {"q": 10**11, "elements": [1, 5]}},
+             {"kind": "characteristic"}, 2 + 10**11),
+            ({"kind": "quadratic_residues", "params": {"p": 43}},
+             {"kind": "gap_threshold", "m": 2}, 43),
+            ({"kind": "quadratic_residues", "params": {"p": 43}},
+             {"kind": "characteristic"}, 43 + 43),
+            ({"kind": "fermat_quotient_primitive_roots", "params": {"p": 7}},
+             {"kind": "characteristic"}, 49 + 49),
+        ],
+    )
+    def test_construction_and_derivation_costs(self, construction, derivation, cost):
+        config = ExperimentConfig.from_dict(
+            {"construction": construction, "derivations": [derivation]}
+        )
+        assert estimate_cost(config) == cost
+
     def test_run_admits_before_construct(self, monkeypatch):
         def construct(spec):
             raise AssertionError("construct ran before admission")
@@ -558,10 +605,36 @@ class TestSweep:
         assert rows[0][:2] == ["point", "construction.params.p"]
         assert [r[1] for r in rows[1:]] == ["11", "11", "19", "19", "23", "23"]
 
-    def test_order_stable_with_workers(self, tmp_path):
+    def test_order_stable_with_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(measures, "_cpus", lambda: 4)  # a pool on any machine
         a_bodies, a_rows = sweep(self.SWEEP_BASE, self.GRID, workers=1)
         b_bodies, b_rows = sweep(self.SWEEP_BASE, self.GRID, workers=3)
         assert [scrub(x) for x in a_bodies] == [scrub(x) for x in b_bodies]
+
+    @pytest.mark.parametrize("cpus, asked", [(64, [2]), (1, [])])
+    def test_pool_sized_by_points_and_cpus(self, monkeypatch, cpus, asked):
+        pools = []
+
+        class Recording:  # starts no process: runs the points here
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(measures, "_cpus", lambda: cpus)
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Recording)
+        grid = [{"path": "construction.params.p", "values": [11, 19]}]
+        bodies, rows = sweep(self.SWEEP_BASE, grid, workers=10**6)
+        serial_bodies, serial_rows = sweep(self.SWEEP_BASE, grid)
+        assert pools == asked
+        assert [scrub(b) for b in bodies] == [scrub(b) for b in serial_bodies]
 
     def test_point_error_preserved(self):
         grid = [{"path": "construction.params.p", "values": [11, 10, 13]}]
@@ -805,6 +878,125 @@ class TestCli:
         assert (
             f"correlation_exact(q=10007, k=3) needs ~{cells} cells"
             in capsys.readouterr().err
+        )
+
+    # ~3.64 TiB of tables for this QR set; ~93.1 GiB for this characteristic
+    HUGE_QR = {"kind": "quadratic_residues", "params": {"p": 1000000000039}}
+    SPARSE = {"kind": "explicit", "params": {"q": 10**11, "elements": [1, 5]}}
+
+    @pytest.mark.parametrize(
+        "command, config, cost",
+        [
+            ("construct", HUGE_QR, 1000000000039),
+            ("derive", {"construction": SPARSE, "derivation": {"kind": "characteristic"}},
+             2 + 10**11),
+            ("stats", {"construction": HUGE_QR, "derivation": {"kind": "gap_mod", "M": 2}},
+             1000000000039 + 1000000000039 + 4096),
+            # the window count costs q * length, whatever the set's size
+            ("stats", {"construction": SPARSE, "derivation": {"kind": "gap_mod", "M": 2}},
+             2 + 10**11 + 4096),
+        ],
+    )
+    def test_over_budget_exits_2_before_building(
+        self, tmp_path, capsys, monkeypatch, command, config, cost
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        cfg = self.write(tmp_path, "c.json", config)
+        assert cli.main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} needs ~{cost} operations, budget is 1000000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, config, expected",
+        [
+            ("construct", SPARSE,
+             '{\n  "q": 100000000000,\n  "cardinality": 2,\n'
+             '  "elements": [\n    1,\n    5\n  ]\n}\n'),
+            ("derive", {"construction": SPARSE, "derivation": {"kind": "gap_mod", "M": 2}},
+             '{\n  "kind": "gap_mod",\n  "params": {\n    "M": 2\n  },\n'
+             '  "symbols": [\n    2\n  ]\n}\n'),
+        ],
+    )
+    def test_sparse_set_in_a_huge_q_is_admitted(
+        self, tmp_path, capsys, command, config, expected
+    ):
+        # two elements cost two operations; nothing q-long is built
+        cfg = self.write(tmp_path, "c.json", config)
+        assert cli.main([command, "--config", cfg]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("corr", ["-k", "2", "--workers", "0"]),
+            ("verify", ["--workers", "-1"]),
+            ("sweep", ["--workers", "0"]),
+            ("stats", ["--length", "0"]),
+        ],
+    )
+    def test_counts_below_one_exit_2_before_building(
+        self, tmp_path, capsys, monkeypatch, command, flags
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before the check")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        monkeypatch.setattr(harness, "construct", construct)
+        config = {
+            "corr": self.QR11,
+            "verify": {"construction": self.QR11, "analyses": [{"kind": "cardinality"}]},
+            "sweep": {"base": TestSweep.SWEEP_BASE, "grid": TestSweep.GRID},
+            "stats": self.GAPS11,
+        }[command]
+        cfg = self.write(tmp_path, "c.json", config)
+        assert cli.main([command, "--config", cfg, *flags]) == 2
+        name, value = flags[-2].lstrip("-"), flags[-1]
+        assert capsys.readouterr().err == f"error: {name}: expected >= 1, got {value}\n"
+
+    def test_benchmark_ops_are_admitted(self, tmp_path, capsys, monkeypatch):
+        class Admitted(Exception):
+            """Raised where an admitted op would start building its set."""
+
+        def construct(spec):
+            raise Admitted
+
+        monkeypatch.setattr(cli, "construct", construct)
+        monkeypatch.setattr(harness, "construct", construct)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        loader = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(loader)
+        monkeypatch.setitem(sys.modules, loader.name, workloads)  # for its dataclass
+        loader.loader.exec_module(workloads)
+        for name, seed in itertools.product(workloads.WORKLOADS, (0, 1)):
+            for op in workloads.op_list(name, seed):
+                cfg = self.write(tmp_path, "op.json", op.config)
+                with pytest.raises(Admitted):
+                    cli.main([op.command, "--config", cfg, *op.args])
+        assert capsys.readouterr().err == ""
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+        def zqlab(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "zqlab", *args],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        done = zqlab("--version")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0.1.0\n", "")
+        cfg = self.write(tmp_path, "c.json", self.QR11)
+        done = zqlab("construct", "--config", cfg)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            '{\n  "q": 11,\n  "cardinality": 5,\n'
+            '  "elements": [\n    1,\n    3,\n    4,\n    5,\n    9\n  ]\n}\n'
         )
 
     def test_verify_q_zero_exits_2(self, tmp_path, capsys):

@@ -240,11 +240,46 @@ class TestCorrelationExact:
         assert str(info.value) == "scan needs ~11 operations, budget is 10"
         assert info.value.estimated_cost == 11
 
-    def test_workers_agree(self):
+    def test_workers_agree(self, monkeypatch):
+        monkeypatch.setattr(measures, "_cpus", lambda: 4)  # threads on any machine
         r = explicit_set(40, sorted({(n * n + 3 * n) % 40 for n in range(40)}))
         a = correlation_exact(r, 2, workers=1)
         b = correlation_exact(r, 2, workers=4)
         assert (a.value, a.window, a.lags) == (b.value, b.window, b.lags)
+
+    @pytest.mark.parametrize("cpus, asked", [(3, [3]), (1, [])])
+    def test_threads_capped_at_the_cpus(self, monkeypatch, cpus, asked):
+        pools = []
+
+        class Recording:  # starts no thread: runs the blocks here
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
+        whole = correlation_exact(r, 3)
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 tuples a block
+        monkeypatch.setattr(measures, "_cpus", lambda: cpus)
+        monkeypatch.setattr(measures, "ThreadPoolExecutor", Recording)
+        res = correlation_exact(r, 3, workers=10**6)
+        assert pools == asked
+        assert (res.value, res.window, res.lags) == (whole.value, whole.window, whole.lags)
+
+    def test_cpus_without_affinity(self, monkeypatch):
+        assert measures._cpus() >= 1
+        monkeypatch.delattr(measures.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(measures.os, "cpu_count", lambda: 6)
+        assert measures._cpus() == 6
+        monkeypatch.setattr(measures.os, "cpu_count", lambda: None)  # undeterminable
+        assert measures._cpus() == 1
 
     def test_json(self):
         res = correlation_exact(explicit_set(4, [0]), 1)
@@ -416,11 +451,11 @@ class TestCountTableScan:
 
         for q in range(1, 13):
             for k in range(1, q + 1):
-                reps = [
-                    tuple(int(d) for d in row)
-                    for block in measures._representatives(q, k, rows=5)
-                    for row in block
-                ]
+                blocks = list(measures._representatives(q, k, rows=5))
+                # full blocks first: _best_row decides the coarse pass on the first
+                assert [len(b) for b in blocks[:-1]] == [5] * (len(blocks) - 1)
+                assert 1 <= len(blocks[-1]) <= 5
+                reps = [tuple(int(d) for d in row) for block in blocks for row in block]
                 assert reps == sorted(reps)
                 assert len(reps) <= math.comb(q - 1, k - 1)
                 assert {canonical(t, q) for t in reps} == {
@@ -431,6 +466,7 @@ class TestCountTableScan:
         r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
         whole = correlation_exact(r, 3)
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 tuples a block
+        monkeypatch.setattr(measures, "_cpus", lambda: 3)  # threads on any machine
         for workers in (1, 3):
             res = correlation_exact(r, 3, workers=workers)
             assert (res.value, res.window, res.lags) == (
@@ -567,6 +603,7 @@ class TestCoarsePass:
         r = quadratic_residue_set(173)
         # 200 rows a block, above _COARSE_MIN_CELLS: the bounds run on each
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 200)
+        monkeypatch.setattr(measures, "_cpus", lambda: 2)  # threads on any machine
 
         def scans(workers):
             return (
@@ -592,6 +629,27 @@ class TestCoarsePass:
         monkeypatch.setattr(measures, "_coarse", counting)
         assert witness(correlation_exact(r, 2)) == full
         assert bool(calls) == bounded
+
+    def test_a_short_last_block_skips_the_bounds(self, monkeypatch):
+        # 4096 draws a block at q = 256: the first block is bounded; the last,
+        # 10 draws of 256 cells, is below _COARSE_MIN_CELLS
+        r = explicit_set(256, range(0, 256, 3))
+        full = witness(unpruned(lambda: correlation_sampled(r, 2, 4106, seed=3)))
+        widest, coarse = [], measures._coarse
+
+        def counting(rset, k):
+            bounds = coarse(rset, k)
+
+            def counted(lags, width, *rest):
+                if width == measures._COARSE_WIDTHS[0]:
+                    widest.append(len(lags))
+                return bounds(lags, width, *rest)
+
+            return counted
+
+        monkeypatch.setattr(measures, "_coarse", counting)
+        assert witness(correlation_sampled(r, 2, 4106, seed=3)) == full
+        assert widest == [4096]
 
     @pytest.mark.parametrize(
         "q, k, workers, packs",

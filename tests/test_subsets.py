@@ -12,7 +12,6 @@ from zqlab import numtheory as nt
 from zqlab.numtheory import MultiplicativeCharacter
 from zqlab.subsets import (
     ConstructionSpec,
-    BalancedIndicator,
     ResidueSet,
     _fermat_quotient_table,
     character_argument_set,
@@ -113,30 +112,6 @@ class TestResidueSet:
         spec = ConstructionSpec("explicit", {"q": 12, "elements": (0, 5, 11)})
         assert construct(spec).elements == r.elements
         assert r.to_json() == {"q": 12, "cardinality": 3, "elements": [0, 5, 11]}
-
-
-class TestBalancedIndicator:
-    def test_values(self):
-        f = BalancedIndicator(explicit_set(4, [0]))
-        assert f.value(0) == Fraction(3, 4)
-        assert f.value(1) == Fraction(-1, 4)
-        assert f.value(4) == Fraction(3, 4)
-
-    def test_density(self):
-        assert BalancedIndicator(quadratic_residue_set(11)).density == Fraction(5, 11)
-
-    def test_numerators(self):
-        f = BalancedIndicator(quadratic_residue_set(11))
-        nums = f.sign_numerators()
-        assert nums[1] == 6 and nums[0] == -5
-        assert nums.dtype == np.int64
-
-    @given(subsets)
-    @settings(max_examples=60)
-    def test_sums_to_zero(self, r):
-        f = BalancedIndicator(r)
-        assert sum(f.value(n) for n in range(r.q)) == 0
-        assert int(f.sign_numerators().sum()) == 0
 
 
 class TestQuadraticResidues:
