@@ -111,7 +111,7 @@ def _derived_sequence(args, length=None) -> sequences.DerivedSequence:
 def _cmd_derive(args) -> int:
     seq = _derived_sequence(args)
     if args.fmt == "json":
-        text = json.dumps(seq.to_json(), indent=2) + "\n"
+        text = harness.json_text(seq.to_json()) + "\n"
     else:
         text = seq.symbols_line() + "\n"
     _emit(text, args.out)
@@ -235,7 +235,7 @@ def main(argv=None) -> int:
             return _COMMANDS[args.command](args)
         obj, rows = _RENDERED[args.command](args)
         if args.fmt == "json":
-            _emit(json.dumps(obj, indent=2) + "\n", args.out)
+            _emit(harness.json_text(obj) + "\n", args.out)
         else:
             _emit(_csv_text(rows), args.out)
         return 0

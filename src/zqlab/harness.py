@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -81,6 +81,68 @@ def _fraction_json(fr: Fraction) -> dict:
         ctx.prec = 15
         dec = Decimal(fr.numerator) / Decimal(fr.denominator)
     return {**_fraction_to_json(fr), "decimal": str(dec)}
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=64)
+def _encoder(depth: int, sort_keys: bool):
+    """json's C encoder, its item separator the newline and indent of
+    entries at `depth` + 1; it is only handed containers of scalars, which
+    hold no cycle to check for."""
+    separators = (",\n" + "  " * (depth + 1), ": ")
+    return json.JSONEncoder(
+        sort_keys=sort_keys, separators=separators, check_circular=False
+    ).encode
+
+
+def json_text(obj, sort_keys: bool = False) -> str:
+    """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte.
+
+    Each container's scalars are encoded by one call of json's C encoder,
+    its separators carrying the newline and indent of its depth; the
+    entries of nested containers (stood in for by null) are then spliced
+    in.  Encoded scalars and keys never hold a raw newline, so splitting
+    on the separator finds the entries.  A container reached twice at
+    the same depth (the shared sub-dicts of a report) is rendered once.
+    Values must be acyclic (a cycle raises RecursionError, not json's
+    ValueError).
+    """
+    rendered = {}
+
+    def render(value, depth: int) -> str:
+        if not isinstance(value, _CONTAINERS) or not value:
+            return _encoder(depth, sort_keys)(value)
+        key = (id(value), depth)
+        if key not in rendered:
+            is_dict = isinstance(value, dict)
+            flat, nested = value, ()
+            if not set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+                # json's order of the entries; the containers among them
+                if is_dict:
+                    keys = sorted(value) if sort_keys else list(value)
+                else:
+                    keys = range(len(value))
+                nested = [
+                    i for i, k in enumerate(keys) if isinstance(value[k], _CONTAINERS)
+                ]
+                flat = dict(value) if is_dict else list(value)
+                for i in nested:
+                    flat[keys[i]] = None
+            text = _encoder(depth, sort_keys)(flat)
+            inner, indent = text[1:-1], "  " * (depth + 1)
+            if nested:
+                sep = ",\n" + indent
+                entries = inner.split(sep)
+                for i in nested:  # entries[i] ends in the stand-in "null"
+                    entries[i] = entries[i][:-4] + render(value[keys[i]], depth + 1)
+                inner = sep.join(entries)
+            rendered[key] = f"{text[0]}\n{indent}{inner}\n{indent[:-2]}{text[-1]}"
+        return rendered[key]
+
+    return render(obj, 0)
 
 
 def _budget_json(budget: DeviationBudget) -> dict:
@@ -297,13 +359,21 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def estimate_cost(config: ExperimentConfig) -> int:
     """Elementary-operation estimate used for budget admission control:
-    building the set, deriving its sequences and running the analyses."""
+    building the set, deriving its sequences and running the analyses.
+    An analysis of a derived sequence is costed at that sequence's length
+    bound, any other at q."""
     spec = config.construction
     q = spec.modulus
+
+    def length(analysis) -> int:
+        if analysis.sequence is None:
+            return q
+        return sequences.DERIVATIONS[analysis.sequence].length(q, spec.cost)
+
     return (
         spec.cost
         + sum(sequences.DERIVATIONS[d.kind].cost(q) for d in config.derivations)
-        + sum(ANALYSES[a.kind].cost(a, q) for a in config.analyses)
+        + sum(ANALYSES[a.kind].cost(a, length(a)) for a in config.analyses)
     )
 
 
@@ -326,17 +396,24 @@ def _combine(statuses) -> str:
     return "REPORT_ONLY"
 
 
-def _count_item(label, empirical, predicted: Fraction, budget: DeviationBudget):
-    deviation = abs(Fraction(empirical) - predicted)
+def _scored(empirical: int, main: Fraction, predicted: dict, budget, budget_json):
+    """An item's fields but its label: its count against its main term."""
+    deviation = abs(empirical - main)
     ok = budget.allows(deviation) if budget.asserted else True
     return {
-        "label": label,
         "empirical": empirical,
-        "predicted": _fraction_json(predicted),
+        "predicted": predicted,
         "deviation": _fraction_json(deviation),
-        "budget": _budget_json(budget),
+        "budget": budget_json,
         "status": _status_of(budget.asserted, ok),
     }
+
+
+def _count_item(label, empirical, predicted: Fraction, budget: DeviationBudget):
+    scored = _scored(
+        empirical, predicted, _fraction_json(predicted), budget, _budget_json(budget)
+    )
+    return {"label": label, **scored}
 
 
 def _analysis_budget(analysis, q: int) -> DeviationBudget:
@@ -363,10 +440,18 @@ def _run_patterns(
     main_term = sequences.DERIVATIONS[seq.kind].main_term
     T, q = rset.cardinality, rset.q
     budget = budget or _analysis_budget(analysis, q)
-    items = []
+    budget_json = _budget_json(budget)
+    # A main term depends on its pattern only through (length, sum), so
+    # one per sum; items of one (sum, count) share their scored fields.
+    mains, scored, items = {}, {}, []
     for pattern in itertools.product(seq.alphabet, repeat=length):
-        main = main_term(pattern, T, q, seq.param)
-        items.append(_count_item(label(pattern), counts.get(pattern, 0), main, budget))
+        weight, n = sum(pattern), counts.get(pattern, 0)
+        if (weight, n) not in scored:
+            if weight not in mains:
+                main = main_term(pattern, T, q, seq.param)
+                mains[weight] = main, _fraction_json(main)
+            scored[weight, n] = _scored(n, *mains[weight], budget, budget_json)
+        items.append({"label": label(pattern), **scored[weight, n]})
     return items
 
 
@@ -442,7 +527,9 @@ def _sign_patterns_cost(analysis, q: int) -> int:
 @dataclass(frozen=True)
 class AnalysisKind:
     """An analysis kind: its config keys besides "kind", parsed in order;
-    its cost (analysis, q) for admission control; its runner (rset, seqs,
+    its cost (analysis, n) for admission control, n the length bound of
+    the sequence it reads (q for all but balance and patterns, which read
+    a configured derivation; see estimate_cost); its runner (rset, seqs,
     config, analysis, workers, op_budget) -> items; lemma budgets or not."""
 
     keys: tuple[str, ...]
@@ -490,7 +577,7 @@ class VerificationReport:
         return self.status == "FAIL"
 
     def to_json_text(self) -> str:
-        return json.dumps(self.body, sort_keys=True, indent=2) + "\n"
+        return json_text(self.body, sort_keys=True) + "\n"
 
     def csv_rows(self) -> list:
         rows = [list(_REPORT_COLUMNS)]

@@ -14,8 +14,9 @@ characteristic term with -1 read as 0.  Summed over all symbols/patterns
 these recover T (or q) exactly, which the test suite checks as identities.
 
 Deviation budgets carry an exact rational coefficient and a symbolic
-sqrt/log shape; sqrt-only budgets are compared exactly via squaring,
-log-bearing ones in float64.
+sqrt/log shape, and every verdict is exact: both sides are squared, and a
+log factor is bracketed between two rationals at rising precision until
+the bracket decides.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateDensityError, InvalidParameterError, PatternTooLongError
@@ -157,13 +159,28 @@ def gap_threshold_balance_point(m: int) -> BalanceThreshold:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def _ln_bracket(n: int, digits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= ln(n) <= hi, hi - lo about 10^(1-digits) ln(n), for
+    an integer n >= 1: Decimal's ln is correctly rounded, so its result is
+    within half a unit in the last place; one unit either side is safe."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        value = Decimal(n).ln()
+    if not value:
+        return Fraction(0), Fraction(0)
+    ulp = Fraction(Decimal(1).scaleb(value.adjusted() - digits + 1))
+    return Fraction(value) - ulp, Fraction(value) + ulp
+
+
 @dataclass(frozen=True)
 class DeviationBudget:
     """An allowed deviation c * sqrt(sqrt_arg) * log(log_arg)^log_power.
 
-    Budgets without a log factor are compared exactly (square both
-    sides, all integers); log-bearing ones in float64.  asserted=False
-    marks report-only budgets whose absolute constant is not pinned.
+    Verdicts are exact: both sides are squared, and log(log_arg) is
+    bracketed between rationals (log_arg >= 1).  bound() is the float64
+    value reports show.  asserted=False marks report-only budgets whose
+    absolute constant is not pinned.
     """
 
     formula: str
@@ -180,15 +197,29 @@ class DeviationBudget:
         return b
 
     def allows(self, deviation: Fraction) -> bool:
-        """Exact comparison |deviation| <= budget (deviation >= 0)."""
+        """Exact comparison |deviation| <= budget (deviation >= 0).
+
+        With deviation = n/d and c = a/b this is (n*b)^2 <= (d*a)^2 *
+        sqrt_arg * L^(2 log_power), in integers; L = log(log_arg) is
+        bracketed at 20 digits, then at twice the digits until both ends
+        of the bracket agree.  They always come to agree: L is 0 or
+        transcendental, so the budget is never a rational other than 0.
+        """
         if deviation < 0:
             raise InvalidParameterError("deviation must be nonnegative")
-        if self.log_power == 0:
-            return (
-                deviation * deviation
-                <= self.coefficient * self.coefficient * self.sqrt_arg
-            )
-        return float(deviation) <= self.bound()
+        c = self.coefficient
+        lhs = (deviation.numerator * c.denominator) ** 2
+        rhs = (deviation.denominator * c.numerator) ** 2 * self.sqrt_arg
+        if self.log_power == 0 or rhs == 0:
+            return lhs <= rhs
+        power, digits = 2 * self.log_power, 20
+        while True:
+            lo, hi = _ln_bracket(self.log_arg, digits)
+            if lhs * lo.denominator**power <= rhs * lo.numerator**power:
+                return True
+            if lhs * hi.denominator**power > rhs * hi.numerator**power:
+                return False
+            digits *= 2
 
 
 def exact_budget() -> DeviationBudget:

@@ -145,14 +145,17 @@ class DerivationKind:
     """A derivation kind: its parameter's name (None if it has none), its
     builder (rset, param), its alphabet (param; a range, so its size and
     membership cost nothing for any M), the main term of a pattern window
-    (pattern, T, q, param) and its cost (q) for admission control, beyond
-    the set's own: a gap sequence is shorter than the set."""
+    (pattern, T, q, param), its cost (q) for admission control, beyond
+    the set's own, and a bound (q, set_cost) on its length, which the
+    analyses reading it are charged for: a gap sequence has T - 1
+    symbols, fewer than the set's cost."""
 
     param: str | None
     derive: Callable[[ResidueSet, int | None], DerivedSequence]
     alphabet: Callable[[int | None], range]
     main_term: Callable
     cost: Callable[[int], int] = lambda q: 0
+    length: Callable[[int, int], int] = lambda q, set_cost: set_cost
 
 
 DERIVATIONS = {
@@ -174,5 +177,6 @@ DERIVATIONS = {
         lambda _: range(2),
         lambda pat, T, q, _: predictions.characteristic_pattern_main_term(pat, T, q),
         cost=lambda q: q,
+        length=lambda q, set_cost: q,
     ),
 }

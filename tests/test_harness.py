@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import cli, errors, harness, measures, sequences
+from zqlab import cli, errors, harness, measures, predictions, sequences
 from zqlab.harness import (
     AnalysisSpec,
     BudgetSpec,
@@ -463,6 +463,52 @@ class TestRun:
         with pytest.raises(errors.PatternTooLongError, match="pattern length 6 exceeds q=5"):
             run(config)
 
+    LENGTH_12 = {
+        "construction": {"kind": "quadratic_residues", "params": {"p": 1009}},
+        "derivations": [{"kind": "characteristic"}],
+        "analyses": [
+            {"kind": "patterns", "sequence": "characteristic", "length": 12,
+             "budget": {"constant": 4, "shape": "sqrt_log"}},
+        ],
+    }
+
+    def test_one_main_term_per_pattern_weight(self, monkeypatch):
+        calls = []
+        term = predictions.characteristic_pattern_main_term
+
+        def counted(pattern, T, q):
+            calls.append(pattern)
+            return term(pattern, T, q)
+
+        monkeypatch.setattr(predictions, "characteristic_pattern_main_term", counted)
+        config = ExperimentConfig.from_dict(self.LENGTH_12)
+        items = run(config).body["analyses"][0]["items"]
+        assert len(calls) == 13  # weights 0..12 of 4096 patterns
+        # every item is what scoring it on its own gives
+        rset = construct(config.construction)
+        counts = measures.pattern_counts(sequences.derive_characteristic(rset), 12)
+        budget = config.analyses[0].budget.realize(rset.q)
+        patterns = itertools.product((0, 1), repeat=12)
+        for item, pattern in zip(items, patterns, strict=True):
+            main = term(pattern, rset.cardinality, rset.q)
+            label = "pattern=" + ",".join(map(str, pattern))
+            n = counts.get(pattern, 0)
+            assert item == harness._count_item(label, n, main, budget)
+
+    def test_items_of_one_class_and_count_share_their_fields(self):
+        config = ExperimentConfig.from_dict(self.LENGTH_12)
+        items = run(config).body["analyses"][0]["items"]
+        by_class = {}
+        for item in items:
+            weight = item["label"].count("1")
+            by_class.setdefault((weight, item["empirical"]), []).append(item)
+        a, b = next(group for group in by_class.values() if len(group) > 1)[:2]
+        assert a["label"] != b["label"]
+        assert a["deviation"] is b["deviation"]
+        assert a["predicted"] is b["predicted"]
+        assert all(item["budget"] is a["budget"] for item in items)
+        assert len({id(item["deviation"]) for item in items}) == len(by_class)
+
     def test_correlation_item_is_the_result_fields(self):
         config = ExperimentConfig.from_dict(BASE)
         entry = run(config).body["analyses"][-1]
@@ -513,6 +559,57 @@ class TestRun:
         assert all(len(r) == len(rows[0]) for r in rows)
 
 
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**199, max_value=10**200).map(lambda n: n * (-1) ** n)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    | st.text()
+    | st.sampled_from(["", "é", "naïve ✓", "\n\t\"\\", "\u2028", "\U0001f600"])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=4), children, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """harness.json_text is json.dumps(indent=2), byte for byte."""
+
+    @given(json_values, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps(self, value, sort_keys):
+        expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+        assert harness.json_text(value, sort_keys=sort_keys) == expected
+
+    @given(st.dictionaries(st.text(max_size=3), json_values, max_size=4), json_values,
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_dict_at_two_depths(self, shared, other, sort_keys):
+        value = {"b": shared, "a": [other, {"z": shared}, shared], "c": []}
+        expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+        assert harness.json_text(value, sort_keys=sort_keys) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [{}, [], {"a": {}, "b": [[], {}]}, ("t", ("u",)), [None, 1.5, "x", True]],
+    )
+    def test_edge_containers(self, value):
+        for sort_keys in (False, True):
+            expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+            assert harness.json_text(value, sort_keys=sort_keys) == expected
+
+    def test_report_text(self):
+        body = run(ExperimentConfig.from_dict(BASE)).body
+        assert VerificationReport(body).to_json_text() == (
+            json.dumps(body, indent=2, sort_keys=True) + "\n"
+        )
+
+
 class TestEstimateCost:
     def test_correlation_dominates(self):
         config = ExperimentConfig.from_dict(
@@ -556,6 +653,57 @@ class TestEstimateCost:
             {"construction": construction, "derivations": [derivation]}
         )
         assert estimate_cost(config) == cost
+
+    SPARSE = {"kind": "explicit", "params": {"q": 10**11, "elements": [1, 5]}}
+
+    @pytest.mark.parametrize(
+        "derivation, analysis, cost",
+        [
+            # a gap sequence is charged at most the set's cost, 2, per window
+            ({"kind": "gap_mod", "M": 2},
+             {"kind": "balance", "sequence": "gap_mod"}, 2 + 2),
+            ({"kind": "gap_threshold", "m": 2},
+             {"kind": "patterns", "sequence": "gap_threshold", "length": 3},
+             2 + 2 * 3 + 4096),
+            # the characteristic sequence is q long
+            ({"kind": "characteristic"},
+             {"kind": "patterns", "sequence": "characteristic", "length": 2},
+             2 + 10**11 + 10**11 * 2 + 4096),
+        ],
+    )
+    def test_analyses_charged_for_the_sequence_they_read(
+        self, derivation, analysis, cost
+    ):
+        config = ExperimentConfig.from_dict(
+            {"construction": self.SPARSE, "derivations": [derivation],
+             "analyses": [analysis]}
+        )
+        assert estimate_cost(config) == cost
+
+    def test_gap_balance_of_a_sparse_set_in_a_huge_q_runs(self):
+        config = ExperimentConfig.from_dict(
+            {
+                "construction": self.SPARSE,
+                "derivations": [{"kind": "gap_mod", "M": 2}],
+                "analyses": [{"kind": "balance", "sequence": "gap_mod"}],
+            }
+        )
+        items = run(config).body["analyses"][0]["items"]
+        assert [(i["label"], i["empirical"]) for i in items] == [
+            ("symbol=1", 0), ("symbol=2", 1)
+        ]
+        # patterns of its characteristic sequence still read q symbols
+        config = ExperimentConfig.from_dict(
+            {
+                "construction": self.SPARSE,
+                "derivations": [{"kind": "characteristic"}],
+                "analyses": [
+                    {"kind": "patterns", "sequence": "characteristic", "length": 1}
+                ],
+            }
+        )
+        with pytest.raises(errors.BudgetExceededError):
+            run(config)
 
     def test_run_admits_before_construct(self, monkeypatch):
         def construct(spec):
@@ -890,11 +1038,9 @@ class TestCli:
             ("construct", HUGE_QR, 1000000000039),
             ("derive", {"construction": SPARSE, "derivation": {"kind": "characteristic"}},
              2 + 10**11),
+            # the window count of a gap sequence costs the set's cost * length
             ("stats", {"construction": HUGE_QR, "derivation": {"kind": "gap_mod", "M": 2}},
              1000000000039 + 1000000000039 + 4096),
-            # the window count costs q * length, whatever the set's size
-            ("stats", {"construction": SPARSE, "derivation": {"kind": "gap_mod", "M": 2}},
-             2 + 10**11 + 4096),
         ],
     )
     def test_over_budget_exits_2_before_building(
@@ -919,6 +1065,10 @@ class TestCli:
             ("derive", {"construction": SPARSE, "derivation": {"kind": "gap_mod", "M": 2}},
              '{\n  "kind": "gap_mod",\n  "params": {\n    "M": 2\n  },\n'
              '  "symbols": [\n    2\n  ]\n}\n'),
+            # one symbol, one window: charged for the set's two elements, not q
+            ("stats", {"construction": SPARSE, "derivation": {"kind": "gap_mod", "M": 2}},
+             '{\n  "length": 1,\n  "counts": [\n    {\n      "pattern": [\n'
+             '        2\n      ],\n      "count": 1\n    }\n  ]\n}\n'),
         ],
     )
     def test_sparse_set_in_a_huge_q_is_admitted(

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 from decimal import Decimal
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import errors, harness
+from zqlab import errors, harness, sequences
 from zqlab.predictions import (
     DeviationBudget,
     characteristic_pattern_main_term,
@@ -164,6 +165,35 @@ class TestNormalizations:
         assert total == q
 
 
+class TestMainTermClasses:
+    """A pattern's main term depends on it only through (length, sum),
+    which the report's one-term-per-class cache relies on."""
+
+    @given(
+        st.sampled_from(sorted(sequences.DERIVATIONS)),
+        st.integers(min_value=2, max_value=6),
+        densities,
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_length_and_sum_same_term(self, kind, param, tq, data):
+        record = sequences.DERIVATIONS[kind]
+        alphabet = record.alphabet(param)
+        symbols = st.integers(alphabet[0], alphabet[-1])
+        pattern = data.draw(st.lists(symbols, min_size=1, max_size=6))
+        other = data.draw(st.permutations(pattern))
+        # move units between positions, staying in the alphabet: same sum
+        for i, j in data.draw(st.lists(st.tuples(*[st.integers(0, len(other) - 1)] * 2))):
+            if i != j and other[i] > alphabet[0] and other[j] < alphabet[-1]:
+                other[i] -= 1
+                other[j] += 1
+        assert sum(other) == sum(pattern)
+        T, q = tq
+        assert record.main_term(tuple(pattern), T, q, param) == record.main_term(
+            tuple(other), T, q, param
+        )
+
+
 class TestBalancePoint:
     def test_m2_exact(self):
         bp = gap_threshold_balance_point(2)
@@ -217,6 +247,52 @@ class TestDeviationBudget:
     def test_negative_deviation_rejected(self):
         with pytest.raises(errors.InvalidParameterError):
             exact_budget().allows(Fraction(-1))
+
+    @staticmethod
+    def true_bound(c: Fraction, q: int, j: int) -> Fraction:
+        """c * sqrt(q) * ln(q)^j to 60 digits, independently of the budget."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            root_log = Decimal(q).sqrt() * Decimal(q).ln() ** j
+            return Fraction(Decimal(c.numerator) / c.denominator * root_log)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(4), Fraction(1, 3)])
+    @pytest.mark.parametrize("q", [2, 6, 101, 10007, 1000003])
+    def test_log_verdicts_one_ulp_either_side(self, q, c, j):
+        b = DeviationBudget("c*sqrt(q)*log(q)^j", True, c, q, j, q)
+        true = self.true_bound(c, q, j)
+        for x in (b.bound(), float(true)):  # the float bound, the nearest float
+            for dev in (math.nextafter(x, 0), x, math.nextafter(x, math.inf)):
+                assert b.allows(Fraction(dev)) == (Fraction(dev) <= true)
+
+    def test_log_verdicts_where_float64_was_wrong(self):
+        # sqrt(2)*ln(2) rounds up in float64: its own value lies above the
+        # budget, which the float comparison allowed
+        b = DeviationBudget("sqrt(q)*log(q)", True, Fraction(1), 2, 1, 2)
+        assert Fraction(b.bound()) > self.true_bound(Fraction(1), 2, 1)
+        assert not b.allows(Fraction(b.bound()))
+        below = math.nextafter(b.bound(), 0)
+        assert b.allows(Fraction(below))
+        # and 4*sqrt(6)*ln(6) rounds down, more than one ulp short of it
+        b = DeviationBudget("4*sqrt(q)*log(q)", True, Fraction(4), 6, 1, 6)
+        above = math.nextafter(b.bound(), math.inf)
+        assert Fraction(above) < self.true_bound(Fraction(4), 6, 1)
+        assert b.allows(Fraction(above))
+
+    def test_log_of_one_is_zero(self):
+        b = DeviationBudget("sqrt(q)*log(q)", True, Fraction(5), 1, 2, 1)
+        assert b.bound() == 0
+        assert b.allows(Fraction(0))
+        assert not b.allows(Fraction(1, 10**30))
+
+    def test_log_verdict_refines_past_the_first_bracket(self):
+        # within 10^-30 of the budget: 20 digits cannot decide it
+        b = DeviationBudget("sqrt(q)*log(q)", True, Fraction(1), 10007, 1, 10007)
+        true = self.true_bound(Fraction(1), 10007, 1)
+        step = Fraction(1, 10**30)
+        assert b.allows(true - step)
+        assert not b.allows(true + step)
 
 
 class TestPredictedCardinality:
