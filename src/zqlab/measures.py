@@ -23,6 +23,8 @@ positive or negative mass of one block for each free end makes it an
 upper bound.  A row goes on to the full kernel only if its upper bound
 reaches the best value known so far, so every row at the maximum gets
 there, in order, and values and witnesses are those of the full scan.
+The witness window is read from the prefix sums the scan keeps of its
+best row, not from a second kernel call.
 The pass runs where it pays, which the input decides: orders 2 to 4, q of
 at least 128, blocks of at least 2^15 cells, and int64 arithmetic (on
 Python ints every row goes to the full kernel).  correlation_up_to carries
@@ -137,7 +139,11 @@ def pattern_counts(seq: DerivedSequence, length: int) -> dict:
     Returns a map from symbol tuples to counts, in lexicographic order;
     windows that never occur are simply absent.  The counts sum to
     len(seq) - length + 1.  Each window is counted by its code in base
-    |alphabet|: int64 when |alphabet|^length < 2^63, Python ints otherwise.
+    |alphabet|, in the narrowest of uint16, uint32 and uint64 that holds
+    |alphabet|^length (and so every symbol), Python ints beyond.  With no
+    more possible codes than windows the codes are tallied with
+    np.bincount, in O(windows) cells; otherwise they are sorted with
+    np.unique.  Only the codes that occur are decoded.
     """
     if length < 1:
         raise InvalidParameterError(f"pattern length must be >= 1, got {length}")
@@ -148,14 +154,21 @@ def pattern_counts(seq: DerivedSequence, length: int) -> dict:
         )
     alphabet = DERIVATIONS[seq.kind].alphabet(seq.param)
     base = alphabet.stop - alphabet.start
-    dtype = np.int64 if base**length < 2**63 else object
-    digits = (seq.array - alphabet.start).astype(dtype, copy=False)
-    windows = size - length + 1
+    family, windows = base**length, size - length + 1
+    unsigned = (np.uint16, np.uint32, np.uint64)
+    dtype = next((t for t in unsigned if family <= np.iinfo(t).max), object)
+    digits = seq.array.astype(dtype)  # holds every symbol
+    digits -= alphabet.start
     codes = digits[:windows].copy()
     for i in range(1, length):
         codes *= base
         codes += digits[i : i + windows]
-    codes, counts = np.unique(codes, return_counts=True)
+    if family <= windows:  # a tally of O(windows) cells
+        counts = np.bincount(codes, minlength=family)
+        codes = np.flatnonzero(counts)
+        counts = counts[codes]
+    else:
+        codes, counts = np.unique(codes, return_counts=True)
     patterns = np.empty((len(codes), length), dtype=dtype)
     for i in reversed(range(length)):
         patterns[:, i] = codes % base
@@ -365,7 +378,7 @@ def _cyclic_best(sums: np.ndarray) -> np.ndarray:
 
 def _prefix_best(sums: np.ndarray) -> np.ndarray:
     """Per row, the largest |sum| over the windows [0, M)."""
-    return abs(sums).max(axis=1)
+    return np.maximum(sums.max(axis=1), -sums.min(axis=1))
 
 
 def _first_length(s: np.ndarray, best) -> int:
@@ -451,8 +464,9 @@ class _Floor:
 
 
 def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0):
-    """(value, lags) of the best lag tuple over the blocks: the highest
-    value, then the first in block order; (-1, None) if no row reaches
+    """(value, lags, sums) of the best lag tuple over the blocks: the
+    highest value, then the first in block order, with a copy of its prefix
+    sums S_0, ..., S_q for the witness; (-1, None, None) if no row reaches
     `floor`.  row_best gives each row's best over windows with `ends`
     free ends (2: cyclic, 1: prefix windows).  Where _coarse selects it,
     rows whose upper bound is below the running floor skip the full
@@ -461,7 +475,7 @@ def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0
     the first block is never smaller than a later one, so _coarse packs its
     masks once, here, if it does not.  Blocks run on `workers` threads, at
     most one a CPU, 2 * workers at a time, pulled from `blocks` on the
-    calling thread."""
+    calling thread; results are folded in block order as they arrive."""
     prefix_sums, running = _kernel(rset, k), _Floor(floor)
     first = next(blocks)
     coarse = _coarse(rset, k) if len(first) * rset.q >= _COARSE_MIN_CELLS else None
@@ -474,20 +488,27 @@ def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0
             running.raise_to(int(lower.max()))
             lags = lags[upper >= running.value]
             if not len(lags):
-                return -1, None
-        best = row_best(prefix_sums(lags))
+                return -1, None, None
+        sums = prefix_sums(lags)
+        best = row_best(sums)
         r = int(np.argmax(best))
-        running.raise_to(int(best[r]))
-        return int(best[r]), tuple(int(d) for d in lags[r])
+        value = int(best[r])
+        running.raise_to(value)
+        # a row below the running floor is beaten by a real window: no copy
+        kept = sums[r].copy() if value >= running.value else None
+        return value, tuple(int(d) for d in lags[r]), kept
+
+    def value(result):
+        return result[0]
 
     workers = _pool_size(workers)  # a pool starts no more threads than blocks
     if workers <= 1:
-        return max(map(scan, blocks), key=lambda r: r[0])  # first of equals
-    results = []
+        return max(map(scan, blocks), key=value)  # first of equals
+    best = (-1, None, None)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         while batch := list(itertools.islice(blocks, 2 * workers)):
-            results += pool.map(scan, batch)
-    return max(results, key=lambda r: r[0])
+            best = max(itertools.chain([best], pool.map(scan, batch)), key=value)
+    return best
 
 
 def _exact_rows(q: int, k: int):
@@ -512,8 +533,7 @@ def correlation_exact(
     q = rset.q
     _validate_order(k, q)
     admit(f"correlation_exact(q={q}, k={k})", exact_cost(q, k), budget)
-    best, rep = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers)
-    sums = _kernel(rset, k)(np.array([rep]))[0]
+    best, rep, sums = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers)
     start, window = _cyclic_witness(sums, best)
     return CorrelationResult(
         k=k,
@@ -572,7 +592,7 @@ def correlation_up_to(
     best = 0
     for k in range(1, s + 1):
         floor = best * q
-        best, _ = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers, floor)
+        best, *_ = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers, floor)
         best = max(best, floor)
     return Fraction(best, q**s)
 
@@ -641,11 +661,11 @@ def correlation_sampled(
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     admit("correlation_sampled", samples * q, budget)
     blocks = _sampled_rows(q, k, samples, seed, max(1, _CHUNK_CELLS // q))
-    best, lags = _best_row(rset, k, blocks, _prefix_best, 1, workers)
+    best, lags, sums = _best_row(rset, k, blocks, _prefix_best, 1, workers)
     return CorrelationResult(
         k=k,
         value=Fraction(best, q**k),
-        window=_first_length(_kernel(rset, k)(np.array([lags]))[0], best),
+        window=_first_length(sums, best),
         lags=lags,
         mode="sampled",
         tuples_examined=samples,

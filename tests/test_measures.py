@@ -140,10 +140,29 @@ def counter_reference(symbols, length):
 
 
 # (kind, param) for every derivation kind; M = 10^12 makes |alphabet|^2
-# exceed 2^63, so its length-2 windows take the Python-int codes.
+# exceed 2^64, so its length-2 windows take the Python-int codes.
 DERIVED = [
     ("gap_mod", 2), ("gap_mod", 3), ("gap_mod", 7), ("gap_mod", 10**12),
     ("gap_threshold", 2), ("gap_threshold", 4), ("characteristic", None),
+]
+
+
+def bits(n):
+    """n seeded random bits."""
+    return np.random.default_rng(n).integers(0, 2, n).tolist()
+
+
+def characteristic(symbols):
+    return DerivedSequence("characteristic", None, symbols)
+
+
+# (M, length) with M^length at the edges of the uint16, uint32 and uint64
+# codes, gap_mod's alphabet being 1..M
+CODE_WIDTH_EDGES = [
+    (2**16 - 1, 1), (2**16, 1), (2**16 + 1, 1), (2**8, 2), (2**8 + 1, 2),
+    (2**32 - 1, 1), (2**32, 1), (2**32 + 1, 1), (2**16, 2), (2**16 + 1, 2),
+    (2**64 - 1, 1), (2**64, 1), (2**64 + 1, 1), (2**32, 2), (2**16, 4),
+    (2**32 + 1, 2),
 ]
 
 two_plus_subsets = st.integers(min_value=3, max_value=60).flatmap(
@@ -168,7 +187,8 @@ class TestWindowCodes:
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_python_int_codes(self, length):
-        # gaps 1, 2, 4, 8, ...: every length-l window is distinct
+        # gaps 1, 2, 4, 8, ...: every length-l window is distinct; lengths 2
+        # and 3 take the Python-int codes, length 1 uint64
         r = explicit_set(2**12, [2**i - 1 for i in range(12)])
         seq = derive_gap_mod(r, 10**12)
         counts = pattern_counts(seq, length)
@@ -179,6 +199,55 @@ class TestWindowCodes:
         M = 10**12
         seq = DerivedSequence("gap_mod", M, [M, 1, M, M, 1])
         assert pattern_counts(seq, 2) == {(1, M): 1, (M, 1): 2, (M, M): 1}
+
+    @given(st.sampled_from(CODE_WIDTH_EDGES), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_counter_reference_at_code_width_edges(self, case, data):
+        M, length = case
+        top = min(M, 2**63 - 1)  # a symbol is an int64
+        symbol = st.one_of(st.sampled_from([1, 2, top - 1, top]), st.integers(1, top))
+        symbols = data.draw(st.lists(symbol, min_size=length, max_size=40))
+        seq = DerivedSequence("gap_mod", M, symbols)
+        counts = pattern_counts(seq, length)
+        assert counts == counter_reference(seq.symbols, length)
+        assert list(counts) == sorted(counts)
+        assert all(type(x) is int for pat in counts for x in pat)
+        assert all(type(c) is int for c in counts.values())
+
+    @pytest.mark.parametrize(
+        "seq, length, dtype, tallied",
+        [
+            # at most one possible code per window: tallied
+            (characteristic(bits(19)), 4, np.uint16, True),  # 16 codes, 16 windows
+            (characteristic(bits(16397)), 14, np.uint16, True),
+            # 2^16 codes need uint32
+            (characteristic(bits(2**16 + 15)), 16, np.uint32, True),
+            # more: sorted
+            (characteristic(bits(18)), 4, np.uint16, False),  # 16 codes, 15 windows
+            (characteristic(bits(900)), 17, np.uint32, False),
+            (DerivedSequence("gap_mod", 2**16 - 1, [1, 2**16 - 1, 7]), 1, np.uint16, False),
+            (DerivedSequence("gap_mod", 2**16, [1, 2**16, 7]), 1, np.uint32, False),
+            (DerivedSequence("gap_mod", 2**32 - 1, [2**32 - 1, 5, 2**32 - 1]), 2,
+             np.uint64, False),
+            (DerivedSequence("gap_mod", 2**32, [2**32, 5, 2**32]), 2, object, False),
+            (DerivedSequence("gap_mod", 2**64 - 1, [1, 2**63 - 1]), 1, np.uint64, False),
+            (DerivedSequence("gap_mod", 2**64, [1, 2**63 - 1]), 1, object, False),
+        ],
+    )
+    def test_narrowest_codes_and_branch(self, monkeypatch, seq, length, dtype, tallied):
+        calls, bincount, unique = [], np.bincount, np.unique
+
+        def spy(name, fn):
+            return lambda codes, **kw: calls.append((name, codes.dtype)) or fn(codes, **kw)
+
+        monkeypatch.setattr(np, "bincount", spy("bincount", bincount))
+        monkeypatch.setattr(np, "unique", spy("unique", unique))
+        counts = pattern_counts(seq, length)
+        assert calls == [("bincount" if tallied else "unique", np.dtype(dtype))]
+        assert counts == counter_reference(seq.symbols, length)
+        assert list(counts) == sorted(counts)
+        assert all(type(x) is int for pat in counts for x in pat)
+        assert all(type(c) is int for c in counts.values())
 
     @pytest.mark.parametrize("p", [11, 101, 1009])
     def test_every_length_on_qr(self, p):
@@ -702,6 +771,143 @@ class TestCoarsePass:
         r = quadratic_residue_set(10007)
         assert correlation_up_to(r, 2) == Fraction(653386, 10007)  # order 1
         assert rows == [1]  # the one order-1 row
+
+
+def old_rule(r, k, samples=None, seed=0):
+    """(value, window, lags) by the rule the scans followed when they ran
+    the kernel again on the winner: the first row, in block order, at the
+    highest |sum| over every row (cyclic windows when exact, prefix windows
+    when sampled), its witness from a second kernel call on it alone."""
+    q = r.q
+    if samples is None:
+        blocks, row_best = measures._representatives(q, k, 512), measures._cyclic_best
+    else:
+        blocks = measures._sampled_rows(q, k, samples, seed, 512)
+        row_best = lambda sums: abs(sums).max(axis=1)  # noqa: E731
+    prefix_sums = measures._kernel(r, k)
+    best, lags = -1, None
+    for block in blocks:
+        values = row_best(prefix_sums(block))
+        i = int(np.argmax(values))
+        if values[i] > best:
+            best, lags = int(values[i]), tuple(int(d) for d in block[i])
+    sums = prefix_sums(np.array([lags]))[0]
+    if samples is None:
+        start, window = measures._cyclic_witness(sums, best)
+        lags = tuple(sorted((d + start) % q for d in lags))
+    else:
+        window = measures._first_length(sums, best)
+    return Fraction(best, q**k), window, lags
+
+
+class TestWitnessFromTheScan:
+    """The scan keeps its winner's prefix sums; the witness is read from
+    them, with no second kernel call."""
+
+    @staticmethod
+    def scans(r, k, samples, seed, rows=3):
+        """Exact and sampled witnesses at workers 1 and 2, in blocks of
+        `rows` rows, on threads on any machine."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK_CELLS", rows * r.q)
+            mp.setattr(measures, "_cpus", lambda: 2)
+            for workers in (1, 2):
+                yield None, witness(correlation_exact(r, k, workers=workers))
+                yield samples, witness(
+                    correlation_sampled(r, k, samples, seed=seed, workers=workers)
+                )
+
+    @given(small_cases, st.integers(1, 30), st.integers(0, 99), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_old_rule(self, case, samples, seed, python_ints):
+        r, k = case
+        with pytest.MonkeyPatch.context() as mp:
+            if python_ints:  # no int64 headroom: the Python-int path
+                mp.setattr(measures, "_INT64_HEADROOM", 0)
+            expected = {None: old_rule(r, k), samples: old_rule(r, k, samples, seed)}
+            for key, got in self.scans(r, k, samples, seed):
+                assert got == expected[key]
+
+    @given(coarse_cases(), st.integers(0, 99))
+    @settings(max_examples=10, deadline=None)
+    def test_equals_the_old_rule_where_bounded(self, case, seed):
+        r, k = case
+        assert witness(correlation_exact(r, k)) == old_rule(r, k)
+        assert witness(correlation_sampled(r, k, 300, seed=seed)) == old_rule(
+            r, k, 300, seed
+        )
+
+    @pytest.mark.parametrize("q, k", [(1, 1), (7, 1), (7, 3), (256, 2), (256, 3)])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_all_ties_keep_the_first_row(self, q, k, full):
+        # f = 0 on the empty set and on all of Z_q: every window sums to 0,
+        # so the first representative and the first draw win, at length 1;
+        # at q = 256, blocks of up to 4096 rows are bounded and every row
+        # passes the bounds
+        r = explicit_set(q, range(q) if full else [])
+        first_draw = tuple(int(d) for d in next(measures._sampled_rows(q, k, 1, 4, 1))[0])
+        expected = {None: (0, 1, tuple(range(k))), 5000: (0, 1, first_draw)}
+        for key, got in self.scans(r, k, 5000, 4, rows=4096 if q == 256 else 3):
+            assert got == expected[key] == old_rule(r, k, key, 4)
+
+    @pytest.mark.parametrize("k, samples", [(2, None), (3, None), (2, 150), (3, 10000)])
+    def test_kernel_runs_only_on_survivors(self, monkeypatch, k, samples):
+        # QR 257: every block spans _COARSE_MIN_CELLS (k = 3 has three
+        # blocks of up to 4080 rows), so each is bounded at every width
+        r = quadratic_residue_set(257)
+        expected = old_rule(r, k, samples, seed=1)
+        events, coarse, kernel = [], measures._coarse, measures._kernel
+
+        def bounded(rset, k):
+            bounds = coarse(rset, k)
+
+            def recorded(lags, width, *rest):
+                events.append((width, lags.tolist()))
+                return bounds(lags, width, *rest)
+
+            return recorded
+
+        def counted(rset, k):
+            prefix_sums = kernel(rset, k)
+            return lambda lags: events.append(("kernel", lags.tolist())) or prefix_sums(lags)
+
+        monkeypatch.setattr(measures, "_coarse", bounded)
+        monkeypatch.setattr(measures, "_kernel", counted)
+        if samples is None:
+            res = correlation_exact(r, k)
+        else:
+            res = correlation_sampled(r, k, samples, seed=1)
+        assert witness(res) == expected
+        calls = [i for i, (what, _) in enumerate(events) if what == "kernel"]
+        assert calls  # the maximum reaches the kernel
+        for i in calls:
+            # right after the narrowest bounds of its block, on survivors of
+            # them, in their order
+            width, rows = events[i - 1]
+            assert width == measures._COARSE_WIDTHS[-1]
+            survivors = iter(rows)
+            assert all(row in survivors for row in events[i][1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_kernel_call_per_unbounded_block(self, monkeypatch, workers):
+        # q = 30 is below _COARSE_MIN_Q: every block goes to the kernel whole
+        r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
+        expected = old_rule(r, 3), old_rule(r, 3, 40, seed=2)
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 rows a block
+        monkeypatch.setattr(measures, "_cpus", lambda: 2)  # threads on any machine
+        rows, kernel = [], measures._kernel
+
+        def counted(rset, k):
+            prefix_sums = kernel(rset, k)
+            return lambda lags: rows.append(len(lags)) or prefix_sums(lags)
+
+        monkeypatch.setattr(measures, "_kernel", counted)
+        assert witness(correlation_exact(r, 3, workers=workers)) == expected[0]
+        blocks = [len(b) for b in measures._representatives(30, 3, 3)]
+        assert sorted(rows) == sorted(blocks)
+        rows.clear()
+        assert witness(correlation_sampled(r, 3, 40, seed=2, workers=workers)) == expected[1]
+        assert sorted(rows) == [1] + [3] * 13
 
 
 class TestShiftCovariance:
