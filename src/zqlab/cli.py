@@ -15,9 +15,7 @@ check failed, 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -38,12 +36,6 @@ def _emit(text: str, out: str | None):
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
 
 
 def _add_io_flags(p):
@@ -87,7 +79,14 @@ def _cmd_construct(args) -> tuple:
     spec = ConstructionSpec.from_json(_load_json(args.config))
     _admit(args.command, spec)
     rset = construct(spec)
-    return rset.to_json(), ([n] for n in ("element", *rset.elements))
+    return rset.to_json(), _element_rows(rset)
+
+
+def _element_rows(rset):
+    """construct's CSV rows, listed only when they are written."""
+    yield ["element"]
+    for n in rset.array.tolist():
+        yield [n]
 
 
 def _derived_sequence(args, length=None) -> sequences.DerivedSequence:
@@ -138,6 +137,7 @@ def _cmd_corr(args) -> tuple:
     analysis = harness.AnalysisSpec(
         kind, k=args.order, samples=args.samples, seed=_seed(args)
     )
+    measures.validate_correlation(q, args.order, args.samples)
     measures.admit(what, harness.ANALYSES[kind].cost(analysis, q), args.budget)
     result = harness.correlate(
         construct(spec), analysis, 0, workers=workers, budget=args.budget
@@ -160,7 +160,7 @@ def _cmd_verify(args) -> int:
     if args.fmt == "json":
         text = report.to_json_text()
     else:
-        text = _csv_text(report.csv_rows())
+        text = harness.csv_text(report.csv_rows())
     _emit(text, args.out)
     if args.out:
         print(f"{report.status}: report written to {args.out}")
@@ -180,7 +180,7 @@ def _cmd_sweep(args) -> int:
         outdir=args.out,
     )
     if args.out is None:
-        sys.stdout.write(_csv_text(rows))
+        sys.stdout.write(harness.csv_text(rows))
     else:
         print(f"{len(bodies)} reports written to {args.out}")
     bad = any("error" in b or b.get("status") == "FAIL" for b in bodies)
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         if args.fmt == "json":
             _emit(harness.json_text(obj) + "\n", args.out)
         else:
-            _emit(_csv_text(rows), args.out)
+            _emit(harness.csv_text(rows), args.out)
         return 0
     except (Error, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ import copy
 import csv
 import decimal
 import hashlib
+import io
 import itertools
 import json
 import time
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -90,22 +92,32 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 @lru_cache(maxsize=64)
 def _encoder(depth: int, sort_keys: bool):
     """json's C encoder, its item separator the newline and indent of
-    entries at `depth` + 1; it is only handed containers of scalars, which
-    hold no cycle to check for."""
+    entries at `depth` + 1; it is only handed scalars and containers of
+    scalars, which hold no cycle to check for."""
     separators = (",\n" + "  " * (depth + 1), ": ")
     return json.JSONEncoder(
         sort_keys=sort_keys, separators=separators, check_circular=False
     ).encode
 
 
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: a str key encoded, an int,
+    float, bool or None key as its scalar text, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{_encoder(0, False)(key)}"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
 def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte.
 
-    Each container's scalars are encoded by one call of json's C encoder,
-    its separators carrying the newline and indent of its depth; the
-    entries of nested containers (stood in for by null) are then spliced
-    in.  Encoded scalars and keys never hold a raw newline, so splitting
-    on the separator finds the entries.  A container reached twice at
+    A container of scalars is one call of json's C encoder, its
+    separators carrying the newline and indent of its depth; any other
+    container joins its rendered entries.  A container reached twice at
     the same depth (the shared sub-dicts of a report) is rendered once.
     Values must be acyclic (a cycle raises RecursionError, not json's
     ValueError).
@@ -117,32 +129,28 @@ def json_text(obj, sort_keys: bool = False) -> str:
             return _encoder(depth, sort_keys)(value)
         key = (id(value), depth)
         if key not in rendered:
-            is_dict = isinstance(value, dict)
-            flat, nested = value, ()
-            if not set(map(type, value.values() if is_dict else value)) <= _SCALARS:
-                # json's order of the entries; the containers among them
-                if is_dict:
-                    keys = sorted(value) if sort_keys else list(value)
-                else:
-                    keys = range(len(value))
-                nested = [
-                    i for i, k in enumerate(keys) if isinstance(value[k], _CONTAINERS)
-                ]
-                flat = dict(value) if is_dict else list(value)
-                for i in nested:
-                    flat[keys[i]] = None
-            text = _encoder(depth, sort_keys)(flat)
-            inner, indent = text[1:-1], "  " * (depth + 1)
-            if nested:
-                sep = ",\n" + indent
-                entries = inner.split(sep)
-                for i in nested:  # entries[i] ends in the stand-in "null"
-                    entries[i] = entries[i][:-4] + render(value[keys[i]], depth + 1)
-                inner = sep.join(entries)
-            rendered[key] = f"{text[0]}\n{indent}{inner}\n{indent[:-2]}{text[-1]}"
+            is_dict, indent = isinstance(value, dict), "  " * (depth + 1)
+            if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+                inner = _encoder(depth, sort_keys)(value)[1:-1]
+            elif is_dict:
+                items = sorted(value.items()) if sort_keys else value.items()
+                inner = (",\n" + indent).join(
+                    f"{_key_text(k)}: {render(v, depth + 1)}" for k, v in items
+                )
+            else:
+                inner = (",\n" + indent).join(render(v, depth + 1) for v in value)
+            start, end = "{}" if is_dict else "[]"
+            rendered[key] = f"{start}\n{indent}{inner}\n{indent[:-2]}{end}"
         return rendered[key]
 
     return render(obj, 0)
+
+
+def csv_text(rows) -> str:
+    """The rows as csv.writer writes them: "\r\n" after each."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _budget_json(budget: DeviationBudget) -> dict:
@@ -599,25 +607,13 @@ def _analysis_name(entry: dict) -> str:
 
 
 def _item_row(name: str, item: dict) -> list:
+    """An item's CSV row, in _REPORT_COLUMNS order."""
     if "value" in item:  # correlation item
-        return [
-            name,
-            item["label"],
-            item["value"]["decimal"],
-            "",
-            "",
-            item["trivial_bound"]["decimal"],
-            item["status"],
-        ]
-    return [
-        name,
-        item["label"],
-        str(item["empirical"]),
-        item["predicted"]["decimal"],
-        item["deviation"]["decimal"],
-        str(item["budget"]["value"]),
-        item["status"],
-    ]
+        scores = [item["value"]["decimal"], "", "", item["trivial_bound"]["decimal"]]
+    else:
+        scores = [str(item["empirical"]), item["predicted"]["decimal"],
+                  item["deviation"]["decimal"], str(item["budget"]["value"])]
+    return [name, item["label"], *scores, item["status"]]
 
 
 def run(
@@ -732,13 +728,12 @@ def _run_point(config: ExperimentConfig, workers: int, op_budget: int) -> dict:
 def _summary_item(entry: dict):
     """Representative item of an analysis: the largest deviation."""
     items = entry["items"]
-    scored = [i for i in items if "deviation" in i]
-    if scored:
-        best = max(
-            scored, key=lambda i: Fraction(i["deviation"]["num"], i["deviation"]["den"])
-        )
-        return _item_row(_analysis_name(entry), best)
-    return _item_row(_analysis_name(entry), items[0])
+    best = max(
+        (i for i in items if "deviation" in i),
+        key=lambda i: Fraction(i["deviation"]["num"], i["deviation"]["den"]),
+        default=items[0],
+    )
+    return _item_row(_analysis_name(entry), best)
 
 
 def sweep(
@@ -795,6 +790,5 @@ def sweep(
             if "error" not in body:
                 text = VerificationReport(body).to_json_text()
                 (outdir / f"report_{i:04d}.json").write_text(text)
-        with (outdir / "summary.csv").open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+        (outdir / "summary.csv").write_text(csv_text(rows), newline="")
     return bodies, rows

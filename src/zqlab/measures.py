@@ -205,11 +205,15 @@ class CorrelationResult:
         }
 
 
-def _validate_order(k: int, q: int) -> None:
+def validate_correlation(q: int, k: int, samples: int | None = None) -> None:
+    """Refuse an order outside 1..q or fewer than one sample; their costs
+    read 0 or less, so this runs before a scan is admitted."""
     if k < 1:
         raise InvalidParameterError(f"correlation order must be >= 1, got {k}")
     if k > q:
         raise OrderTooLargeError(f"correlation order {k} exceeds q={q}")
+    if samples is not None and samples < 1:
+        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
 
 
 def admit(what: str, cost: int, budget: int, unit: str = "cells") -> None:
@@ -531,7 +535,7 @@ def correlation_exact(
     shortest length; its lags are the representative shifted by the start.
     """
     q = rset.q
-    _validate_order(k, q)
+    validate_correlation(q, k)
     admit(f"correlation_exact(q={q}, k={k})", exact_cost(q, k), budget)
     best, rep, sums = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers)
     start, window = _cyclic_witness(sums, best)
@@ -555,7 +559,7 @@ def correlation_oracle(rset: ResidueSet, k: int) -> CorrelationResult:
     q, t = rset.q, rset.cardinality
     if q > 64 or k > 3:
         raise TooLargeError(f"oracle restricted to q <= 64, k <= 3; got q={q}, k={k}")
-    _validate_order(k, q)
+    validate_correlation(q, k)
     member = rset.member_mask
     fnum = [q - t if member[n] else -t for n in range(q)]
     best_num, best_window, best_lags = -1, -1, None
@@ -587,7 +591,7 @@ def correlation_up_to(
     best of the lower orders, in q^k units, is the floor of order k's scan,
     so its rows that cannot pass it skip the full kernel."""
     q = rset.q
-    _validate_order(s, q)
+    validate_correlation(q, s)
     admit(f"correlation_up_to(q={q}, s={s})", up_to_cost(q, s), budget)
     best = 0
     for k in range(1, s + 1):
@@ -654,9 +658,7 @@ def correlation_sampled(
     cells; requests above the budget are refused before anything is drawn.
     """
     q = rset.q
-    _validate_order(k, q)
-    if samples < 1:
-        raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    validate_correlation(q, k, samples)
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     admit("correlation_sampled", samples * q, budget)

@@ -135,7 +135,7 @@ def _dth_power_mask(p: int, d: int) -> np.ndarray:
 
 
 def _primitive_root_mask(p: int) -> np.ndarray:
-    """mask[y] = True iff y generates the unit group of Z_p."""
+    """mask[y] = True iff y = g^j with gcd(j, p - 1) = 1: a primitive root."""
     table = nt.build_index_table(p)
     mask = np.gcd(table.table, p - 1) == 1
     mask[0] = False  # gcd(-1 sentinel, p-1) = 1 must not leak through
@@ -241,8 +241,8 @@ def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
     _require_divisor("r", r, p)
     fr = _checked_poly(f, p)
     table = nt.build_index_table(p)
-    exps = np.flatnonzero(np.gcd(np.arange(p - 1, dtype=np.int64), p - 1) == 1)
-    xs = table.powers[exps * s % (p - 1)]
+    roots = np.flatnonzero(_primitive_root_mask(p))
+    xs = table.powers[table.table[roots] * s % (p - 1)]
     fvals = nt.poly_eval_array(fr, xs, p)
     mask = np.zeros(p, dtype=bool)
     mask[xs[_dth_power_mask(p, r)[fvals]]] = True

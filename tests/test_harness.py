@@ -610,6 +610,67 @@ class TestJsonText:
         )
 
 
+# Keys json.dumps accepts besides str: it writes their scalar text, quoted.
+json_keys = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+
+
+class TestJsonTextKeys:
+    """json_text writes non-str keys and refuses keys as json.dumps does."""
+
+    @given(
+        st.recursive(
+            json_scalars,
+            lambda children: st.lists(children, max_size=4)
+            | st.dictionaries(json_keys, children, max_size=4),
+            max_leaves=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_int_float_bool_none_keys(self, value):
+        # in insertion order: keys of mixed types do not sort
+        assert harness.json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: {2: [3]}, -4: [{}], 10**30: {"x": None}},
+            {0.5: [1, {"a": 2}], -0.0: {}, float("nan"): [[]], float("inf"): {3: 4}},
+            {True: {False: [None]}, False: [{None: True}]},
+            {None: [{None: {None: 1}}]},
+            [{7: {8: [9, {10: 11}]}}],
+        ],
+    )
+    def test_nested_non_str_keys(self, value):
+        for sort_keys in (False, True):
+            expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+            assert harness.json_text(value, sort_keys=sort_keys) == expected
+
+    @pytest.mark.parametrize(
+        "value", [{(1, 2): 3}, {(1,): [4]}, {"a": {(): {}}}, [{"b": 1, (5,): [6]}]]
+    )
+    def test_tuple_key_raises_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            harness.json_text(value)
+        assert str(got.value) == str(expected.value)
+
+
+class TestCsvText:
+    def test_rows_end_in_crlf(self):
+        rows = [["a", "b"], [1, "x,y"], ['q"', None]]
+        assert harness.csv_text(rows) == 'a,b\r\n1,"x,y"\r\n"q""",\r\n'
+
+    def test_summary_csv_is_the_rows(self, tmp_path):
+        _, rows = sweep(TestSweep.SWEEP_BASE, TestSweep.GRID, outdir=tmp_path)
+        data = (tmp_path / "summary.csv").read_bytes()
+        assert data == harness.csv_text(rows).encode()
+        assert data.count(b"\r\n") == len(rows) == data.count(b"\n")
+
+
 class TestEstimateCost:
     def test_correlation_dominates(self):
         config = ExperimentConfig.from_dict(
@@ -1028,6 +1089,17 @@ class TestCli:
             in capsys.readouterr().err
         )
 
+    def test_construct_json_never_reads_elements(self, tmp_path, capsys, monkeypatch):
+        def elements(rset):
+            raise AssertionError("construct --format json read the elements tuple")
+
+        monkeypatch.setattr(ResidueSet, "elements", property(elements))
+        cfg = self.write(tmp_path, "c.json", self.QR11)
+        assert cli.main(["construct", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["elements"] == [1, 3, 4, 5, 9]
+        assert cli.main(["construct", "--config", cfg, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "element\r\n1\r\n3\r\n4\r\n5\r\n9\r\n"
+
     # ~3.64 TiB of tables for this QR set; ~93.1 GiB for this characteristic
     HUGE_QR = {"kind": "quadratic_residues", "params": {"p": 1000000000039}}
     SPARSE = {"kind": "explicit", "params": {"q": 10**11, "elements": [1, 5]}}
@@ -1370,6 +1442,30 @@ class TestCli:
     # The output forms of every subcommand, pinned byte for byte on QR 11.
     QR11 = {"kind": "quadratic_residues", "params": {"p": 11}}
     GAPS11 = {"construction": QR11, "derivation": {"kind": "gap_mod", "M": 2}}
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            (QR11, ["-k", "0"], "correlation order must be >= 1, got 0"),
+            (QR11, ["-k", "12"], "correlation order 12 exceeds q=11"),
+            (QR11, ["-k", "2", "--samples", "0"], "samples must be >= 1, got 0"),
+            (QR11, ["-k", "2", "--samples", "-3"], "samples must be >= 1, got -3"),
+            (QR11, ["-k", "0", "--samples", "0"], "correlation order must be >= 1, got 0"),
+            # both cost 0 cells: admission alone would let the set be built
+            (HUGE_QR, ["-k", "0"], "correlation order must be >= 1, got 0"),
+            (HUGE_QR, ["-k", "2", "--samples", "0"], "samples must be >= 1, got 0"),
+        ],
+    )
+    def test_corr_bad_order_or_samples_exits_2_before_construct(
+        self, tmp_path, capsys, monkeypatch, config, flags, message
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before the check")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        cfg = self.write(tmp_path, "c.json", config)
+        assert cli.main(["corr", "--config", cfg, *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command, config, flags, expected",

@@ -160,6 +160,15 @@ class TestPrimitiveRootPowers:
         assert primitive_root_power_set(7, 1, 1, (0, 1)).elements == (3, 5)
         assert primitive_root_set(7).elements == (3, 5)
 
+    # every odd prime below 200, a sweep prime, and one near 10^6
+    @pytest.mark.parametrize(
+        "p", [p for p in range(3, 200) if nt.is_prime(p)] + [30011, 1000003]
+    )
+    def test_s_and_r_one_is_the_primitive_root_set(self, p):
+        rset = primitive_root_power_set(p, 1, 1, [0, 1])
+        assert rset == primitive_root_set(p)
+        assert rset.cardinality == nt.euler_phi(nt.factorize(p - 1))
+
     def test_squares_of_roots(self):
         assert primitive_root_power_set(7, 2, 1, (0, 1)).elements == (2, 4)
 
