@@ -122,9 +122,14 @@ def _cmd_stats(args) -> tuple:
     seq = _derived_sequence(args, length)
     counts = measures.pattern_counts(seq, length)  # observed, in order
     items = [{"pattern": list(pat), "count": n} for pat, n in counts.items()]
-    rows = [["pattern", "count"]]
-    rows += ([" ".join(map(str, pat)), n] for pat, n in counts.items())
-    return {"length": length, "counts": items}, rows
+    return {"length": length, "counts": items}, _count_rows(counts)
+
+
+def _count_rows(counts: dict):
+    """stats's CSV rows, listed only when they are written."""
+    yield ["pattern", "count"]
+    for pat, n in counts.items():
+        yield [" ".join(map(str, pat)), n]
 
 
 def _cmd_corr(args) -> tuple:

@@ -29,7 +29,11 @@ The pass runs where it pays, which the input decides: orders 2 to 4, q of
 at least 128, blocks of at least 2^15 cells, and int64 arithmetic (on
 Python ints every row goes to the full kernel).  correlation_up_to carries
 the best value of the lower orders into each higher order's scan as its
-starting bound.
+starting bound.  Each scan thread gets one workspace for the pass: named
+buffers that grow to the largest request and are handed out as views, so
+a warm pass allocates nothing of a block's size.  Its later blocks and
+widths reuse it; the narrowest width frees it, since the full kernel may
+run next and can use that memory, and it goes with the scan.
 
 The sampled scan shares the kernel and the coarse pass, over prefix
 windows (one free end).  Its lag tuples are those of one
@@ -286,7 +290,11 @@ def _coarse(rset: ResidueSet, k: int):
     |S| = i, the positions with exactly j members number
     sum_i (-1)^(i-j) C(i, j) e_i, so the block's positive mass of P is
     linear in the e_i too.  The ANDs without d_k are taken once per run of
-    rows sharing d_1, ..., d_{k-1}.
+    rows sharing d_1, ..., d_{k-1}.  The e_i are summed in int16 (each is at
+    most C(k, i) * 32), then weighted in int64.
+
+    Every call on one thread takes its arrays from that thread's _Workspace,
+    which lives as long as the returned function.
     """
     q, t = rset.q, rset.cardinality
     wide = _COARSE_WIDTHS[0]
@@ -310,10 +318,10 @@ def _coarse(rset: ResidueSet, k: int):
     cut = q // 8
     inside = np.packbits(np.arange(8 * size) < q)[cut:]
 
-    def rotated(d: np.ndarray) -> np.ndarray:
-        masks = slices[d % 8, d // 8]
-        masks[:, cut:] &= inside  # positions q and past: another period
-        return masks
+    def rotated(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out[...] = slices[d % 8, d // 8]
+        out[:, cut:] &= inside  # positions q and past: another period
+        return out
 
     table = _table(q, t, k, object)
     weights = np.array(
@@ -330,42 +338,98 @@ def _coarse(rset: ResidueSet, k: int):
         ],
         dtype=np.int64,
     )
+    workspace = _Workspace()
 
     def bounds(lags: np.ndarray, width: int, row_best, ends: int):
         """(lower, upper) per row: row_best of the block-boundary prefix
         sums, which some real window reaches, and that plus `ends` times
         the largest positive or negative mass of P inside one block, by
-        which moving a window end to its block's start can change a sum."""
+        which moving a window end to its block's start can change a sum.
+        Its (rows, blocks) arrays and packed masks are views of this
+        thread's workspace, which the narrowest width gives back."""
         rows, blocks = len(lags), 8 * size // width
         view = np.dtype(f"<u{width // 8}")
-        e = np.zeros((k + 1, rows, blocks), dtype=np.int64)
-        e[0] = np.clip(q - width * np.arange(blocks), 0, width)  # block lengths
         new = np.ones(rows, dtype=bool)
         new[1:] = (lags[1:, :-1] != lags[:-1, :-1]).any(axis=1)
         run = np.cumsum(new) - 1
+        runs = int(run[-1]) + 1
+        # e[n - 1] is e_n, at most C(k, n) * 32 <= 192
+        e = workspace.get("e", (k, rows, blocks), np.int16)
+        counts = workspace.get("counts", (rows, blocks), np.uint8)
+        # ANDs within the prefix, counted once per run into e_1 .. e_{k-1}
         heads = [(0, None)]  # (|S|, AND over S) for each S within the prefix
+        slots = iter(workspace.get("heads", (2 ** (k - 1) - 1, runs, size), np.uint8))
         for i in range(k - 1):
-            masks = rotated(lags[new, i])
-            heads += [(n + 1, masks if a is None else a & masks) for n, a in heads]
-        last = rotated(lags[:, -1])
+            masks = rotated(lags[new, i], next(slots))
+            heads += [
+                (n + 1, masks if a is None else np.bitwise_and(a, masks, out=next(slots)))
+                for n, a in heads
+            ]
+        per_run = workspace.get("per_run", (k - 1, runs, blocks), np.int16)
+        per_run[...] = 0
+        for n, a in heads[1:]:
+            counted = np.bitwise_count(a.view(view), out=counts[:runs])
+            np.add(per_run[n - 1], counted, out=per_run[n - 1])
+        np.take(per_run, run, axis=1, out=e[:-1], mode="clip")
+        e[-1] = 0
+        # ANDs with d_k, row by row
+        last = rotated(lags[:, -1], workspace.get("last", (rows, size), np.uint8))
+        ands = workspace.get("ands", (rows, size), np.uint8)
         for n, a in heads:
-            if a is not None:
-                e[n] += np.bitwise_count(a.view(view))[run]
-                a = a[run] & last
-            e[n + 1] += np.bitwise_count((last if a is None else a).view(view))
-        block_sums, pos = np.einsum("wi,irb->wrb", weights, e)
-        sums = np.zeros((rows, blocks + 1), dtype=np.int64)
-        np.cumsum(block_sums, axis=1, out=sums[:, 1:])
-        lower = row_best(sums)
+            if a is None:
+                a = last
+            else:
+                a = np.take(a, run, axis=0, out=ands, mode="clip")
+                a &= last
+            np.add(e[n], np.bitwise_count(a.view(view), out=counts), out=e[n])
+        # block sums into sums[:, 1:], positive masses into pos; e_0 is the
+        # block length, the same in every row
+        lengths = np.clip(q - width * np.arange(blocks), 0, width)
+        sums = workspace.get("sums", (rows, blocks + 1), np.int64)
+        pos = workspace.get("pos", (rows, blocks), np.int64)
+        spare = workspace.get("spare", (rows, blocks + 1), np.int64)
+        block_sums, term = sums[:, 1:], spare[:, :blocks]
+        for w, out in enumerate((block_sums, pos)):
+            np.multiply(e[0], weights[w, 1], out=out)
+            out += weights[w, 0] * lengths
+            for n in range(2, k + 1):
+                out += np.multiply(e[n - 1], weights[w, n], out=term)
         # max(positive mass, negative mass), the latter pos - block_sums
-        slack = (pos - np.minimum(block_sums, 0)).max(axis=1)
+        np.minimum(block_sums, 0, out=term)
+        slack = np.subtract(pos, term, out=term).max(axis=1)
+        sums[:, 0] = 0
+        np.cumsum(block_sums, axis=1, out=block_sums)
+        lower = row_best(sums, spare)
+        if width == _COARSE_WIDTHS[-1]:
+            # the full kernel may run next: its arrays take this memory
+            workspace.clear()
         return lower, lower + ends * slack
 
     return bounds
 
 
-def _cyclic_best(sums: np.ndarray) -> np.ndarray:
-    """Per row, the largest |sum| over all cyclic windows of one period.
+class _Workspace(threading.local):
+    """Named scratch buffers, one set per thread: each grows to the largest
+    request made of it and is handed out as a view of its first cells."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def clear(self) -> None:
+        self._buffers = {}
+
+    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        n = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < n:
+            buffer = self._buffers[name] = np.empty(n, dtype)
+        return buffer[:n].reshape(shape)
+
+
+def _cyclic_best(sums: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the largest |sum| over all cyclic windows of one period;
+    `run`, if given, an array of the shape of `sums` that takes the running
+    extremes.
 
     With U and D the largest drawup and drawdown of S_0, ..., S_q and
     Tot = S_q, windows that do not wrap reach max(U, D).  A window that
@@ -373,15 +437,16 @@ def _cyclic_best(sums: np.ndarray) -> np.ndarray:
     a value in [-D, U]: it reaches |Tot - U| or |Tot + D|.
     """
     total = sums[:, -1]
-    run = np.minimum.accumulate(sums, axis=1)
+    run = np.minimum.accumulate(sums, axis=1, out=run)
     up = np.subtract(sums, run, out=run).max(axis=1)
     np.maximum.accumulate(sums, axis=1, out=run)
     down = np.subtract(run, sums, out=run).max(axis=1)
     return np.maximum.reduce([up, down, np.abs(total - up), np.abs(total + down)])
 
 
-def _prefix_best(sums: np.ndarray) -> np.ndarray:
-    """Per row, the largest |sum| over the windows [0, M)."""
+def _prefix_best(sums: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
+    """Per row, the largest |sum| over the windows [0, M); it keeps no
+    running extremes, so `run` goes unused."""
     return np.maximum(sums.max(axis=1), -sums.min(axis=1))
 
 

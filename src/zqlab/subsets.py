@@ -136,9 +136,11 @@ def _dth_power_mask(p: int, d: int) -> np.ndarray:
 
 def _primitive_root_mask(p: int) -> np.ndarray:
     """mask[y] = True iff y = g^j with gcd(j, p - 1) = 1: a primitive root."""
-    table = nt.build_index_table(p)
-    mask = np.gcd(table.table, p - 1) == 1
-    mask[0] = False  # gcd(-1 sentinel, p-1) = 1 must not leak through
+    coprime = np.ones(p - 1, dtype=bool)  # coprime[j]: gcd(j, p - 1) = 1
+    for prime, _ in nt.factorize(p - 1).factors:
+        coprime[::prime] = False
+    mask = coprime[nt.build_index_table(p).table]
+    mask[0] = False  # the table's -1 sentinel reads coprime[p - 2]
     return mask
 
 

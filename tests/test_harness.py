@@ -1491,6 +1491,19 @@ class TestCli:
         assert cli.main([command, "--config", cfg, *flags]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_stats_json_builds_no_csv_rows(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write(tmp_path, "c.json", self.GAPS11)
+        assert cli.main(["stats", "--config", cfg, "--length", "2"]) == 0
+        expected = capsys.readouterr().out
+
+        def rows(counts):
+            raise AssertionError("CSV rows built for JSON output")
+            yield
+
+        monkeypatch.setattr(cli, "_count_rows", rows)
+        assert cli.main(["stats", "--config", cfg, "--length", "2"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_verify_seed_overrides_config_seed(self, tmp_path, capsys):
         config = {
             "construction": {"kind": "quadratic_residues", "params": {"p": 43}},

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -682,6 +683,96 @@ class TestCoarsePass:
             )
 
         assert scans(1) == scans(2) == unpruned(lambda: scans(1))
+
+    def test_workers_agree_with_a_short_bounded_last_block(self, monkeypatch):
+        # 360 rows a block: the exact scan's 4931 rows end in a block of 251,
+        # the 2000 draws in one of 200; both span _COARSE_MIN_CELLS, so a
+        # thread's workspace, grown by a full block, bounds a shorter one
+        r = quadratic_residue_set(173)
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 360)
+        monkeypatch.setattr(measures, "_cpus", lambda: 2)  # threads on any machine
+        widest, coarse = [], measures._coarse
+
+        def counting(rset, k):
+            bounds = coarse(rset, k)
+
+            def counted(lags, width, *rest):
+                if width == measures._COARSE_WIDTHS[0]:
+                    widest.append(len(lags))
+                return bounds(lags, width, *rest)
+
+            return counted
+
+        def scans(workers):
+            return (
+                witness(correlation_exact(r, 3, workers=workers)),
+                witness(correlation_sampled(r, 3, 2000, seed=5, workers=workers)),
+            )
+
+        expected = unpruned(lambda: scans(1))
+        monkeypatch.setattr(measures, "_coarse", counting)
+        assert scans(2) == expected
+        assert sorted(widest) == [200] + [251] + [360] * 18
+
+    @given(
+        coarse_cases().filter(lambda case: case[1] >= 2),
+        st.lists(
+            st.tuples(
+                st.booleans(),  # drawn rows (several runs) or representatives
+                st.integers(1, 300),  # rows
+                st.sampled_from(measures._COARSE_WIDTHS),
+                st.booleans(),  # cyclic or prefix windows
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_shared_workspace_equals_fresh_calls(self, case, calls):
+        # one thread's calls share its workspace as the rows go up and down:
+        # no cell an earlier call wrote may reach a later call's bounds
+        r, k = case
+        pools = (
+            next(measures._representatives(r.q, k, 300)),
+            next(measures._sampled_rows(r.q, k, 300, 0, 300)),
+        )
+        shared = measures._coarse(r, k)
+        for drawn, rows, width, cyclic in calls:
+            lags = pools[drawn][:rows]
+            row_best, ends = (
+                (measures._cyclic_best, 2) if cyclic else (measures._prefix_best, 1)
+            )
+            got = shared(lags, width, row_best, ends)
+            fresh = measures._coarse(r, k)(lags, width, row_best, ends)
+            for a, b in zip(got, fresh):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "q, k, drawn", [(10007, 2, False), (1009, 3, True), (1009, 2, True)]
+    )
+    @pytest.mark.parametrize("width", measures._COARSE_WIDTHS[:-1])
+    def test_a_warm_workspace_allocates_no_block(self, q, k, drawn, width):
+        # a block of the scans' size at q; the narrowest width frees the
+        # workspace for the full kernel, so only the wider ones stay warm
+        rows = measures._CHUNK_CELLS // q
+        if drawn:
+            lags = next(measures._sampled_rows(q, k, rows, 1, rows))
+        else:
+            lags = next(measures._representatives(q, k, rows))
+        bounds = measures._coarse(quadratic_residue_set(q), k)
+        blocks = -(-q // measures._COARSE_WIDTHS[0]) * measures._COARSE_WIDTHS[0] // width
+        block = len(lags) * blocks * np.dtype(np.int64).itemsize  # one (rows, blocks) int64
+        for row_best, ends in ((measures._cyclic_best, 2), (measures._prefix_best, 1)):
+            first = bounds(lags, width, row_best, ends)
+            tracemalloc.start()
+            try:
+                again = bounds(lags, width, row_best, ends)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < block
+            for a, b in zip(first, again):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("q, bounded", [(255, False), (256, True)])
     def test_small_blocks_skip_the_bounds(self, monkeypatch, q, bounded):

@@ -14,6 +14,7 @@ from zqlab.subsets import (
     ConstructionSpec,
     ResidueSet,
     _fermat_quotient_table,
+    _primitive_root_mask,
     character_argument_set,
     construct,
     explicit_set,
@@ -168,6 +169,14 @@ class TestPrimitiveRootPowers:
         rset = primitive_root_power_set(p, 1, 1, [0, 1])
         assert rset == primitive_root_set(p)
         assert rset.cardinality == nt.euler_phi(nt.factorize(p - 1))
+
+    # p - 1 = 2^8 has one prime factor; 12889 - 1 = 2^3 * 3^2 * 179
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 257, 10007, 12889, 30011])
+    def test_mask_follows_the_gcd_rule(self, p):
+        table = nt.build_index_table(p).table
+        expected = np.gcd(table, p - 1) == 1
+        expected[0] = False
+        np.testing.assert_array_equal(_primitive_root_mask(p), expected)
 
     def test_squares_of_roots(self):
         assert primitive_root_power_set(7, 2, 1, (0, 1)).elements == (2, 4)
