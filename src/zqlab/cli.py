@@ -45,7 +45,12 @@ def _add_io_flags(p):
 
 
 def _add_run_flags(p):
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="grid points sweep runs at once; corr and verify run on one thread",
+    )
     p.add_argument(
         "--budget",
         type=int,
@@ -133,7 +138,7 @@ def _count_rows(counts: dict):
 
 
 def _cmd_corr(args) -> tuple:
-    workers = _count(args, "workers")
+    _count(args, "workers")
     spec = ConstructionSpec.from_json(_load_json(args.config))
     q = spec.modulus  # admitted before the set is built
     kind, what = "correlation", f"correlation_exact(q={q}, k={args.order})"
@@ -144,9 +149,7 @@ def _cmd_corr(args) -> tuple:
     )
     measures.validate_correlation(q, args.order, args.samples)
     measures.admit(what, harness.ANALYSES[kind].cost(analysis, q), args.budget)
-    result = harness.correlate(
-        construct(spec), analysis, 0, workers=workers, budget=args.budget
-    )
+    result = harness.correlate(construct(spec), analysis, 0, budget=args.budget)
     fields = result.to_json()
     row = {
         **fields,
@@ -157,11 +160,12 @@ def _cmd_corr(args) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    seed, workers = _seed(args), _count(args, "workers")
+    seed = _seed(args)
+    _count(args, "workers")
     config = harness.ExperimentConfig.from_dict(_load_json(args.config))
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)
-    report = harness.run(config, workers=workers, op_budget=args.budget)
+    report = harness.run(config, op_budget=args.budget)
     if args.fmt == "json":
         text = report.to_json_text()
     else:

@@ -8,8 +8,8 @@ exact main terms, with per-item PASS / FAIL / REPORT_ONLY statuses;
 sweep() repeats a base config over a parameter grid.
 
 Reports are deterministic byte for byte (given config, seed, and budget)
-apart from the timing fields; grid points and correlation tuple ranges
-may run on worker pools without affecting the output.
+apart from the timing fields; grid points may run on a process pool
+without affecting the output.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -430,13 +431,13 @@ def _analysis_budget(analysis, q: int) -> DeviationBudget:
     return analysis.budget.realize(q)
 
 
-def _run_cardinality(rset, seqs, config, analysis, workers, op_budget):
+def _run_cardinality(rset, seqs, config, analysis, op_budget):
     pred = predictions.predicted_cardinality(config.construction)
     return [_count_item("cardinality", rset.cardinality, pred.main, pred.budget)]
 
 
 def _run_patterns(
-    rset, seqs, config, analysis, workers, op_budget, *, seq=None, length=None,
+    rset, seqs, config, analysis, op_budget, *, seq=None, length=None,
     budget=None, label=lambda pattern: "pattern=" + ",".join(map(str, pattern)),
 ):
     """Every alphabet^length window count against its main term; balance
@@ -463,7 +464,7 @@ def _run_patterns(
     return items
 
 
-def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
+def _run_sign_patterns(rset, seqs, config, analysis, op_budget):
     """The characteristic sequence's length-s windows, labelled by +-1
     membership signs, plus the exact conservation row."""
     s, q = analysis.window, rset.q
@@ -471,12 +472,10 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
         raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
     budget = None
     if analysis.budget is not None and analysis.budget.shape == "lemma":
-        cmax = measures.correlation_up_to(
-            rset, s, budget=op_budget, workers=workers
-        )
+        cmax = measures.correlation_up_to(rset, s, budget=op_budget)
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
     items = _run_patterns(
-        rset, seqs, config, analysis, workers, op_budget,
+        rset, seqs, config, analysis, op_budget,
         seq=seqs.get("characteristic") or sequences.derive_characteristic(rset),
         length=s, budget=budget,
         label=lambda pat: "pattern=" + ",".join(f"{2 * b - 1:+d}" for b in pat),
@@ -491,23 +490,21 @@ def _run_sign_patterns(rset, seqs, config, analysis, workers, op_budget):
 
 
 def correlate(
-    rset, analysis: AnalysisSpec, seed: int, *, workers: int, budget: int
+    rset, analysis: AnalysisSpec, seed: int, *, budget: int
 ) -> measures.CorrelationResult:
     """The correlation a correlation analysis asks for: the exact scan, or
     the sampled one when it gives samples, drawn from its own seed or else
     from `seed`."""
     if analysis.samples is None:
-        return measures.correlation_exact(
-            rset, analysis.k, budget=budget, workers=workers
-        )
+        return measures.correlation_exact(rset, analysis.k, budget=budget)
     seed = seed if analysis.seed is None else analysis.seed
     return measures.correlation_sampled(
-        rset, analysis.k, analysis.samples, seed, budget=budget, workers=workers
+        rset, analysis.k, analysis.samples, seed, budget=budget
     )
 
 
-def _run_correlation(rset, seqs, config, analysis, workers, op_budget):
-    result = correlate(rset, analysis, config.seed, workers=workers, budget=op_budget)
+def _run_correlation(rset, seqs, config, analysis, op_budget):
+    result = correlate(rset, analysis, config.seed, budget=op_budget)
     trivial = Fraction(min(rset.cardinality, rset.q - rset.cardinality))
     item = result.to_json()  # the result's fields, k in the label instead
     del item["k"]
@@ -538,7 +535,7 @@ class AnalysisKind:
     its cost (analysis, n) for admission control, n the length bound of
     the sequence it reads (q for all but balance and patterns, which read
     a configured derivation; see estimate_cost); its runner (rset, seqs,
-    config, analysis, workers, op_budget) -> items; lemma budgets or not."""
+    config, analysis, op_budget) -> items; lemma budgets or not."""
 
     keys: tuple[str, ...]
     cost: Callable[[AnalysisSpec, int], int]
@@ -625,7 +622,8 @@ def run(
     """Execute a config and report every analysis against its budget.
 
     The whole config is admitted first: an estimate_cost above op_budget
-    raises BudgetExceededError before the set is built.
+    raises BudgetExceededError before the set is built.  Every analysis
+    runs on the calling thread; `workers` is accepted and changes nothing.
     """
     t_start = time.perf_counter()
     admit("experiment", estimate_cost(config), op_budget, "operations")
@@ -636,9 +634,7 @@ def run(
     entries = []
     for analysis in config.analyses:
         t_a = time.perf_counter()
-        items = ANALYSES[analysis.kind].run(
-            rset, seqs, config, analysis, workers, op_budget
-        )
+        items = ANALYSES[analysis.kind].run(rset, seqs, config, analysis, op_budget)
         entries.append(
             {
                 "analysis": analysis.to_dict(),
@@ -717,12 +713,25 @@ def _point_dict(base: dict, axes, values) -> dict:
     return point
 
 
-def _run_point(config: ExperimentConfig, workers: int, op_budget: int) -> dict:
+def _run_point(config: ExperimentConfig, op_budget: int) -> dict:
     """Worker entry: returns a report body or an error marker."""
     try:
-        return run(config, workers=workers, op_budget=op_budget).body
+        return run(config, op_budget=op_budget).body
     except Error as exc:  # keep the sweep going; note the failure
         return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, points: int) -> int:
+    """Processes worth starting: no more than asked for, than there are
+    points or than there are CPUs to run them on."""
+    return min(workers, points, _cpus())
 
 
 def _summary_item(entry: dict):
@@ -765,13 +774,12 @@ def sweep(
             raise ConfigError(f"grid point {i}: {exc}") from exc
     total_cost = sum(map(estimate_cost, configs))
     admit(f"sweep of {len(configs)} points", total_cost, op_budget, "operations")
-    processes = measures._pool_size(workers, len(configs))
+    processes = _pool_size(workers, len(configs))
     if processes > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            point = partial(_run_point, workers=1, op_budget=op_budget)
-            bodies = list(pool.map(point, configs))
+            bodies = list(pool.map(partial(_run_point, op_budget=op_budget), configs))
     else:
-        bodies = [_run_point(c, workers, op_budget) for c in configs]
+        bodies = [_run_point(c, op_budget) for c in configs]
 
     header = ["point", *(path for path, _ in axes), *_REPORT_COLUMNS, "seconds"]
     rows = [header]

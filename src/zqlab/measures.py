@@ -29,11 +29,12 @@ The pass runs where it pays, which the input decides: orders 2 to 4, q of
 at least 128, blocks of at least 2^15 cells, and int64 arithmetic (on
 Python ints every row goes to the full kernel).  correlation_up_to carries
 the best value of the lower orders into each higher order's scan as its
-starting bound.  Each scan thread gets one workspace for the pass: named
-buffers that grow to the largest request and are handed out as views, so
-a warm pass allocates nothing of a block's size.  Its later blocks and
-widths reuse it; the narrowest width frees it, since the full kernel may
-run next and can use that memory, and it goes with the scan.
+starting bound.  A scan runs its blocks in order on the calling thread
+and gives the pass one workspace: named buffers that grow to the largest
+request and are handed out as views, so a warm pass allocates nothing of a
+block's size.  Its later blocks and widths reuse it; the narrowest width
+frees it, since the full kernel may run next and can use that memory, and
+it goes with the scan.
 
 The sampled scan shares the kernel and the coarse pass, over prefix
 windows (one free end).  Its lag tuples are those of one
@@ -50,9 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,6 +78,11 @@ _CHUNK_CELLS = 1 << 20
 # sums, drawups, |Tot +- U| and the witness's two-period differences all stay
 # below 4*q*max(T, q-T)^k < 2^63.
 _INT64_HEADROOM = 2**62
+
+# Above this q the sums of orders 2 and up are Python ints whatever T is
+# (3*q*max(T, q-T)^k >= 0.75*q^3 > 2^62), and one row of them runs out of
+# memory: such scans are refused.  Order-1 sums stay int64 to q ~ 1.2e9.
+_HIGH_ORDER_MAX_Q = 2**23
 
 # The coarse pass (_coarse) runs at these orders when q has at least four of
 # the widest blocks; each width in turn bounds the rows the last one kept.
@@ -211,13 +214,19 @@ class CorrelationResult:
 
 def validate_correlation(q: int, k: int, samples: int | None = None) -> None:
     """Refuse an order outside 1..q or fewer than one sample; their costs
-    read 0 or less, so this runs before a scan is admitted."""
+    read 0 or less, so this runs before a scan is admitted.  Then refuse
+    orders 2 and up above _HIGH_ORDER_MAX_Q, whose scan cannot finish."""
     if k < 1:
         raise InvalidParameterError(f"correlation order must be >= 1, got {k}")
     if k > q:
         raise OrderTooLargeError(f"correlation order {k} exceeds q={q}")
     if samples is not None and samples < 1:
         raise InvalidParameterError(f"samples must be >= 1, got {samples}")
+    if k >= 2 and q > _HIGH_ORDER_MAX_Q:
+        raise TooLargeError(
+            f"correlation order {k} needs q <= {_HIGH_ORDER_MAX_Q}, got q={q}: "
+            "its sums outgrow int64"
+        )
 
 
 def admit(what: str, cost: int, budget: int, unit: str = "cells") -> None:
@@ -293,8 +302,8 @@ def _coarse(rset: ResidueSet, k: int):
     rows sharing d_1, ..., d_{k-1}.  The e_i are summed in int16 (each is at
     most C(k, i) * 32), then weighted in int64.
 
-    Every call on one thread takes its arrays from that thread's _Workspace,
-    which lives as long as the returned function.
+    Every call takes its arrays from one workspace, which lives as long as
+    the returned function.
     """
     q, t = rset.q, rset.cardinality
     wide = _COARSE_WIDTHS[0]
@@ -338,15 +347,22 @@ def _coarse(rset: ResidueSet, k: int):
         ],
         dtype=np.int64,
     )
-    workspace = _Workspace()
+    workspace = {}  # named scratch buffers
+
+    def scratch(name: str, shape: tuple, dtype) -> np.ndarray:
+        """The first cells of the named buffer, grown to the largest request."""
+        n = math.prod(shape)
+        if len(workspace.get(name, ())) < n:
+            workspace[name] = np.empty(n, dtype)
+        return workspace[name][:n].reshape(shape)
 
     def bounds(lags: np.ndarray, width: int, row_best, ends: int):
         """(lower, upper) per row: row_best of the block-boundary prefix
         sums, which some real window reaches, and that plus `ends` times
         the largest positive or negative mass of P inside one block, by
         which moving a window end to its block's start can change a sum.
-        Its (rows, blocks) arrays and packed masks are views of this
-        thread's workspace, which the narrowest width gives back."""
+        Its (rows, blocks) arrays and packed masks are views of the
+        workspace, which the narrowest width gives back."""
         rows, blocks = len(lags), 8 * size // width
         view = np.dtype(f"<u{width // 8}")
         new = np.ones(rows, dtype=bool)
@@ -354,18 +370,18 @@ def _coarse(rset: ResidueSet, k: int):
         run = np.cumsum(new) - 1
         runs = int(run[-1]) + 1
         # e[n - 1] is e_n, at most C(k, n) * 32 <= 192
-        e = workspace.get("e", (k, rows, blocks), np.int16)
-        counts = workspace.get("counts", (rows, blocks), np.uint8)
+        e = scratch("e", (k, rows, blocks), np.int16)
+        counts = scratch("counts", (rows, blocks), np.uint8)
         # ANDs within the prefix, counted once per run into e_1 .. e_{k-1}
         heads = [(0, None)]  # (|S|, AND over S) for each S within the prefix
-        slots = iter(workspace.get("heads", (2 ** (k - 1) - 1, runs, size), np.uint8))
+        slots = iter(scratch("heads", (2 ** (k - 1) - 1, runs, size), np.uint8))
         for i in range(k - 1):
             masks = rotated(lags[new, i], next(slots))
             heads += [
                 (n + 1, masks if a is None else np.bitwise_and(a, masks, out=next(slots)))
                 for n, a in heads
             ]
-        per_run = workspace.get("per_run", (k - 1, runs, blocks), np.int16)
+        per_run = scratch("per_run", (k - 1, runs, blocks), np.int16)
         per_run[...] = 0
         for n, a in heads[1:]:
             counted = np.bitwise_count(a.view(view), out=counts[:runs])
@@ -373,8 +389,8 @@ def _coarse(rset: ResidueSet, k: int):
         np.take(per_run, run, axis=1, out=e[:-1], mode="clip")
         e[-1] = 0
         # ANDs with d_k, row by row
-        last = rotated(lags[:, -1], workspace.get("last", (rows, size), np.uint8))
-        ands = workspace.get("ands", (rows, size), np.uint8)
+        last = rotated(lags[:, -1], scratch("last", (rows, size), np.uint8))
+        ands = scratch("ands", (rows, size), np.uint8)
         for n, a in heads:
             if a is None:
                 a = last
@@ -385,9 +401,9 @@ def _coarse(rset: ResidueSet, k: int):
         # block sums into sums[:, 1:], positive masses into pos; e_0 is the
         # block length, the same in every row
         lengths = np.clip(q - width * np.arange(blocks), 0, width)
-        sums = workspace.get("sums", (rows, blocks + 1), np.int64)
-        pos = workspace.get("pos", (rows, blocks), np.int64)
-        spare = workspace.get("spare", (rows, blocks + 1), np.int64)
+        sums = scratch("sums", (rows, blocks + 1), np.int64)
+        pos = scratch("pos", (rows, blocks), np.int64)
+        spare = scratch("spare", (rows, blocks + 1), np.int64)
         block_sums, term = sums[:, 1:], spare[:, :blocks]
         for w, out in enumerate((block_sums, pos)):
             np.multiply(e[0], weights[w, 1], out=out)
@@ -406,24 +422,6 @@ def _coarse(rset: ResidueSet, k: int):
         return lower, lower + ends * slack
 
     return bounds
-
-
-class _Workspace(threading.local):
-    """Named scratch buffers, one set per thread: each grows to the largest
-    request made of it and is handed out as a view of its first cells."""
-
-    def __init__(self):
-        self._buffers = {}
-
-    def clear(self) -> None:
-        self._buffers = {}
-
-    def get(self, name: str, shape: tuple, dtype) -> np.ndarray:
-        n = math.prod(shape)
-        buffer = self._buffers.get(name)
-        if buffer is None or len(buffer) < n:
-            buffer = self._buffers[name] = np.empty(n, dtype)
-        return buffer[:n].reshape(shape)
 
 
 def _cyclic_best(sums: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
@@ -506,78 +504,42 @@ def _representatives(q: int, k: int, rows: int):
         yield np.concatenate(parts)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pool_size(workers: int, tasks: float = math.inf) -> int:
-    """Workers worth starting: no more than asked for, than there are tasks
-    or than there are CPUs to run them on."""
-    return min(workers, tasks, _cpus())
-
-
-class _Floor:
-    """The largest value known to be reached, by a real window of the scan
-    or by the caller's earlier scans; shared by the scan's blocks."""
-
-    def __init__(self, value: int):
-        self.value = value
-        self._lock = threading.Lock()
-
-    def raise_to(self, value: int) -> None:
-        with self._lock:
-            self.value = max(self.value, value)
-
-
-def _best_row(rset, k, blocks, row_best, ends: int, workers: int, floor: int = 0):
+def _best_row(rset, k, blocks, row_best, ends: int, floor: int = 0):
     """(value, lags, sums) of the best lag tuple over the blocks: the
     highest value, then the first in block order, with a copy of its prefix
     sums S_0, ..., S_q for the witness; (-1, None, None) if no row reaches
     `floor`.  row_best gives each row's best over windows with `ends`
-    free ends (2: cyclic, 1: prefix windows).  Where _coarse selects it,
-    rows whose upper bound is below the running floor skip the full
-    kernel; a row at the maximum never does, and survivors keep their
-    order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip the bounds;
-    the first block is never smaller than a later one, so _coarse packs its
-    masks once, here, if it does not.  Blocks run on `workers` threads, at
-    most one a CPU, 2 * workers at a time, pulled from `blocks` on the
-    calling thread; results are folded in block order as they arrive."""
-    prefix_sums, running = _kernel(rset, k), _Floor(floor)
+    free ends (2: cyclic, 1: prefix windows).  Blocks run in order, and
+    `floor` rises to the largest value a real window is known to reach.
+    Where _coarse selects it, rows whose upper bound is below the floor
+    skip the full kernel; a row at the maximum never does, and survivors
+    keep their order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip
+    the bounds; the first block is never smaller than a later one, so
+    _coarse packs its masks once, here, if it does not."""
+    prefix_sums = _kernel(rset, k)
     first = next(blocks)
     coarse = _coarse(rset, k) if len(first) * rset.q >= _COARSE_MIN_CELLS else None
-    blocks = itertools.chain([first], blocks)
 
     def scan(lags):
+        nonlocal floor
         bounds = coarse if len(lags) * rset.q >= _COARSE_MIN_CELLS else None
         for width in _COARSE_WIDTHS if bounds is not None else ():
             lower, upper = bounds(lags, width, row_best, ends)
-            running.raise_to(int(lower.max()))
-            lags = lags[upper >= running.value]
+            floor = max(floor, int(lower.max()))
+            lags = lags[upper >= floor]
             if not len(lags):
                 return -1, None, None
         sums = prefix_sums(lags)
         best = row_best(sums)
         r = int(np.argmax(best))
         value = int(best[r])
-        running.raise_to(value)
-        # a row below the running floor is beaten by a real window: no copy
-        kept = sums[r].copy() if value >= running.value else None
+        floor = max(floor, value)
+        # a row below the floor is beaten by a real window: no copy
+        kept = sums[r].copy() if value >= floor else None
         return value, tuple(int(d) for d in lags[r]), kept
 
-    def value(result):
-        return result[0]
-
-    workers = _pool_size(workers)  # a pool starts no more threads than blocks
-    if workers <= 1:
-        return max(map(scan, blocks), key=value)  # first of equals
-    best = (-1, None, None)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while batch := list(itertools.islice(blocks, 2 * workers)):
-            best = max(itertools.chain([best], pool.map(scan, batch)), key=value)
-    return best
+    blocks = map(scan, itertools.chain([first], blocks))
+    return max(blocks, key=lambda result: result[0])  # first of equals
 
 
 def _exact_rows(q: int, k: int):
@@ -589,7 +551,6 @@ def correlation_exact(
     k: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> CorrelationResult:
     """Exact order-k correlation from one lag tuple per translation class
     (see _representatives), each maximized over all cyclic windows.
@@ -602,7 +563,7 @@ def correlation_exact(
     q = rset.q
     validate_correlation(q, k)
     admit(f"correlation_exact(q={q}, k={k})", exact_cost(q, k), budget)
-    best, rep, sums = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers)
+    best, rep, sums = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2)
     start, window = _cyclic_witness(sums, best)
     return CorrelationResult(
         k=k,
@@ -649,7 +610,6 @@ def correlation_up_to(
     s: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> Fraction:
     """max over 1 <= k <= s of the exact order-k correlation value; the s
     scans are admitted together, up_to_cost(q, s), before any runs.  The
@@ -661,7 +621,7 @@ def correlation_up_to(
     best = 0
     for k in range(1, s + 1):
         floor = best * q
-        best, *_ = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, workers, floor)
+        best, *_ = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, floor)
         best = max(best, floor)
     return Fraction(best, q**s)
 
@@ -710,7 +670,6 @@ def correlation_sampled(
     seed: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> CorrelationResult:
     """Lower bound on the order-k correlation from sampled lag tuples.
 
@@ -728,7 +687,7 @@ def correlation_sampled(
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     admit("correlation_sampled", samples * q, budget)
     blocks = _sampled_rows(q, k, samples, seed, max(1, _CHUNK_CELLS // q))
-    best, lags, sums = _best_row(rset, k, blocks, _prefix_best, 1, workers)
+    best, lags, sums = _best_row(rset, k, blocks, _prefix_best, 1)
     return CorrelationResult(
         k=k,
         value=Fraction(best, q**k),

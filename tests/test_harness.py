@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from zqlab.harness import (
 )
 from zqlab.measures import SignVector, sign_pattern_count
 from zqlab.predictions import DeviationBudget
-from zqlab.subsets import ResidueSet, construct
+from zqlab.subsets import ResidueSet, construct, quadratic_residue_set
 
 BASE = {
     "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
@@ -275,8 +276,7 @@ class TestRun:
         assert len(body["analyses"]) == len(BASE["analyses"])
         assert not report.failed
 
-    def test_determinism_across_runs_and_workers(self, monkeypatch):
-        monkeypatch.setattr(measures, "_cpus", lambda: 4)  # threads on any machine
+    def test_determinism_across_runs_and_workers(self):
         config = ExperimentConfig.from_dict(BASE)
         a = run(config, workers=1).body
         b = run(config, workers=4).body
@@ -815,7 +815,7 @@ class TestSweep:
         assert [r[1] for r in rows[1:]] == ["11", "11", "19", "19", "23", "23"]
 
     def test_order_stable_with_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(measures, "_cpus", lambda: 4)  # a pool on any machine
+        monkeypatch.setattr(harness, "_cpus", lambda: 4)  # a pool on any machine
         a_bodies, a_rows = sweep(self.SWEEP_BASE, self.GRID, workers=1)
         b_bodies, b_rows = sweep(self.SWEEP_BASE, self.GRID, workers=3)
         assert [scrub(x) for x in a_bodies] == [scrub(x) for x in b_bodies]
@@ -837,13 +837,21 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(measures, "_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
         monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Recording)
         grid = [{"path": "construction.params.p", "values": [11, 19]}]
         bodies, rows = sweep(self.SWEEP_BASE, grid, workers=10**6)
         serial_bodies, serial_rows = sweep(self.SWEEP_BASE, grid)
         assert pools == asked
         assert [scrub(b) for b in bodies] == [scrub(b) for b in serial_bodies]
+
+    def test_cpus_without_affinity(self, monkeypatch):
+        assert harness._cpus() >= 1
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+        assert harness._cpus() == 6
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # undeterminable
+        assert harness._cpus() == 1
 
     def test_point_error_preserved(self):
         grid = [{"path": "construction.params.p", "values": [11, 10, 13]}]
@@ -950,6 +958,18 @@ class TestCli:
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         return str(path)
+
+    def test_scans_start_no_thread(self, tmp_path, monkeypatch):
+        def start(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        # QR 257 at order 3: three blocks, each bounded by the coarse pass
+        measures.correlation_exact(quadratic_residue_set(257), 3)
+        run(ExperimentConfig.from_dict(BASE), workers=8)  # a lemma budget's scans
+        qr257 = {"kind": "quadratic_residues", "params": {"p": 257}}
+        cfg = self.write(tmp_path, "c.json", qr257)
+        assert cli.main(["corr", "--config", cfg, "-k", "2", "--workers", "4"]) == 0
 
     def test_construct(self, tmp_path, capsys):
         cfg = self.write(
@@ -1103,6 +1123,8 @@ class TestCli:
     # ~3.64 TiB of tables for this QR set; ~93.1 GiB for this characteristic
     HUGE_QR = {"kind": "quadratic_residues", "params": {"p": 1000000000039}}
     SPARSE = {"kind": "explicit", "params": {"q": 10**11, "elements": [1, 5]}}
+    # order-2 sums past int64 whatever the set: ~2 GB for one sampled row
+    PAIR24 = {"kind": "explicit", "params": {"q": 2**24 + 1, "elements": [0, 1]}}
 
     @pytest.mark.parametrize(
         "command, config, cost",
@@ -1454,6 +1476,9 @@ class TestCli:
             # both cost 0 cells: admission alone would let the set be built
             (HUGE_QR, ["-k", "0"], "correlation order must be >= 1, got 0"),
             (HUGE_QR, ["-k", "2", "--samples", "0"], "samples must be >= 1, got 0"),
+            (PAIR24, ["-k", "2", "--samples", "1"],
+             "correlation order 2 needs q <= 8388608, got q=16777217: "
+             "its sums outgrow int64"),
         ],
     )
     def test_corr_bad_order_or_samples_exits_2_before_construct(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zqlab import errors, measures
+from zqlab import cli, errors, measures
 from zqlab.measures import (
     DEFAULT_BUDGET,
     SignVector,
@@ -293,6 +294,25 @@ class TestCorrelationExact:
         with pytest.raises(errors.OrderTooLargeError):
             correlation_exact(explicit_set(4, [0]), 5)
 
+    def test_orders_past_int64_refused(self):
+        # above q = 2^23 order-2 sums are Python ints whatever T is, and one
+        # row of them runs out of memory: refused before the scan
+        r = explicit_set(2**24 + 1, [0, 1])
+        scans = (
+            lambda: correlation_exact(r, 2, budget=10**30),
+            lambda: correlation_sampled(r, 2, 1, seed=0),
+            lambda: correlation_up_to(r, 2, budget=10**30),
+        )
+        for scan in scans:
+            with pytest.raises(errors.TooLargeError) as info:
+                scan()
+            assert str(info.value) == (
+                "correlation order 2 needs q <= 8388608, got q=16777217: "
+                "its sums outgrow int64"
+            )
+        measures.validate_correlation(2**24 + 1, 1)  # order-1 sums are int64
+        measures.validate_correlation(2**23, 2)
+
     def test_budget_refusal(self):
         with pytest.raises(errors.BudgetExceededError) as info:
             correlation_exact(quadratic_residue_set(1009), 4)
@@ -310,46 +330,18 @@ class TestCorrelationExact:
         assert str(info.value) == "scan needs ~11 operations, budget is 10"
         assert info.value.estimated_cost == 11
 
-    def test_workers_agree(self, monkeypatch):
-        monkeypatch.setattr(measures, "_cpus", lambda: 4)  # threads on any machine
+    def test_workers_agree(self, tmp_path, capsys):
+        # corr accepts --workers and scans on one thread whatever its value
         r = explicit_set(40, sorted({(n * n + 3 * n) % 40 for n in range(40)}))
-        a = correlation_exact(r, 2, workers=1)
-        b = correlation_exact(r, 2, workers=4)
-        assert (a.value, a.window, a.lags) == (b.value, b.window, b.lags)
-
-    @pytest.mark.parametrize("cpus, asked", [(3, [3]), (1, [])])
-    def test_threads_capped_at_the_cpus(self, monkeypatch, cpus, asked):
-        pools = []
-
-        class Recording:  # starts no thread: runs the blocks here
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
-        whole = correlation_exact(r, 3)
-        monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 tuples a block
-        monkeypatch.setattr(measures, "_cpus", lambda: cpus)
-        monkeypatch.setattr(measures, "ThreadPoolExecutor", Recording)
-        res = correlation_exact(r, 3, workers=10**6)
-        assert pools == asked
-        assert (res.value, res.window, res.lags) == (whole.value, whole.window, whole.lags)
-
-    def test_cpus_without_affinity(self, monkeypatch):
-        assert measures._cpus() >= 1
-        monkeypatch.delattr(measures.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(measures.os, "cpu_count", lambda: 6)
-        assert measures._cpus() == 6
-        monkeypatch.setattr(measures.os, "cpu_count", lambda: None)  # undeterminable
-        assert measures._cpus() == 1
+        config = tmp_path / "c.json"
+        params = {"q": 40, "elements": r.array.tolist()}
+        config.write_text(json.dumps({"kind": "explicit", "params": params}))
+        outputs = []
+        for workers in ("1", "4"):
+            args = ["corr", "--config", str(config), "-k", "2", "--workers", workers]
+            assert cli.main(args) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == correlation_exact(r, 2).to_json()
 
     def test_json(self):
         res = correlation_exact(explicit_set(4, [0]), 1)
@@ -536,12 +528,8 @@ class TestCountTableScan:
         r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
         whole = correlation_exact(r, 3)
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 tuples a block
-        monkeypatch.setattr(measures, "_cpus", lambda: 3)  # threads on any machine
-        for workers in (1, 3):
-            res = correlation_exact(r, 3, workers=workers)
-            assert (res.value, res.window, res.lags) == (
-                whole.value, whole.window, whole.lags
-            )
+        res = correlation_exact(r, 3)
+        assert (res.value, res.window, res.lags) == (whole.value, whole.window, whole.lags)
 
     def test_cost_model(self):
         assert measures.exact_cost(10007, 2) == 10006 * 10007
@@ -673,24 +661,22 @@ class TestCoarsePass:
         r = quadratic_residue_set(173)
         # 200 rows a block, above _COARSE_MIN_CELLS: the bounds run on each
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 200)
-        monkeypatch.setattr(measures, "_cpus", lambda: 2)  # threads on any machine
 
-        def scans(workers):
+        def scans():
             return (
-                witness(correlation_exact(r, 3, workers=workers)),
-                witness(correlation_sampled(r, 3, 2000, seed=5, workers=workers)),
-                correlation_up_to(r, 3, workers=workers),
+                witness(correlation_exact(r, 3)),
+                witness(correlation_sampled(r, 3, 2000, seed=5)),
+                correlation_up_to(r, 3),
             )
 
-        assert scans(1) == scans(2) == unpruned(lambda: scans(1))
+        assert scans() == unpruned(scans)
 
     def test_workers_agree_with_a_short_bounded_last_block(self, monkeypatch):
         # 360 rows a block: the exact scan's 4931 rows end in a block of 251,
-        # the 2000 draws in one of 200; both span _COARSE_MIN_CELLS, so a
-        # thread's workspace, grown by a full block, bounds a shorter one
+        # the 2000 draws in one of 200; both span _COARSE_MIN_CELLS, so the
+        # scan's workspace, grown by a full block, bounds a shorter one
         r = quadratic_residue_set(173)
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 360)
-        monkeypatch.setattr(measures, "_cpus", lambda: 2)  # threads on any machine
         widest, coarse = [], measures._coarse
 
         def counting(rset, k):
@@ -703,16 +689,16 @@ class TestCoarsePass:
 
             return counted
 
-        def scans(workers):
+        def scans():
             return (
-                witness(correlation_exact(r, 3, workers=workers)),
-                witness(correlation_sampled(r, 3, 2000, seed=5, workers=workers)),
+                witness(correlation_exact(r, 3)),
+                witness(correlation_sampled(r, 3, 2000, seed=5)),
             )
 
-        expected = unpruned(lambda: scans(1))
+        expected = unpruned(scans)
         monkeypatch.setattr(measures, "_coarse", counting)
-        assert scans(2) == expected
-        assert sorted(widest) == [200] + [251] + [360] * 18
+        assert scans() == expected
+        assert widest == [360] * 13 + [251] + [360] * 5 + [200]
 
     @given(
         coarse_cases().filter(lambda case: case[1] >= 2),
@@ -729,7 +715,7 @@ class TestCoarsePass:
     )
     @settings(max_examples=25, deadline=None)
     def test_a_shared_workspace_equals_fresh_calls(self, case, calls):
-        # one thread's calls share its workspace as the rows go up and down:
+        # calls of one `bounds` share its workspace as the rows go up and down:
         # no cell an earlier call wrote may reach a later call's bounds
         r, k = case
         pools = (
@@ -811,15 +797,12 @@ class TestCoarsePass:
         assert witness(correlation_sampled(r, 2, 4106, seed=3)) == full
         assert widest == [4096]
 
-    @pytest.mark.parametrize(
-        "q, k, workers, packs",
-        [(255, 2, 1, 0), (256, 2, 1, 1), (256, 3, 1, 1), (256, 3, 2, 1)],
-    )
+    @pytest.mark.parametrize("q, k, packs", [(255, 2, 0), (256, 2, 1), (256, 3, 1)])
     def test_masks_packed_once_for_the_first_bounded_block(
-        self, monkeypatch, q, k, workers, packs
+        self, monkeypatch, q, k, packs
     ):
         # q = 255, k = 2 has no block of _COARSE_MIN_CELLS cells; q = 256,
-        # k = 3 has three blocks of up to 4096 rows, on one or two threads
+        # k = 3 has three blocks of up to 4096 rows
         r = explicit_set(q, range(0, q, 3))
         full = witness(unpruned(lambda: correlation_exact(r, k)))
         calls, coarse = [], measures._coarse
@@ -829,7 +812,7 @@ class TestCoarsePass:
             return coarse(rset, k)
 
         monkeypatch.setattr(measures, "_coarse", counting)
-        assert witness(correlation_exact(r, k, workers=workers)) == full
+        assert witness(correlation_exact(r, k)) == full
         assert len(calls) == packs
 
     @pytest.mark.parametrize(
@@ -897,16 +880,11 @@ class TestWitnessFromTheScan:
 
     @staticmethod
     def scans(r, k, samples, seed, rows=3):
-        """Exact and sampled witnesses at workers 1 and 2, in blocks of
-        `rows` rows, on threads on any machine."""
+        """Exact and sampled witnesses, in blocks of `rows` rows."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(measures, "_CHUNK_CELLS", rows * r.q)
-            mp.setattr(measures, "_cpus", lambda: 2)
-            for workers in (1, 2):
-                yield None, witness(correlation_exact(r, k, workers=workers))
-                yield samples, witness(
-                    correlation_sampled(r, k, samples, seed=seed, workers=workers)
-                )
+            yield None, witness(correlation_exact(r, k))
+            yield samples, witness(correlation_sampled(r, k, samples, seed=seed))
 
     @given(small_cases, st.integers(1, 30), st.integers(0, 99), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -979,13 +957,11 @@ class TestWitnessFromTheScan:
             survivors = iter(rows)
             assert all(row in survivors for row in events[i][1])
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_kernel_call_per_unbounded_block(self, monkeypatch, workers):
+    def test_one_kernel_call_per_unbounded_block(self, monkeypatch):
         # q = 30 is below _COARSE_MIN_Q: every block goes to the kernel whole
         r = explicit_set(30, [0, 1, 3, 4, 9, 11, 17, 18, 22, 25, 26])
         expected = old_rule(r, 3), old_rule(r, 3, 40, seed=2)
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 90)  # 3 rows a block
-        monkeypatch.setattr(measures, "_cpus", lambda: 2)  # threads on any machine
         rows, kernel = [], measures._kernel
 
         def counted(rset, k):
@@ -993,12 +969,11 @@ class TestWitnessFromTheScan:
             return lambda lags: rows.append(len(lags)) or prefix_sums(lags)
 
         monkeypatch.setattr(measures, "_kernel", counted)
-        assert witness(correlation_exact(r, 3, workers=workers)) == expected[0]
-        blocks = [len(b) for b in measures._representatives(30, 3, 3)]
-        assert sorted(rows) == sorted(blocks)
+        assert witness(correlation_exact(r, 3)) == expected[0]
+        assert rows == [len(b) for b in measures._representatives(30, 3, 3)]
         rows.clear()
-        assert witness(correlation_sampled(r, 3, 40, seed=2, workers=workers)) == expected[1]
-        assert sorted(rows) == [1] + [3] * 13
+        assert witness(correlation_sampled(r, 3, 40, seed=2)) == expected[1]
+        assert rows == [3] * 13 + [1]
 
 
 class TestShiftCovariance:
