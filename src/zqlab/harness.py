@@ -116,33 +116,47 @@ def _key_text(key) -> str:
 def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte.
 
-    A container of scalars is one call of json's C encoder, its
-    separators carrying the newline and indent of its depth; any other
-    container joins its rendered entries.  A container reached twice at
-    the same depth (the shared sub-dicts of a report) is rendered once.
-    Values must be acyclic (a cycle raises RecursionError, not json's
-    ValueError).
+    A str or an int (exactly those types) is written as json writes it,
+    without a call into the encoder.  A container of scalars is one call
+    of json's C encoder, its separators carrying the newline and indent of
+    its depth; any other container joins its rendered entries.  The text
+    of a dict entry whose value is a dict is kept, keyed by the key's
+    text, the value's identity and the depth: the report's items share
+    their scored fields, so each shared body is rendered once.  No other
+    text is kept, so no long one (a report's items, a set's elements) is
+    held twice.  Values must be acyclic (a cycle raises RecursionError,
+    not json's ValueError).
     """
-    rendered = {}
+    entries = {}
 
     def render(value, depth: int) -> str:
+        kind = type(value)
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
         if not isinstance(value, _CONTAINERS) or not value:
             return _encoder(depth, sort_keys)(value)
-        key = (id(value), depth)
-        if key not in rendered:
-            is_dict, indent = isinstance(value, dict), "  " * (depth + 1)
-            if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
-                inner = _encoder(depth, sort_keys)(value)[1:-1]
-            elif is_dict:
-                items = sorted(value.items()) if sort_keys else value.items()
-                inner = (",\n" + indent).join(
-                    f"{_key_text(k)}: {render(v, depth + 1)}" for k, v in items
-                )
-            else:
-                inner = (",\n" + indent).join(render(v, depth + 1) for v in value)
-            start, end = "{}" if is_dict else "[]"
-            rendered[key] = f"{start}\n{indent}{inner}\n{indent[:-2]}{end}"
-        return rendered[key]
+        is_dict, indent = isinstance(value, dict), "  " * (depth + 1)
+        if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+            inner = _encoder(depth, sort_keys)(value)[1:-1]
+        elif is_dict:
+            parts = []
+            for k, v in sorted(value.items()) if sort_keys else value.items():
+                # keyed on the key's text: 1 == True, but they are written apart
+                name = encode_basestring_ascii(k) if type(k) is str else _key_text(k)
+                cached = (name, id(v), depth)
+                part = entries.get(cached)
+                if part is None:
+                    part = f"{name}: {render(v, depth + 1)}"
+                    if isinstance(v, dict):
+                        entries[cached] = part
+                parts.append(part)
+            inner = (",\n" + indent).join(parts)
+        else:
+            inner = (",\n" + indent).join([render(v, depth + 1) for v in value])
+        start, end = "{}" if is_dict else "[]"
+        return f"{start}\n{indent}{inner}\n{indent[:-2]}{end}"
 
     return render(obj, 0)
 
@@ -438,10 +452,11 @@ def _run_cardinality(rset, seqs, config, analysis, op_budget):
 
 def _run_patterns(
     rset, seqs, config, analysis, op_budget, *, seq=None, length=None,
-    budget=None, label=lambda pattern: "pattern=" + ",".join(map(str, pattern)),
+    budget=None, label=("pattern=", str),
 ):
-    """Every alphabet^length window count against its main term; balance
-    is this at length 1 with symbol= labels, sign_patterns on the
+    """Every alphabet^length window count against its main term, labelled
+    by label = (prefix, text of a symbol), the symbols comma-separated;
+    balance is this at length 1 with symbol= labels, sign_patterns on the
     characteristic sequence with +-1 labels."""
     seq = seqs[analysis.sequence] if seq is None else seq
     length = length or analysis.length
@@ -452,15 +467,21 @@ def _run_patterns(
     budget_json = _budget_json(budget)
     # A main term depends on its pattern only through (length, sum), so
     # one per sum; items of one (sum, count) share their scored fields.
+    prefix, text = label
+    texts = [text(symbol) for symbol in seq.alphabet]
+    labels = [prefix + t for t in texts]
+    for _ in range(length - 1):  # in the order of itertools.product
+        labels = [f"{head},{t}" for head in labels for t in texts]
     mains, scored, items = {}, {}, []
-    for pattern in itertools.product(seq.alphabet, repeat=length):
+    patterns = itertools.product(seq.alphabet, repeat=length)
+    for pattern, name in zip(patterns, labels):
         weight, n = sum(pattern), counts.get(pattern, 0)
         if (weight, n) not in scored:
             if weight not in mains:
                 main = main_term(pattern, T, q, seq.param)
                 mains[weight] = main, _fraction_json(main)
             scored[weight, n] = _scored(n, *mains[weight], budget, budget_json)
-        items.append({"label": label(pattern), **scored[weight, n]})
+        items.append({"label": name, **scored[weight, n]})
     return items
 
 
@@ -478,7 +499,7 @@ def _run_sign_patterns(rset, seqs, config, analysis, op_budget):
         rset, seqs, config, analysis, op_budget,
         seq=seqs.get("characteristic") or sequences.derive_characteristic(rset),
         length=s, budget=budget,
-        label=lambda pat: "pattern=" + ",".join(f"{2 * b - 1:+d}" for b in pat),
+        label=("pattern=", lambda b: f"{2 * b - 1:+d}"),
     )
     total = sum(item["empirical"] for item in items)
     items.append(
@@ -535,12 +556,19 @@ class AnalysisKind:
     its cost (analysis, n) for admission control, n the length bound of
     the sequence it reads (q for all but balance and patterns, which read
     a configured derivation; see estimate_cost); its runner (rset, seqs,
-    config, analysis, op_budget) -> items; lemma budgets or not."""
+    config, analysis, op_budget) -> items; lemma budgets or not; and its
+    check (analysis, q), if any, which refuses what cannot run at q
+    before the set is built."""
 
     keys: tuple[str, ...]
     cost: Callable[[AnalysisSpec, int], int]
     run: Callable[..., list]
     lemma: bool = False
+    check: Callable[[AnalysisSpec, int], None] | None = None
+
+
+def _check_correlation(analysis, q: int) -> None:
+    measures.validate_correlation(q, analysis.k, analysis.samples)
 
 
 ANALYSES = {
@@ -548,7 +576,7 @@ ANALYSES = {
     "balance": AnalysisKind(
         ("sequence", "budget"),
         lambda a, q: q,
-        partial(_run_patterns, length=1, label=lambda pattern: f"symbol={pattern[0]}"),
+        partial(_run_patterns, length=1, label=("symbol=", str)),
     ),
     "patterns": AnalysisKind(
         ("sequence", "length", "budget"),
@@ -559,10 +587,16 @@ ANALYSES = {
         ("window", "budget"), _sign_patterns_cost, _run_sign_patterns, lemma=True
     ),
     "correlation": AnalysisKind(
-        ("k",), lambda a, q: measures.exact_cost(q, a.k), _run_correlation
+        ("k",),
+        lambda a, q: measures.exact_cost(q, a.k),
+        _run_correlation,
+        check=_check_correlation,
     ),
     "correlation_sampled": AnalysisKind(
-        ("k", "samples", "seed"), lambda a, q: a.samples * q, _run_correlation
+        ("k", "samples", "seed"),
+        lambda a, q: a.samples * q,
+        _run_correlation,
+        check=_check_correlation,
     ),
 }
 
@@ -621,11 +655,18 @@ def run(
 ) -> VerificationReport:
     """Execute a config and report every analysis against its budget.
 
-    The whole config is admitted first: an estimate_cost above op_budget
-    raises BudgetExceededError before the set is built.  Every analysis
-    runs on the calling thread; `workers` is accepted and changes nothing.
+    The whole config is admitted first: each analysis's check refuses
+    what cannot run at q (a correlation order outside 1..q, or of 2 and
+    up above q = 2^23), then an estimate_cost above op_budget raises
+    BudgetExceededError, before the set is built.  Every analysis runs on
+    the calling thread; `workers` is accepted and changes nothing.
     """
     t_start = time.perf_counter()
+    q = config.construction.modulus
+    for analysis in config.analyses if q >= 1 else ():  # else construct refuses q
+        check = ANALYSES[analysis.kind].check
+        if check is not None:
+            check(analysis, q)
     admit("experiment", estimate_cost(config), op_budget, "operations")
     rset = construct(config.construction)
     seqs = {}

@@ -32,12 +32,19 @@ the best value of the lower orders into each higher order's scan as its
 starting bound.  A scan runs its blocks in order on the calling thread
 and gives the pass one workspace: named buffers that grow to the largest
 request and are handed out as views, so a warm pass allocates nothing of a
-block's size.  Its later blocks and widths reuse it; the narrowest width
-frees it, since the full kernel may run next and can use that memory, and
-it goes with the scan.
+block's size.  Its later blocks and widths reuse it; the scan frees it
+only before a kernel call, which can use that memory, and it goes with
+the scan.
 
-The sampled scan shares the kernel and the coarse pass, over prefix
-windows (one free end).  Its lag tuples are those of one
+The sampled scan maximizes over prefix windows (one free end).  Where the
+coarse pass runs, its rows never reach the full kernel: inside a block,
+every prefix sum lies within the block's positive mass above the sum
+before the block and within that mass below the sum after it, so only the
+blocks of the narrowest width where that reaches the floor are summed
+position by position, and the shortest witness window is read from them.
+No row of q prefix sums is built, so its draws come in blocks of at least
+_DRAW_ROWS rows, whatever q.  Elsewhere it shares the kernel with the
+exact scan.  Its lag tuples are those of one
 Generator.choice(q, k, replace=False) call per draw, sorted, but drawn a
 block at a time: one rng.integers call draws the bounds that the choice
 calls would draw, in their order, through the same bounded-integer
@@ -94,6 +101,14 @@ _COARSE_ORDERS = range(2, 5)
 _COARSE_WIDTHS = (32, 16, 8)
 _COARSE_MIN_Q = 4 * _COARSE_WIDTHS[0]
 _COARSE_MIN_CELLS = 1 << 15
+
+# Sampled rows that the coarse pass bounds and finishes come in blocks of
+# _CHUNK_CELLS cells, like the kernel's, but of at least _DRAW_ROWS rows:
+# from q = _CHUNK_CELLS // _DRAW_ROWS on, the pass's fixed numpy calls per
+# width are shared by several rows.  Its buffers take at most about 2.5
+# bytes a cell at the widest width, so such a block still takes less
+# memory than one row of the full kernel (17 bytes a cell).
+_DRAW_ROWS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,11 +300,24 @@ def _kernel(rset: ResidueSet, k: int):
     return prefix_sums
 
 
-def _coarse(rset: ResidueSet, k: int):
-    """Certified bounds on each row's best from block sums, or None where
-    they cannot pay: outside _COARSE_ORDERS (there are 2^k AND terms),
-    below _COARSE_MIN_Q (too few blocks to prune), or where the kernel
-    runs on Python ints, where every row survives.
+def _coarse_selected(q: int, t: int, k: int) -> bool:
+    """Whether the coarse pass can pay: at _COARSE_ORDERS (there are 2^k
+    AND terms), from _COARSE_MIN_Q (enough blocks to prune) and where the
+    kernel runs on int64 (on Python ints every row survives)."""
+    return (
+        k in _COARSE_ORDERS
+        and q >= _COARSE_MIN_Q
+        and _sums_dtype(q, t, k) is not object
+        # keeps every term of the weighted block sums inside int64; at the
+        # orders above, the kernel's int64 rule already implies it
+        and _COARSE_WIDTHS[0] * (3 * max(t, q - t)) ** k < 2**63
+    )
+
+
+def _coarse(rset: ResidueSet, k: int, workspace: dict):
+    """(bounds, refine): certified bounds on each row's best from block
+    sums, and the prefix-window rows finished from them; None where
+    _coarse_selected says the pass cannot pay.
 
     The period is cut into blocks of `width` positions, the last one the
     shorter tail.  Expanding prod_i (q*m(n + d_i) - T) over the subsets S
@@ -302,20 +330,14 @@ def _coarse(rset: ResidueSet, k: int):
     rows sharing d_1, ..., d_{k-1}.  The e_i are summed in int16 (each is at
     most C(k, i) * 32), then weighted in int64.
 
-    Every call takes its arrays from one workspace, which lives as long as
-    the returned function.
+    Every call takes its arrays from `workspace`, a dict of named buffers
+    that grow to the largest request and are handed out as views; the
+    caller owns it and decides when to give the memory back.
     """
     q, t = rset.q, rset.cardinality
-    wide = _COARSE_WIDTHS[0]
-    if (
-        k not in _COARSE_ORDERS
-        or q < _COARSE_MIN_Q
-        or _sums_dtype(q, t, k) is object
-        # keeps every term of the weighted sums below inside int64; at the
-        # orders above, the kernel's int64 rule already implies it
-        or wide * (3 * max(t, q - t)) ** k >= 2**63
-    ):
+    if not _coarse_selected(q, t, k):
         return None
+    wide = _COARSE_WIDTHS[0]
     size = wide // 8 * -(-q // wide)  # bytes of a packed row, in whole blocks
     span = -(-q // 8) + size
     bits = np.zeros(8 * span + 8, dtype=bool)
@@ -347,7 +369,6 @@ def _coarse(rset: ResidueSet, k: int):
         ],
         dtype=np.int64,
     )
-    workspace = {}  # named scratch buffers
 
     def scratch(name: str, shape: tuple, dtype) -> np.ndarray:
         """The first cells of the named buffer, grown to the largest request."""
@@ -356,13 +377,13 @@ def _coarse(rset: ResidueSet, k: int):
             workspace[name] = np.empty(n, dtype)
         return workspace[name][:n].reshape(shape)
 
-    def bounds(lags: np.ndarray, width: int, row_best, ends: int):
-        """(lower, upper) per row: row_best of the block-boundary prefix
-        sums, which some real window reaches, and that plus `ends` times
-        the largest positive or negative mass of P inside one block, by
-        which moving a window end to its block's start can change a sum.
-        Its (rows, blocks) arrays and packed masks are views of the
-        workspace, which the narrowest width gives back."""
+    def bounds(lags: np.ndarray, width: int, ends: int):
+        """(lower, upper) per row: the best block-boundary prefix sum or
+        cyclic window (`ends` free ends: 2 cyclic, 1 prefix), which some
+        real window reaches, and that plus `ends` times the largest
+        positive or negative mass of P inside one block, by which moving a
+        window end to its block's start can change a sum.  Its (rows,
+        blocks) arrays and packed masks are views of the workspace."""
         rows, blocks = len(lags), 8 * size // width
         view = np.dtype(f"<u{width // 8}")
         new = np.ones(rows, dtype=bool)
@@ -415,13 +436,55 @@ def _coarse(rset: ResidueSet, k: int):
         slack = np.subtract(pos, term, out=term).max(axis=1)
         sums[:, 0] = 0
         np.cumsum(block_sums, axis=1, out=block_sums)
-        lower = row_best(sums, spare)
-        if width == _COARSE_WIDTHS[-1]:
-            # the full kernel may run next: its arrays take this memory
-            workspace.clear()
+        lower = _cyclic_best(sums, spare) if ends == 2 else _prefix_best(sums)
         return lower, lower + ends * slack
 
-    return bounds
+    products = _table(q, t, k, np.int64)
+    narrow = _COARSE_WIDTHS[-1]
+    offsets = np.arange(narrow)
+
+    def refine(lags: np.ndarray, keep: np.ndarray, floor: int):
+        """(value, lags, M) of the best prefix window [0, M) among the rows
+        `keep` of `lags`, the rows of the last bounds call, made at the
+        narrowest width with one free end: the highest |S_M| that reaches
+        `floor`, then the first row, then the shortest M; (-1, None, None)
+        if none does.  Inside a block, every prefix sum lies within the
+        block's positive mass above the sum before it, and within that
+        mass below the sum after it, so only the blocks where one of these
+        reaches the floor are summed position by position, from the
+        membership bits, _CHUNK_CELLS // 8 positions at a time."""
+        rows, blocks = len(lags), 8 * size // narrow
+        sums = scratch("sums", (rows, blocks + 1), np.int64)
+        reach = scratch("spare", (rows, blocks + 1), np.int64)[:, :blocks]
+        np.negative(sums[:, 1:], out=reach)
+        np.maximum(reach, sums[:, :-1], out=reach)
+        reach += scratch("pos", (rows, blocks), np.int64)
+        hit = np.greater_equal(reach, floor, out=scratch("hit", (rows, blocks), bool))
+        hit[~keep] = False
+        found, best = np.flatnonzero(hit), (-1, None, None)
+        step = _CHUNK_CELLS // 8 // narrow
+        for lo in range(0, len(found), step):
+            row, block = np.divmod(found[lo : lo + step], blocks)
+            # the best so far comes first: only a higher value displaces it
+            higher = reach[row, block] > best[0]
+            row, block = row[higher], block[higher]
+            if not len(row):
+                continue
+            n = block[:, None] * narrow + offsets  # (row, M - 1) in order
+            members = bits[n + lags[row, :1]].astype(np.uint8)
+            for i in range(1, k):
+                members += bits[n + lags[row, i : i + 1]]
+            s = np.cumsum(products[members], axis=1)
+            s += sums[row, block][:, None]
+            np.abs(s, out=s)
+            s[n >= q] = -1  # the tail block's positions past the period
+            top = int(np.argmax(s))
+            if s.flat[top] > best[0]:
+                r = row[top // narrow]
+                best = int(s.flat[top]), tuple(int(d) for d in lags[r]), int(n.flat[top]) + 1
+        return best
+
+    return bounds, refine
 
 
 def _cyclic_best(sums: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
@@ -442,9 +505,8 @@ def _cyclic_best(sums: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
     return np.maximum.reduce([up, down, np.abs(total - up), np.abs(total + down)])
 
 
-def _prefix_best(sums: np.ndarray, run: np.ndarray | None = None) -> np.ndarray:
-    """Per row, the largest |sum| over the windows [0, M); it keeps no
-    running extremes, so `run` goes unused."""
+def _prefix_best(sums: np.ndarray) -> np.ndarray:
+    """Per row, the largest |sum| over the windows [0, M)."""
     return np.maximum(sums.max(axis=1), -sums.min(axis=1))
 
 
@@ -504,39 +566,55 @@ def _representatives(q: int, k: int, rows: int):
         yield np.concatenate(parts)
 
 
-def _best_row(rset, k, blocks, row_best, ends: int, floor: int = 0):
-    """(value, lags, sums) of the best lag tuple over the blocks: the
-    highest value, then the first in block order, with a copy of its prefix
-    sums S_0, ..., S_q for the witness; (-1, None, None) if no row reaches
-    `floor`.  row_best gives each row's best over windows with `ends`
-    free ends (2: cyclic, 1: prefix windows).  Blocks run in order, and
-    `floor` rises to the largest value a real window is known to reach.
+def _best_row(rset, k, blocks, ends: int, floor: int = 0):
+    """(value, lags, witness) of the best lag tuple over the blocks: the
+    highest value, then the first in block order; (-1, None, None) if no
+    row reaches `floor`.  Windows have `ends` free ends: with 2 they are
+    the cyclic windows and the witness is (start, length), with 1 the
+    prefix windows [0, M) and the witness is the shortest M.  Blocks run
+    in order, and `floor` rises to the largest value a real window is
+    known to reach.
+
     Where _coarse selects it, rows whose upper bound is below the floor
-    skip the full kernel; a row at the maximum never does, and survivors
-    keep their order.  Blocks of fewer than _COARSE_MIN_CELLS cells skip
-    the bounds; the first block is never smaller than a later one, so
-    _coarse packs its masks once, here, if it does not."""
+    are dropped; a row at the maximum never is, and survivors keep their
+    order.  Prefix windows are then finished from the narrowest block
+    sums; cyclic ones go to the full kernel, and the witness is read from
+    its prefix sums.  The scan owns the pass's workspace and gives it back
+    only before a kernel call.  Blocks of fewer than _COARSE_MIN_CELLS
+    cells skip the bounds; the first block is never smaller than a later
+    one, so _coarse packs its masks once, here, if it does not."""
+    q = rset.q
     prefix_sums = _kernel(rset, k)
+    row_best, witness = (
+        (_cyclic_best, _cyclic_witness) if ends == 2 else (_prefix_best, _first_length)
+    )
     first = next(blocks)
-    coarse = _coarse(rset, k) if len(first) * rset.q >= _COARSE_MIN_CELLS else None
+    workspace = {}
+    coarse = _coarse(rset, k, workspace) if len(first) * q >= _COARSE_MIN_CELLS else None
 
     def scan(lags):
         nonlocal floor
-        bounds = coarse if len(lags) * rset.q >= _COARSE_MIN_CELLS else None
-        for width in _COARSE_WIDTHS if bounds is not None else ():
-            lower, upper = bounds(lags, width, row_best, ends)
-            floor = max(floor, int(lower.max()))
-            lags = lags[upper >= floor]
-            if not len(lags):
-                return -1, None, None
+        if coarse is not None and len(lags) * q >= _COARSE_MIN_CELLS:
+            bounds, refine = coarse
+            for width in _COARSE_WIDTHS:
+                lower, upper = bounds(lags, width, ends)
+                floor = max(floor, int(lower.max()))
+                if ends == 1 and width == _COARSE_WIDTHS[-1]:
+                    found = refine(lags, upper >= floor, floor)
+                    floor = max(floor, found[0])
+                    return found
+                lags = lags[upper >= floor]
+                if not len(lags):
+                    return -1, None, None
+            workspace.clear()  # the kernel's arrays may take this memory
         sums = prefix_sums(lags)
         best = row_best(sums)
         r = int(np.argmax(best))
         value = int(best[r])
         floor = max(floor, value)
-        # a row below the floor is beaten by a real window: no copy
-        kept = sums[r].copy() if value >= floor else None
-        return value, tuple(int(d) for d in lags[r]), kept
+        # a row below the floor is beaten by a real window: no witness
+        found = witness(sums[r], value) if value >= floor else None
+        return value, tuple(int(d) for d in lags[r]), found
 
     blocks = map(scan, itertools.chain([first], blocks))
     return max(blocks, key=lambda result: result[0])  # first of equals
@@ -563,8 +641,7 @@ def correlation_exact(
     q = rset.q
     validate_correlation(q, k)
     admit(f"correlation_exact(q={q}, k={k})", exact_cost(q, k), budget)
-    best, rep, sums = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2)
-    start, window = _cyclic_witness(sums, best)
+    best, rep, (start, window) = _best_row(rset, k, _exact_rows(q, k), 2)
     return CorrelationResult(
         k=k,
         value=Fraction(best, q**k),
@@ -621,7 +698,7 @@ def correlation_up_to(
     best = 0
     for k in range(1, s + 1):
         floor = best * q
-        best, *_ = _best_row(rset, k, _exact_rows(q, k), _cyclic_best, 2, floor)
+        best, *_ = _best_row(rset, k, _exact_rows(q, k), 2, floor)
         best = max(best, floor)
     return Fraction(best, q**s)
 
@@ -677,21 +754,26 @@ def correlation_sampled(
     from default_rng(seed): the tuples of `samples` calls of
     sorted(rng.choice(q, k, replace=False)), drawn a block at a time (see
     _sampled_rows).  Each tuple gets its exact max over the windows
-    [0, M), M = 1..q, from the same count-table kernel as the exact scan,
-    in its arithmetic; ties keep the earliest draw.  Work is samples * q
-    cells; requests above the budget are refused before anything is drawn.
+    [0, M), M = 1..q, in the exact scan's arithmetic: finished from the
+    coarse pass's block sums where it runs, from the count-table kernel
+    elsewhere; ties keep the earliest draw, and the window is the shortest.
+    Work is samples * q cells; requests above the budget are refused
+    before anything is drawn.
     """
     q = rset.q
     validate_correlation(q, k, samples)
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     admit("correlation_sampled", samples * q, budget)
-    blocks = _sampled_rows(q, k, samples, seed, max(1, _CHUNK_CELLS // q))
-    best, lags, sums = _best_row(rset, k, blocks, _prefix_best, 1)
+    rows = max(1, _CHUNK_CELLS // q)
+    if _coarse_selected(q, rset.cardinality, k):
+        rows = max(_DRAW_ROWS, rows)
+    blocks = _sampled_rows(q, k, samples, seed, rows)
+    best, lags, window = _best_row(rset, k, blocks, 1)
     return CorrelationResult(
         k=k,
         value=Fraction(best, q**k),
-        window=_first_length(sums, best),
+        window=window,
         lags=lags,
         mode="sampled",
         tuples_examined=samples,

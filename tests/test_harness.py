@@ -610,6 +610,65 @@ class TestJsonText:
         )
 
 
+class TestJsonTextSharedEntries:
+    """json_text keeps the text of each entry by its key's text, its
+    value's identity and its depth; what it writes is still json.dumps's."""
+
+    @staticmethod
+    def check(value):
+        for sort_keys in (False, True):
+            expected = json.dumps(value, indent=2, sort_keys=sort_keys)
+            assert harness.json_text(value, sort_keys=sort_keys) == expected
+
+    @pytest.mark.parametrize("shared", [{"x": [1, 2]}, [3, {"y": None}], 7, "s", 2.5])
+    def test_equal_keys_of_other_types(self, shared):
+        # 1 == True == 1.0: a cache keyed on the key itself would write one
+        # of these dicts with another's key
+        for order in itertools.permutations([1, True, 1.0]):
+            self.check([{key: shared} for key in order])
+            self.check({str(i): {key: shared} for i, key in enumerate(order)})
+            self.check([[{key: shared}] for key in order] + [{key: shared} for key in order])
+
+    @given(
+        json_values,
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", 1, True, 1.0, 0, False, None]),
+                      st.integers(0, 3)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_value_under_many_keys_and_depths(self, shared, places):
+        root = []
+        for key, depth in places:
+            node = {key: shared}
+            for level in range(depth):
+                node = [node] if level % 2 else {"n": node, "m": shared}
+            root.append(node)
+        self.check(root)
+
+    def test_true_and_one_as_shared_values(self):
+        one, true = 1, True
+        value = {
+            "a": true, "b": one, "c": [true, one, 1.0, 0, False],
+            "d": {"x": true}, "e": {"x": one}, "f": [{"x": one}, {"x": true}],
+            "g": {"x": [one, true]}, "h": {"x": [true, one]},
+        }
+        self.check(value)
+        self.check([value, {"v": value}, [value]])
+
+    def test_nan_inf_and_non_ascii(self):
+        nan, inf = float("nan"), float("inf")
+        value = {
+            "é": nan, "naïve ✓": [inf, -inf, nan], "\U0001f600": "ü\u2028",
+            "z": {"é": [nan, {"ü": inf}], "x": "\U0001f600"},
+            "w": [{"é": nan}, {"é": inf}, {"é": "é"}],
+        }
+        self.check(value)
+        self.check({nan: [1], inf: {"é": nan}, -inf: "✓"})
+
+
 # Keys json.dumps accepts besides str: it writes their scalar text, quoted.
 json_keys = (
     st.none() | st.booleans() | st.integers()
@@ -785,6 +844,31 @@ class TestEstimateCost:
         with pytest.raises(errors.BudgetExceededError):
             run(dataclasses.replace(config, analyses=()), op_budget=42)
 
+    @pytest.mark.parametrize(
+        "construction, analysis, error",
+        [
+            # order-2 sums past q = 2^23 outgrow int64
+            ({"kind": "explicit", "params": {"q": 2**24 + 1, "elements": [0, 1]}},
+             {"kind": "correlation_sampled", "k": 2, "samples": 1},
+             errors.TooLargeError),
+            ({"kind": "quadratic_residues", "params": {"p": 11}},
+             {"kind": "correlation", "k": 12},
+             errors.OrderTooLargeError),
+        ],
+    )
+    def test_run_refuses_a_correlation_before_construct(
+        self, monkeypatch, construction, analysis, error
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before the check")
+
+        monkeypatch.setattr(harness, "construct", construct)
+        config = ExperimentConfig.from_dict(
+            {"construction": construction, "analyses": [{"kind": "cardinality"}, analysis]}
+        )
+        with pytest.raises(error):
+            run(config)
+
     def test_run_refuses_over_budget(self):
         config = ExperimentConfig.from_dict(
             {
@@ -937,6 +1021,26 @@ class TestSweep:
         with pytest.raises(errors.BudgetExceededError):
             sweep(base, grid, op_budget=10**6)
 
+    def test_point_refused_before_its_set_is_built(self, monkeypatch):
+        built, real = [], harness.construct
+
+        def construct(spec):
+            built.append(spec.to_json()["params"]["p"])
+            return real(spec)
+
+        monkeypatch.setattr(harness, "construct", construct)
+        grid = [
+            {"path": "construction.params.p", "values": [11, 13]},
+            {"path": "analyses.1.k", "values": [1, 12]},
+        ]
+        bodies, rows = sweep(self.SWEEP_BASE, grid)
+        # order 12 exceeds q = 11 only: that point is refused unbuilt
+        assert built == [11, 13, 13]
+        assert bodies[1] == {"error": "OrderTooLargeError: correlation order 12 exceeds q=11"}
+        assert [row[3:5] for row in rows[1:] if "ERROR" in row] == [
+            ["-", bodies[1]["error"]]
+        ]
+
     def test_two_axes_cartesian(self):
         base = {
             "construction": {"kind": "quadratic_residues", "params": {"p": 11}},
@@ -1054,6 +1158,32 @@ class TestCli:
         out = str(tmp_path / "report.json")
         assert cli.main(["verify", "--config", cfg, "--seed", "-5", "--out", out]) == 2
         assert capsys.readouterr().err == "error: seed: expected >= 0, got -5\n"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "construction, analysis, message",
+        [
+            ({"kind": "explicit", "params": {"q": 2**24 + 1, "elements": [0, 1]}},
+             {"kind": "correlation_sampled", "k": 2, "samples": 1},
+             "error: correlation order 2 needs q <= 8388608, got q=16777217"),
+            ({"kind": "quadratic_residues", "params": {"p": 11}},
+             {"kind": "correlation", "k": 12},
+             "error: correlation order 12 exceeds q=11"),
+        ],
+    )
+    def test_verify_bad_correlation_exits_2_before_construct(
+        self, tmp_path, capsys, monkeypatch, construction, analysis, message
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before the check")
+
+        monkeypatch.setattr(harness, "construct", construct)
+        cfg = self.write(
+            tmp_path, "v.json", {"construction": construction, "analyses": [analysis]}
+        )
+        out = str(tmp_path / "report.json")
+        assert cli.main(["verify", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not (tmp_path / "report.json").exists()
 
     def test_verify_over_budget_exits_2_before_construct(

@@ -595,7 +595,7 @@ class TestCoarsePass:
     @settings(max_examples=30, deadline=None)
     def test_equals_unpruned_scan(self, case, seed):
         r, k = case
-        assert (measures._coarse(r, k) is not None) == (k >= 2)
+        assert (measures._coarse(r, k, {}) is not None) == (k >= 2)
         for scan in (
             lambda: witness(correlation_exact(r, k)),
             lambda: witness(correlation_sampled(r, k, 200, seed=seed)),
@@ -620,7 +620,7 @@ class TestCoarsePass:
         # sampled scan draws them
         rows = list(measures._representatives(r.q, k, 1000))
         rows.append((rows[0] + r.q // 3) % r.q)
-        bounds, prefix_sums = measures._coarse(r, k), measures._kernel(r, k)
+        (bounds, _), prefix_sums = measures._coarse(r, k, {}), measures._kernel(r, k)
         for lags in rows:
             sums = prefix_sums(lags)
             for row_best, ends in (
@@ -629,7 +629,7 @@ class TestCoarsePass:
             ):
                 best = row_best(sums)
                 for width in measures._COARSE_WIDTHS:
-                    lower, upper = bounds(lags, width, row_best, ends)
+                    lower, upper = bounds(lags, width, ends)
                     assert (lower <= best).all() and (best <= upper).all()
 
     def test_zero_slack_is_caught(self, monkeypatch):
@@ -643,14 +643,14 @@ class TestCoarsePass:
         assert witness(correlation_sampled(r, 2, 150, seed=1)) == sampled
         coarse = measures._coarse
 
-        def zero_slack(rset, k):
-            bounds = coarse(rset, k)
+        def zero_slack(rset, k, workspace):
+            bounds, refine = coarse(rset, k, workspace)
 
-            def tight(lags, width, row_best, ends):
-                lower, _ = bounds(lags, width, row_best, ends)
+            def tight(lags, width, ends):
+                lower, _ = bounds(lags, width, ends)
                 return lower, lower
 
-            return tight
+            return tight, refine
 
         # upper bounds without the slack prune rows that reach the maximum
         monkeypatch.setattr(measures, "_coarse", zero_slack)
@@ -679,15 +679,15 @@ class TestCoarsePass:
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 360)
         widest, coarse = [], measures._coarse
 
-        def counting(rset, k):
-            bounds = coarse(rset, k)
+        def counting(rset, k, workspace):
+            bounds, refine = coarse(rset, k, workspace)
 
-            def counted(lags, width, *rest):
+            def counted(lags, width, ends):
                 if width == measures._COARSE_WIDTHS[0]:
                     widest.append(len(lags))
-                return bounds(lags, width, *rest)
+                return bounds(lags, width, ends)
 
-            return counted
+            return counted, refine
 
         def scans():
             return (
@@ -722,37 +722,35 @@ class TestCoarsePass:
             next(measures._representatives(r.q, k, 300)),
             next(measures._sampled_rows(r.q, k, 300, 0, 300)),
         )
-        shared = measures._coarse(r, k)
+        shared, _ = measures._coarse(r, k, {})
         for drawn, rows, width, cyclic in calls:
             lags = pools[drawn][:rows]
-            row_best, ends = (
-                (measures._cyclic_best, 2) if cyclic else (measures._prefix_best, 1)
-            )
-            got = shared(lags, width, row_best, ends)
-            fresh = measures._coarse(r, k)(lags, width, row_best, ends)
+            ends = 2 if cyclic else 1
+            got = shared(lags, width, ends)
+            fresh = measures._coarse(r, k, {})[0](lags, width, ends)
             for a, b in zip(got, fresh):
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
         "q, k, drawn", [(10007, 2, False), (1009, 3, True), (1009, 2, True)]
     )
-    @pytest.mark.parametrize("width", measures._COARSE_WIDTHS[:-1])
+    @pytest.mark.parametrize("width", measures._COARSE_WIDTHS)
     def test_a_warm_workspace_allocates_no_block(self, q, k, drawn, width):
-        # a block of the scans' size at q; the narrowest width frees the
-        # workspace for the full kernel, so only the wider ones stay warm
+        # a block of the scans' size at q; the scan, not the pass, gives
+        # the workspace back, so every width stays warm
         rows = measures._CHUNK_CELLS // q
         if drawn:
             lags = next(measures._sampled_rows(q, k, rows, 1, rows))
         else:
             lags = next(measures._representatives(q, k, rows))
-        bounds = measures._coarse(quadratic_residue_set(q), k)
+        bounds, _ = measures._coarse(quadratic_residue_set(q), k, {})
         blocks = -(-q // measures._COARSE_WIDTHS[0]) * measures._COARSE_WIDTHS[0] // width
         block = len(lags) * blocks * np.dtype(np.int64).itemsize  # one (rows, blocks) int64
-        for row_best, ends in ((measures._cyclic_best, 2), (measures._prefix_best, 1)):
-            first = bounds(lags, width, row_best, ends)
+        for ends in (2, 1):
+            first = bounds(lags, width, ends)
             tracemalloc.start()
             try:
-                again = bounds(lags, width, row_best, ends)
+                again = bounds(lags, width, ends)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -768,9 +766,9 @@ class TestCoarsePass:
         full = witness(unpruned(lambda: correlation_exact(r, 2)))
         calls, coarse = [], measures._coarse
 
-        def counting(rset, k):
-            bounds = coarse(rset, k)
-            return lambda lags, *rest: calls.append(len(lags)) or bounds(lags, *rest)
+        def counting(rset, k, workspace):
+            bounds, refine = coarse(rset, k, workspace)
+            return lambda lags, *rest: calls.append(len(lags)) or bounds(lags, *rest), refine
 
         monkeypatch.setattr(measures, "_coarse", counting)
         assert witness(correlation_exact(r, 2)) == full
@@ -783,15 +781,15 @@ class TestCoarsePass:
         full = witness(unpruned(lambda: correlation_sampled(r, 2, 4106, seed=3)))
         widest, coarse = [], measures._coarse
 
-        def counting(rset, k):
-            bounds = coarse(rset, k)
+        def counting(rset, k, workspace):
+            bounds, refine = coarse(rset, k, workspace)
 
-            def counted(lags, width, *rest):
+            def counted(lags, width, ends):
                 if width == measures._COARSE_WIDTHS[0]:
                     widest.append(len(lags))
-                return bounds(lags, width, *rest)
+                return bounds(lags, width, ends)
 
-            return counted
+            return counted, refine
 
         monkeypatch.setattr(measures, "_coarse", counting)
         assert witness(correlation_sampled(r, 2, 4106, seed=3)) == full
@@ -807,9 +805,9 @@ class TestCoarsePass:
         full = witness(unpruned(lambda: correlation_exact(r, k)))
         calls, coarse = [], measures._coarse
 
-        def counting(rset, k):
+        def counting(rset, k, workspace):
             calls.append(k)
-            return coarse(rset, k)
+            return coarse(rset, k, workspace)
 
         monkeypatch.setattr(measures, "_coarse", counting)
         assert witness(correlation_exact(r, k)) == full
@@ -826,7 +824,7 @@ class TestCoarsePass:
         ],
     )
     def test_selection(self, r, k, selected):
-        assert (measures._coarse(r, k) is not None) == selected
+        assert (measures._coarse(r, k, {}) is not None) == selected
         if measures.exact_cost(r.q, k) <= DEFAULT_BUDGET:
             res = correlation_exact(r, k)
             assert witness(res) == witness(unpruned(lambda: correlation_exact(r, k)))
@@ -922,19 +920,24 @@ class TestWitnessFromTheScan:
     @pytest.mark.parametrize("k, samples", [(2, None), (3, None), (2, 150), (3, 10000)])
     def test_kernel_runs_only_on_survivors(self, monkeypatch, k, samples):
         # QR 257: every block spans _COARSE_MIN_CELLS (k = 3 has three
-        # blocks of up to 4080 rows), so each is bounded at every width
+        # blocks of up to 4080 rows), so each is bounded at every width;
+        # the survivors of sampled rows are finished from the block sums
         r = quadratic_residue_set(257)
         expected = old_rule(r, k, samples, seed=1)
         events, coarse, kernel = [], measures._coarse, measures._kernel
 
-        def bounded(rset, k):
-            bounds = coarse(rset, k)
+        def bounded(rset, k, workspace):
+            bounds, refine = coarse(rset, k, workspace)
 
-            def recorded(lags, width, *rest):
+            def recorded(lags, width, ends):
                 events.append((width, lags.tolist()))
-                return bounds(lags, width, *rest)
+                return bounds(lags, width, ends)
 
-            return recorded
+            def refined(lags, keep, floor):
+                events.append(("refine", lags[keep].tolist()))
+                return refine(lags, keep, floor)
+
+            return recorded, refined
 
         def counted(rset, k):
             prefix_sums = kernel(rset, k)
@@ -947,8 +950,10 @@ class TestWitnessFromTheScan:
         else:
             res = correlation_sampled(r, k, samples, seed=1)
         assert witness(res) == expected
-        calls = [i for i, (what, _) in enumerate(events) if what == "kernel"]
-        assert calls  # the maximum reaches the kernel
+        final, never = ("kernel", "refine") if samples is None else ("refine", "kernel")
+        calls = [i for i, (what, _) in enumerate(events) if what == final]
+        assert calls  # the maximum reaches the kernel, or the refinement
+        assert all(what != never for what, _ in events)
         for i in calls:
             # right after the narrowest bounds of its block, on survivors of
             # them, in their order
@@ -974,6 +979,105 @@ class TestWitnessFromTheScan:
         rows.clear()
         assert witness(correlation_sampled(r, 3, 40, seed=2)) == expected[1]
         assert rows == [3] * 13 + [1]
+
+
+@st.composite
+def drawn_cases(draw):
+    """(set, k) with q from 128 to 600 (k = 2; 400 at k = 3, 250 at k = 4):
+    quadratic residues mod p = 1 mod 4 (many tied rows), progressions,
+    random sets, the empty set and all of Z_q (every window sums to 0)."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    top = {2: 600, 3: 400, 4: 250}[k]
+    kind = draw(st.sampled_from(["residues", "progression", "random", "empty", "full"]))
+    if kind == "residues":
+        q = draw(st.sampled_from([p for p in QR_1_MOD_4 if p <= top]))
+        return quadratic_residue_set(q), k
+    q = draw(st.integers(min_value=measures._COARSE_MIN_Q, max_value=top))
+    if kind == "progression":
+        start, step = draw(st.integers(0, q - 1)), draw(st.integers(1, q - 1))
+        els = {(start + step * i) % q for i in range(draw(st.integers(1, q - 1)))}
+    elif kind == "random":
+        els = draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=q - 1))
+    else:
+        els = range(q) if kind == "full" else ()
+    return ResidueSet(q, tuple(sorted(els))), k
+
+
+class TestRefinedPrefixWindows:
+    """Sampled rows are finished from the narrowest block sums, never by
+    the full kernel, with the kernel-only scan's values and witnesses."""
+
+    @given(
+        drawn_cases(),
+        st.sampled_from([1, 40, 130, 300, 1000, 2500]),  # one or two blocks
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_kernel_only_scan(self, case, samples, seed):
+        r, k = case
+        got = witness(correlation_sampled(r, k, samples, seed=seed))
+        assert got == unpruned(lambda: witness(correlation_sampled(r, k, samples, seed=seed)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_the_int64_bound_equals_the_kernel_only_scan(self, seed):
+        # 3 q max(T, q-T)^2 is just below 2^62, where block sums and prefix
+        # sums reach 1.5e18
+        q = 1832030
+        r = explicit_set(q, range(0, q, 2))
+        t = r.cardinality
+        assert 3 * q * max(t, q - t) ** 2 < measures._INT64_HEADROOM
+        assert 3 * (q + 1) * (q + 1 - (q + 1) // 2) ** 2 >= measures._INT64_HEADROOM
+        assert measures._coarse_selected(q, t, 2)
+        got = witness(correlation_sampled(r, 2, 24, seed=seed))
+        assert got == unpruned(lambda: witness(correlation_sampled(r, 2, 24, seed=seed)))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ties_across_chunks_keep_the_first_draw(self, monkeypatch, seed):
+        # one candidate block a chunk: the even residues mod 256 at k = 3
+        # have draws tied at the maximum in later chunks, whose bounds pass
+        # the best value found but whose values only equal it
+        monkeypatch.setattr(measures, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(measures, "_DRAW_ROWS", 256)  # 2^16 cells a block
+        r = explicit_set(256, range(0, 256, 2))
+        got = witness(correlation_sampled(r, 3, 600, seed=seed))
+        assert got == unpruned(lambda: witness(correlation_sampled(r, 3, 600, seed=seed)))
+
+    def test_draws_at_a_million_skip_the_kernel(self, monkeypatch):
+        r = quadratic_residue_set(1000003)
+        widths, coarse = [], measures._coarse
+
+        def counting(rset, k, workspace):
+            bounds, refine = coarse(rset, k, workspace)
+
+            def counted(lags, width, ends):
+                widths.append((len(lags), width))
+                return bounds(lags, width, ends)
+
+            return counted, refine
+
+        def kernel(rset, k):
+            def prefix_sums(lags):
+                raise AssertionError("a q-length row of prefix sums was built")
+
+            return prefix_sums
+
+        monkeypatch.setattr(measures, "_coarse", counting)
+        monkeypatch.setattr(measures, "_kernel", kernel)
+        tracemalloc.start()
+        try:
+            res = correlation_sampled(r, 2, 16, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert witness(res) == (
+            Fraction(313001856633688, 1000003**2), 523742, (391228, 887827)
+        )
+        # blocks of _DRAW_ROWS draws, each bounded at most once at each width
+        widest = [rows for rows, width in widths if width == measures._COARSE_WIDTHS[0]]
+        assert widest == [measures._DRAW_ROWS] * (16 // measures._DRAW_ROWS)
+        assert len(widths) <= len(measures._COARSE_WIDTHS) * len(widest)
+        # below one kernel row's 17 bytes a cell
+        assert peak < 17 * r.q
 
 
 class TestShiftCovariance:
