@@ -2,7 +2,7 @@
 
 An ExperimentConfig names one construction, any derived sequences, and a
 list of analyses; ANALYSES maps each analysis kind to its config keys,
-cost estimate and runner.  run() executes the analyses and
+cost estimate, runner and check.  run() executes the analyses and
 returns a VerificationReport comparing empirical counts against the
 exact main terms, with per-item PASS / FAIL / REPORT_ONLY statuses;
 sweep() repeats a base config over a parameter grid.
@@ -489,8 +489,6 @@ def _run_sign_patterns(rset, seqs, config, analysis, op_budget):
     """The characteristic sequence's length-s windows, labelled by +-1
     membership signs, plus the exact conservation row."""
     s, q = analysis.window, rset.q
-    if s > q:  # before the lemma's scans, which would refuse order s instead
-        raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
     budget = None
     if analysis.budget is not None and analysis.budget.shape == "lemma":
         cmax = measures.correlation_up_to(rset, s, budget=op_budget)
@@ -571,6 +569,14 @@ def _check_correlation(analysis, q: int) -> None:
     measures.validate_correlation(q, analysis.k, analysis.samples)
 
 
+def _check_sign_patterns(analysis, q: int) -> None:
+    s = analysis.window
+    if s > q:  # before the lemma's scans, which would refuse order s instead
+        raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
+    if analysis.budget is not None and analysis.budget.shape == "lemma":
+        measures.validate_correlation(q, s)
+
+
 ANALYSES = {
     "cardinality": AnalysisKind((), lambda a, q: q, _run_cardinality),
     "balance": AnalysisKind(
@@ -584,7 +590,11 @@ ANALYSES = {
         _run_patterns,
     ),
     "sign_patterns": AnalysisKind(
-        ("window", "budget"), _sign_patterns_cost, _run_sign_patterns, lemma=True
+        ("window", "budget"),
+        _sign_patterns_cost,
+        _run_sign_patterns,
+        lemma=True,
+        check=_check_sign_patterns,
     ),
     "correlation": AnalysisKind(
         ("k",),
@@ -656,8 +666,9 @@ def run(
     """Execute a config and report every analysis against its budget.
 
     The whole config is admitted first: each analysis's check refuses
-    what cannot run at q (a correlation order outside 1..q, or of 2 and
-    up above q = 2^23), then an estimate_cost above op_budget raises
+    what cannot run at q (a correlation order outside 1..q or, also for a
+    sign-pattern lemma budget, of 2 and up above q = 2^23; a sign-pattern
+    window past q), then an estimate_cost above op_budget raises
     BudgetExceededError, before the set is built.  Every analysis runs on
     the calling thread; `workers` is accepted and changes nothing.
     """

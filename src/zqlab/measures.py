@@ -26,15 +26,15 @@ there, in order, and values and witnesses are those of the full scan.
 The witness window is read from the prefix sums the scan keeps of its
 best row, not from a second kernel call.
 The pass runs where it pays, which the input decides: orders 2 to 4, q of
-at least 128, blocks of at least 2^15 cells, and int64 arithmetic (on
-Python ints every row goes to the full kernel).  correlation_up_to carries
-the best value of the lower orders into each higher order's scan as its
-starting bound.  A scan runs its blocks in order on the calling thread
-and gives the pass one workspace: named buffers that grow to the largest
-request and are handed out as views, so a warm pass allocates nothing of a
-block's size.  Its later blocks and widths reuse it; the scan frees it
-only before a kernel call, which can use that memory, and it goes with
-the scan.
+at least 128, and int64 arithmetic (on Python ints every row goes to the
+full kernel); there it bounds every block of rows, however small.
+correlation_up_to carries the best value of the lower orders into each
+higher order's scan as its starting bound.  A scan runs its blocks in
+order on the calling thread and gives the pass one workspace: named
+buffers that grow to the largest request and are handed out as views, so
+a warm pass allocates nothing of a block's size.  Its later blocks and
+widths reuse it; the scan frees it only before a kernel call, which can
+use that memory, and it goes with the scan.
 
 The sampled scan maximizes over prefix windows (one free end).  Where the
 coarse pass runs, its rows never reach the full kernel: inside a block,
@@ -93,14 +93,9 @@ _HIGH_ORDER_MAX_Q = 2**23
 
 # The coarse pass (_coarse) runs at these orders when q has at least four of
 # the widest blocks; each width in turn bounds the rows the last one kept.
-# It bounds a block of rows only if the block spans _COARSE_MIN_CELLS cells
-# (rows * q); a smaller one costs the full kernel less than the pass's fixed
-# numpy calls per width (the exact order-2 scan, q // 2 rows in one block,
-# breaks even near q = 256).
 _COARSE_ORDERS = range(2, 5)
 _COARSE_WIDTHS = (32, 16, 8)
 _COARSE_MIN_Q = 4 * _COARSE_WIDTHS[0]
-_COARSE_MIN_CELLS = 1 << 15
 
 # Sampled rows that the coarse pass bounds and finishes come in blocks of
 # _CHUNK_CELLS cells, like the kernel's, but of at least _DRAW_ROWS rows:
@@ -304,13 +299,11 @@ def _coarse_selected(q: int, t: int, k: int) -> bool:
     """Whether the coarse pass can pay: at _COARSE_ORDERS (there are 2^k
     AND terms), from _COARSE_MIN_Q (enough blocks to prune) and where the
     kernel runs on int64 (on Python ints every row survives)."""
+    # k <= 4: the int64 rule implies block sums' 32 * (3 * max(T, q-T))^k < 2^63
     return (
         k in _COARSE_ORDERS
         and q >= _COARSE_MIN_Q
         and _sums_dtype(q, t, k) is not object
-        # keeps every term of the weighted block sums inside int64; at the
-        # orders above, the kernel's int64 rule already implies it
-        and _COARSE_WIDTHS[0] * (3 * max(t, q - t)) ** k < 2**63
     )
 
 
@@ -326,9 +319,9 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
     masks packed 8 positions a byte.  With e_i the popcounts summed over
     |S| = i, the positions with exactly j members number
     sum_i (-1)^(i-j) C(i, j) e_i, so the block's positive mass of P is
-    linear in the e_i too.  The ANDs without d_k are taken once per run of
-    rows sharing d_1, ..., d_{k-1}.  The e_i are summed in int16 (each is at
-    most C(k, i) * 32), then weighted in int64.
+    linear in the e_i too.  Each row takes the AND over every nonempty S
+    and counts it into e_|S|.  The e_i are summed in int16 (each is at most
+    C(k, i) * 32), then weighted in int64.
 
     Every call takes its arrays from `workspace`, a dict of named buffers
     that grow to the largest request and are handed out as views; the
@@ -386,39 +379,20 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         blocks) arrays and packed masks are views of the workspace."""
         rows, blocks = len(lags), 8 * size // width
         view = np.dtype(f"<u{width // 8}")
-        new = np.ones(rows, dtype=bool)
-        new[1:] = (lags[1:, :-1] != lags[:-1, :-1]).any(axis=1)
-        run = np.cumsum(new) - 1
-        runs = int(run[-1]) + 1
         # e[n - 1] is e_n, at most C(k, n) * 32 <= 192
         e = scratch("e", (k, rows, blocks), np.int16)
+        e[...] = 0
         counts = scratch("counts", (rows, blocks), np.uint8)
-        # ANDs within the prefix, counted once per run into e_1 .. e_{k-1}
-        heads = [(0, None)]  # (|S|, AND over S) for each S within the prefix
-        slots = iter(scratch("heads", (2 ** (k - 1) - 1, runs, size), np.uint8))
-        for i in range(k - 1):
-            masks = rotated(lags[new, i], next(slots))
-            heads += [
+        subsets = [(0, None)]  # (|S|, AND over S) for each S of the lags so far
+        slots = iter(scratch("ands", (2**k - 1, rows, size), np.uint8))
+        for i in range(k):
+            masks = rotated(lags[:, i], next(slots))
+            subsets += [
                 (n + 1, masks if a is None else np.bitwise_and(a, masks, out=next(slots)))
-                for n, a in heads
+                for n, a in subsets
             ]
-        per_run = scratch("per_run", (k - 1, runs, blocks), np.int16)
-        per_run[...] = 0
-        for n, a in heads[1:]:
-            counted = np.bitwise_count(a.view(view), out=counts[:runs])
-            np.add(per_run[n - 1], counted, out=per_run[n - 1])
-        np.take(per_run, run, axis=1, out=e[:-1], mode="clip")
-        e[-1] = 0
-        # ANDs with d_k, row by row
-        last = rotated(lags[:, -1], scratch("last", (rows, size), np.uint8))
-        ands = scratch("ands", (rows, size), np.uint8)
-        for n, a in heads:
-            if a is None:
-                a = last
-            else:
-                a = np.take(a, run, axis=0, out=ands, mode="clip")
-                a &= last
-            np.add(e[n], np.bitwise_count(a.view(view), out=counts), out=e[n])
+        for n, a in subsets[1:]:
+            np.add(e[n - 1], np.bitwise_count(a.view(view), out=counts), out=e[n - 1])
         # block sums into sums[:, 1:], positive masses into pos; e_0 is the
         # block length, the same in every row
         lengths = np.clip(q - width * np.arange(blocks), 0, width)
@@ -579,22 +553,19 @@ def _best_row(rset, k, blocks, ends: int, floor: int = 0):
     are dropped; a row at the maximum never is, and survivors keep their
     order.  Prefix windows are then finished from the narrowest block
     sums; cyclic ones go to the full kernel, and the witness is read from
-    its prefix sums.  The scan owns the pass's workspace and gives it back
-    only before a kernel call.  Blocks of fewer than _COARSE_MIN_CELLS
-    cells skip the bounds; the first block is never smaller than a later
-    one, so _coarse packs its masks once, here, if it does not."""
-    q = rset.q
+    its prefix sums.  _coarse packs its masks once, here, and the scan
+    owns the pass's workspace and gives it back only before a kernel
+    call."""
     prefix_sums = _kernel(rset, k)
     row_best, witness = (
         (_cyclic_best, _cyclic_witness) if ends == 2 else (_prefix_best, _first_length)
     )
-    first = next(blocks)
     workspace = {}
-    coarse = _coarse(rset, k, workspace) if len(first) * q >= _COARSE_MIN_CELLS else None
+    coarse = _coarse(rset, k, workspace)
 
     def scan(lags):
         nonlocal floor
-        if coarse is not None and len(lags) * q >= _COARSE_MIN_CELLS:
+        if coarse is not None:
             bounds, refine = coarse
             for width in _COARSE_WIDTHS:
                 lower, upper = bounds(lags, width, ends)
@@ -616,8 +587,7 @@ def _best_row(rset, k, blocks, ends: int, floor: int = 0):
         found = witness(sums[r], value) if value >= floor else None
         return value, tuple(int(d) for d in lags[r]), found
 
-    blocks = map(scan, itertools.chain([first], blocks))
-    return max(blocks, key=lambda result: result[0])  # first of equals
+    return max(map(scan, blocks), key=lambda result: result[0])  # first of equals
 
 
 def _exact_rows(q: int, k: int):

@@ -136,10 +136,11 @@ def _dth_power_mask(p: int, d: int) -> np.ndarray:
 
 def _primitive_root_mask(p: int) -> np.ndarray:
     """mask[y] = True iff y = g^j with gcd(j, p - 1) = 1: a primitive root."""
+    table = nt.build_index_table(p).table  # first: it refuses p >= 2^26
     coprime = np.ones(p - 1, dtype=bool)  # coprime[j]: gcd(j, p - 1) = 1
     for prime, _ in nt.factorize(p - 1).factors:
         coprime[::prime] = False
-    mask = coprime[nt.build_index_table(p).table]
+    mask = coprime[table]
     mask[0] = False  # the table's -1 sentinel reads coprime[p - 2]
     return mask
 
@@ -231,9 +232,9 @@ def power_residue_set(p: int, d: int, f) -> ResidueSet:
     fr = _reduced_nonconstant(f, p)
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
+    power_mask = _dth_power_mask(p, d)  # first: its index table refuses p >= 2^26
     values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
-    member = _dth_power_mask(p, d)[values]
-    return _elements_from_mask(p, member)
+    return _elements_from_mask(p, power_mask[values])
 
 
 def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
@@ -287,8 +288,8 @@ def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
         raise DegreeTooSmallError(f"need deg f >= 1 mod {p}, got {tuple(f)}")
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
+    table = nt.build_index_table(p)  # first: it refuses p >= 2^26
     values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
-    table = nt.build_index_table(p)
     # (g^j)^-1 = g^-j; zeros of f (index -1, the sentinel) are masked out below
     inv = table.powers[-table.table[values] % (p - 1)]
     member = (values != 0) & ((inv - r) % p < s)

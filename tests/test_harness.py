@@ -869,6 +869,32 @@ class TestEstimateCost:
         with pytest.raises(error):
             run(config)
 
+    @pytest.mark.parametrize(
+        "construction, analysis, error",
+        [
+            # the lemma budget's order-2 scans past q = 2^23
+            ({"kind": "explicit", "params": {"q": 2**24 + 1, "elements": [0, 1]}},
+             {"kind": "sign_patterns", "window": 2,
+              "budget": {"constant": 1, "shape": "lemma"}},
+             errors.TooLargeError),
+            ({"kind": "quadratic_residues", "params": {"p": 7}},
+             {"kind": "sign_patterns", "window": 9},
+             errors.PatternTooLongError),
+        ],
+    )
+    def test_run_refuses_a_sign_pattern_analysis_before_construct(
+        self, monkeypatch, construction, analysis, error
+    ):
+        def construct(spec):
+            raise AssertionError("construct ran before the check")
+
+        monkeypatch.setattr(harness, "construct", construct)
+        config = ExperimentConfig.from_dict(
+            {"construction": construction, "analyses": [analysis]}
+        )
+        with pytest.raises(error):
+            run(config, op_budget=10**15)  # admits both: the check refuses them
+
     def test_run_refuses_over_budget(self):
         config = ExperimentConfig.from_dict(
             {
@@ -1169,6 +1195,10 @@ class TestCli:
             ({"kind": "quadratic_residues", "params": {"p": 11}},
              {"kind": "correlation", "k": 12},
              "error: correlation order 12 exceeds q=11"),
+            ({"kind": "explicit", "params": {"q": 2**24 + 1, "elements": [0, 1]}},
+             {"kind": "sign_patterns", "window": 2,
+              "budget": {"constant": 1, "shape": "lemma"}},
+             "error: correlation order 2 needs q <= 8388608, got q=16777217"),
         ],
     )
     def test_verify_bad_correlation_exits_2_before_construct(

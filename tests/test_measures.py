@@ -553,20 +553,18 @@ QR_1_MOD_4 = [
 def coarse_cases(draw):
     """(set, k) in Z_q with q >= _COARSE_MIN_Q, so several blocks and a
     short tail block: quadratic residues mod p = 1 mod 4, arithmetic
-    progressions and random sets, or their complements.  At k = 2, q is
-    at least 256, where the exact scan's q // 2 rows reach
-    _COARSE_MIN_CELLS.  q stays at most 132 at k = 4, 200 at k = 3 and
-    400 at k = 2, to keep the unpruned scans short."""
+    progressions and random sets, or their complements.  q stays at most
+    132 at k = 4, 200 at k = 3 and 400 at k = 2, to keep the unpruned
+    scans short."""
     k = draw(st.integers(min_value=1, max_value=4))
-    low = 256 if k == 2 else measures._COARSE_MIN_Q
     top = {2: 400, 3: 200, 4: 132}.get(k, 300)
     kinds = ["progression", "random"] + (["residues"] if k < 4 else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "residues":
-        q = draw(st.sampled_from([p for p in QR_1_MOD_4 if low <= p <= top]))
+        q = draw(st.sampled_from([p for p in QR_1_MOD_4 if p <= top]))
         els = set(quadratic_residue_set(q).elements)
     else:
-        q = draw(st.integers(min_value=low, max_value=top))
+        q = draw(st.integers(min_value=measures._COARSE_MIN_Q, max_value=top))
         if kind == "progression":
             start, step = draw(st.integers(0, q - 1)), draw(st.integers(1, q - 1))
             els = {(start + step * i) % q for i in range(draw(st.integers(1, q - 1)))}
@@ -591,14 +589,17 @@ def witness(res):
 class TestCoarsePass:
     """The certified block bounds in front of the full kernel."""
 
-    @given(coarse_cases(), st.integers(0, 99))
+    @given(coarse_cases(), st.integers(0, 99), st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
-    def test_equals_unpruned_scan(self, case, seed):
+    def test_equals_unpruned_scan(self, case, seed, draws):
+        # however few cells a block spans: the exact order-2 scan's one block
+        # of q // 2 rows, or a block of 1 to 8 draws
         r, k = case
         assert (measures._coarse(r, k, {}) is not None) == (k >= 2)
         for scan in (
             lambda: witness(correlation_exact(r, k)),
             lambda: witness(correlation_sampled(r, k, 200, seed=seed)),
+            lambda: witness(correlation_sampled(r, k, draws, seed=seed)),
             lambda: correlation_up_to(r, k),
         ):
             assert scan() == unpruned(scan)
@@ -633,8 +634,8 @@ class TestCoarsePass:
                     assert (lower <= best).all() and (best <= upper).all()
 
     def test_zero_slack_is_caught(self, monkeypatch):
-        # q = 257 at k = 2: 128 exact rows of 257 cells, 150 draws, so both
-        # scans' blocks reach _COARSE_MIN_CELLS
+        # q = 257 at k = 2: 128 exact rows of 257 cells, 150 draws, both
+        # bounded
         r = quadratic_residue_set(257)
         exact = (Fraction(577783, 257**2), 69, (79, 110))
         assert witness(correlation_exact(r, 2)) == exact
@@ -659,7 +660,7 @@ class TestCoarsePass:
 
     def test_workers_agree(self, monkeypatch):
         r = quadratic_residue_set(173)
-        # 200 rows a block, above _COARSE_MIN_CELLS: the bounds run on each
+        # 200 rows a block: the bounds run on each
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 200)
 
         def scans():
@@ -673,8 +674,8 @@ class TestCoarsePass:
 
     def test_workers_agree_with_a_short_bounded_last_block(self, monkeypatch):
         # 360 rows a block: the exact scan's 4931 rows end in a block of 251,
-        # the 2000 draws in one of 200; both span _COARSE_MIN_CELLS, so the
-        # scan's workspace, grown by a full block, bounds a shorter one
+        # the 2000 draws in one of 200, so the scan's workspace, grown by a
+        # full block, bounds a shorter one
         r = quadratic_residue_set(173)
         monkeypatch.setattr(measures, "_CHUNK_CELLS", 173 * 360)
         widest, coarse = [], measures._coarse
@@ -704,7 +705,7 @@ class TestCoarsePass:
         coarse_cases().filter(lambda case: case[1] >= 2),
         st.lists(
             st.tuples(
-                st.booleans(),  # drawn rows (several runs) or representatives
+                st.booleans(),  # drawn rows or representatives
                 st.integers(1, 300),  # rows
                 st.sampled_from(measures._COARSE_WIDTHS),
                 st.booleans(),  # cyclic or prefix windows
@@ -758,10 +759,10 @@ class TestCoarsePass:
             for a, b in zip(first, again):
                 np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("q, bounded", [(255, False), (256, True)])
-    def test_small_blocks_skip_the_bounds(self, monkeypatch, q, bounded):
-        # the order-2 scan is one block of q // 2 rows: 127 * 255 cells are
-        # below _COARSE_MIN_CELLS, 128 * 256 are not
+    @pytest.mark.parametrize("q", [255, 256])
+    def test_small_blocks_take_the_bounds(self, monkeypatch, q):
+        # the order-2 scan is one block of q // 2 rows, 127 * 255 cells at
+        # q = 255: a selected scan bounds every block, however small
         r = explicit_set(q, range(0, q, 3))
         full = witness(unpruned(lambda: correlation_exact(r, 2)))
         calls, coarse = [], measures._coarse
@@ -772,11 +773,11 @@ class TestCoarsePass:
 
         monkeypatch.setattr(measures, "_coarse", counting)
         assert witness(correlation_exact(r, 2)) == full
-        assert bool(calls) == bounded
+        assert calls
 
-    def test_a_short_last_block_skips_the_bounds(self, monkeypatch):
-        # 4096 draws a block at q = 256: the first block is bounded; the last,
-        # 10 draws of 256 cells, is below _COARSE_MIN_CELLS
+    def test_a_short_last_block_takes_the_bounds(self, monkeypatch):
+        # 4096 draws a block at q = 256: the last block, 10 draws of 256
+        # cells, is bounded like the first
         r = explicit_set(256, range(0, 256, 3))
         full = witness(unpruned(lambda: correlation_sampled(r, 2, 4106, seed=3)))
         widest, coarse = [], measures._coarse
@@ -793,13 +794,13 @@ class TestCoarsePass:
 
         monkeypatch.setattr(measures, "_coarse", counting)
         assert witness(correlation_sampled(r, 2, 4106, seed=3)) == full
-        assert widest == [4096]
+        assert widest == [4096, 10]
 
-    @pytest.mark.parametrize("q, k, packs", [(255, 2, 0), (256, 2, 1), (256, 3, 1)])
+    @pytest.mark.parametrize("q, k, packs", [(255, 2, 1), (256, 2, 1), (256, 3, 1)])
     def test_masks_packed_once_for_the_first_bounded_block(
         self, monkeypatch, q, k, packs
     ):
-        # q = 255, k = 2 has no block of _COARSE_MIN_CELLS cells; q = 256,
+        # q = 255 and 256, k = 2 have one block of q // 2 rows; q = 256,
         # k = 3 has three blocks of up to 4096 rows
         r = explicit_set(q, range(0, q, 3))
         full = witness(unpruned(lambda: correlation_exact(r, k)))
@@ -828,6 +829,26 @@ class TestCoarsePass:
         if measures.exact_cost(r.q, k) <= DEFAULT_BUDGET:
             res = correlation_exact(r, k)
             assert witness(res) == witness(unpruned(lambda: correlation_exact(r, k)))
+
+    @given(st.sampled_from(measures._COARSE_ORDERS), st.data())
+    def test_the_int64_rule_keeps_block_sums_in_int64(self, k, data):
+        # _coarse_selected tests only the kernel's rule 3 q m^k < 2^62, m =
+        # max(T, q - T).  The block sums' terms need 32 (3 m)^k < 2^63, which
+        # depends on m alone, and q >= m: so m runs up to, and past, the
+        # largest m that the rule admits, at q = m
+        def fits(q, t):
+            return measures._sums_dtype(q, t, k) is not object
+
+        top = round((measures._INT64_HEADROOM / 3) ** (1 / (k + 1)))
+        while fits(top + 1, 0):
+            top += 1
+        while not fits(top, 0):
+            top -= 1
+        m = data.draw(st.one_of(st.just(top), st.integers(1, top + 1)))
+        q = data.draw(st.integers(m, 2 * m))
+        t = data.draw(st.sampled_from([m, q - m]))
+        if fits(q, t):
+            assert measures._COARSE_WIDTHS[0] * (3 * m) ** k < 2**63
 
     def test_lower_orders_seed_the_bound(self, monkeypatch):
         # QR 10007: the order-1 value, 6.5e9 in order-2 units, is above every
@@ -919,9 +940,9 @@ class TestWitnessFromTheScan:
 
     @pytest.mark.parametrize("k, samples", [(2, None), (3, None), (2, 150), (3, 10000)])
     def test_kernel_runs_only_on_survivors(self, monkeypatch, k, samples):
-        # QR 257: every block spans _COARSE_MIN_CELLS (k = 3 has three
-        # blocks of up to 4080 rows), so each is bounded at every width;
-        # the survivors of sampled rows are finished from the block sums
+        # QR 257: every block (k = 3 has three of up to 4080 rows) is
+        # bounded at every width; the survivors of sampled rows are finished
+        # from the block sums
         r = quadratic_residue_set(257)
         expected = old_rule(r, k, samples, seed=1)
         events, coarse, kernel = [], measures._coarse, measures._kernel

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -542,6 +543,31 @@ def test_invalid_input_is_refused(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: power_residue_set(p, 2, (1, 0, 1)),
+        primitive_root_set,
+        lambda p: primitive_root_power_set(p, 1, 2, (0, 1)),
+        lambda p: index_range_set(p, (0, 1), 0, 10),
+        lambda p: inverse_range_set(p, (0, 1), 0, 10),
+    ],
+    ids=["power_residues", "primitive_roots", "primitive_root_powers", "index_range",
+         "inverse_range"],
+)
+def test_index_table_sets_refuse_p_past_2_26_before_allocating(build):
+    # 67108879 is the first prime above 2**26; one pass over Z_p in int64
+    # takes 512 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(errors.TooLargeError):
+            build(67108879)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @given(subsets)
