@@ -36,6 +36,9 @@ _TRIAL_LIMIT = 10**6
 # Dense index tables hold Theta(p) integers; refuse past this point.
 _INDEX_TABLE_LIMIT = 2**26
 
+# Exponents scattered into an index table per step: bounds its temporaries.
+_SCATTER_BLOCK = 2**16
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**63."""
@@ -177,13 +180,20 @@ def build_index_table(p: int) -> IndexTable:
     if p >= _INDEX_TABLE_LIMIT:
         raise TooLargeError(f"index table for p={p} exceeds the 2**26 limit")
     g = find_primitive_root(p)
-    # Doubling blocks: powers[b + j] = powers[b] * powers[j] for j < b;
+    # Doubling in place: powers[b + j] = powers[b] * powers[j] for j < b;
     # products stay below p^2 < 2^52.
-    powers = np.ones(1, dtype=np.int64)
-    while (b := len(powers)) < p - 1:
-        powers = np.concatenate([powers, powers[: p - 1 - b] * pow(g, b, p) % p])
+    powers = np.empty(p - 1, dtype=np.int64)
+    powers[0], b = 1, 1
+    while b < p - 1:
+        head = powers[b : 2 * b]
+        np.multiply(powers[: len(head)], pow(g, b, p), out=head)
+        np.remainder(head, p, out=head)
+        b += len(head)
+    # The inverse scatter, a block of exponents at a time.
     table = np.full(p, -1, dtype=np.int64)
-    table[powers] = np.arange(p - 1)
+    for start in range(0, p - 1, _SCATTER_BLOCK):
+        stop = min(start + _SCATTER_BLOCK, p - 1)
+        table[powers[start:stop]] = np.arange(start, stop)
     table.setflags(write=False)
     powers.setflags(write=False)
     return IndexTable(p, g, table, powers)
@@ -232,12 +242,19 @@ def poly_eval_mod(coeffs, x: int, modulus: int) -> int:
 
 
 def poly_eval_array(coeffs, xs: np.ndarray, p: int) -> np.ndarray:
-    """Horner evaluation of the polynomial at every entry of xs, mod p."""
+    """Horner evaluation of the polynomial at every entry of xs, mod p.
+
+    One int64 array the shape of xs is allocated; each coefficient below
+    the leading one takes one multiply, add and reduce in place on it.
+    """
     if len(coeffs) == 0:
         raise EmptyPolynomialError("polynomial needs at least one coefficient")
-    acc = np.zeros_like(xs, dtype=np.int64)
-    for c in reversed([c % p for c in coeffs]):
-        acc = (acc * xs + c) % p
+    *rest, lead = [c % p for c in coeffs]
+    acc = np.full(np.shape(xs), lead, dtype=np.int64)
+    for c in reversed(rest):
+        acc *= xs
+        acc += c
+        acc %= p
     return acc
 
 

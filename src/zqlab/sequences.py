@@ -148,14 +148,14 @@ class DerivationKind:
     (pattern, T, q, param), its cost (q) for admission control, beyond
     the set's own, and a bound (q, set_cost) on its length, which the
     analyses reading it are charged for: a gap sequence has T - 1
-    symbols, fewer than the set's cost."""
+    symbols, fewer than q and than the set's cost."""
 
     param: str | None
     derive: Callable[[ResidueSet, int | None], DerivedSequence]
     alphabet: Callable[[int | None], range]
     main_term: Callable
     cost: Callable[[int], int] = lambda q: 0
-    length: Callable[[int, int], int] = lambda q, set_cost: set_cost
+    length: Callable[[int, int], int] = lambda q, set_cost: min(q, set_cost)
 
 
 DERIVATIONS = {

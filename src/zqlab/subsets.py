@@ -40,6 +40,10 @@ from .predictions import exact_budget, report_only_budget
 # The Fermat-quotient constructions build dense tables over Z_{p^2}.
 _FERMAT_TABLE_LIMIT = 2**11
 
+# Per-residue rules run on this many residues at a time, so a build holds
+# temporaries of one block beside its bool mask over Z_q.
+_BLOCK = 2**16
+
 
 @dataclass(frozen=True, init=False, eq=False)
 class ResidueSet:
@@ -126,43 +130,83 @@ class ResidueSet:
 # Shared per-prime tables.
 
 
-def _dth_power_mask(p: int, d: int) -> np.ndarray:
-    """mask[y] = True iff y is a nonzero d-th power residue mod p."""
-    table = nt.build_index_table(p)
-    mask = table.table % d == 0
-    mask[0] = False
+def _block_mask(q: int, rule: Callable[[np.ndarray], np.ndarray], count=None):
+    """A bool mask over Z_q from a rule evaluated on int64 blocks xs.
+
+    xs runs through 0 .. count - 1 (all of Z_q if count is None), _BLOCK
+    residues at a time, so a rule's temporaries stay the size of one
+    block.  A rule returns either membership, one bool per residue of xs,
+    or the residues of Z_q that xs map into the set.
+    """
+    mask = np.zeros(q, dtype=bool)
+    count = q if count is None else count
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        out = rule(np.arange(start, stop))
+        if out.dtype == bool:
+            mask[start:stop] = out
+        else:
+            mask[out] = True
     return mask
 
 
-def _primitive_root_mask(p: int) -> np.ndarray:
-    """mask[y] = True iff y = g^j with gcd(j, p - 1) = 1: a primitive root."""
+def _dth_power_mask(p: int, d: int) -> np.ndarray:
+    """mask[y] = True iff y is a nonzero d-th power residue mod p."""
+    powers = nt.build_index_table(p).powers  # first: it refuses p >= 2^26
+    mask = np.zeros(p, dtype=bool)
+    mask[powers[::d]] = True  # the g^(dj), with no temporaries
+    return mask
+
+
+def _primitive_root_mask(p: int, s: int = 1) -> np.ndarray:
+    """mask[y] = True iff y = g^(sj) with gcd(j, p - 1) = 1: y is the s-th
+    power of a primitive root (s divides p - 1).
+
+    As j runs over the units mod p - 1, sj mod p - 1 runs over s times the
+    units mod (p - 1)/s, since every unit mod (p - 1)/s lifts to one mod
+    p - 1.
+    """
     table = nt.build_index_table(p).table  # first: it refuses p >= 2^26
-    coprime = np.ones(p - 1, dtype=bool)  # coprime[j]: gcd(j, p - 1) = 1
-    for prime, _ in nt.factorize(p - 1).factors:
-        coprime[::prime] = False
-    mask = coprime[table]
-    mask[0] = False  # the table's -1 sentinel reads coprime[p - 2]
+    exponents = np.zeros(p - 1, dtype=bool)  # exponents[e]: g^e qualifies
+    units = exponents[::s]  # a view: units[t] is exponents[s*t]
+    units[:] = True
+    for prime, _ in nt.factorize((p - 1) // s).factors:
+        units[::prime] = False
+    mask = exponents[table]
+    mask[0] = False  # the table's -1 sentinel reads exponents[p - 2]
     return mask
 
 
 @lru_cache(maxsize=4)
 def _fermat_quotient_table(p: int) -> np.ndarray:
-    """Fermat quotients of 0 .. p^2 - 1 as a dense array (read-only)."""
+    """Fermat quotients of 0 .. p^2 - 1 as a dense uint16 array (read-only).
+
+    Square and multiply runs over the p - 1 units n < p only: n^(p-2) mod
+    p^2 gives n^-1 mod p and q(n).  Every other cell follows from
+    q(n + kp) = q(n) - k * n^-1 (mod p), one multiply, subtract and reduce
+    each, a block of rows k at a time.  Multiples of p get 0 by convention.
+    Values lie below p < 2^11, so 2 bytes a cell.
+    """
     if p >= _FERMAT_TABLE_LIMIT:
         raise TooLargeError(
             f"Fermat-quotient tables need p < {_FERMAT_TABLE_LIMIT}, got {p}"
         )
-    # n^(p-1) mod p^2 by square and multiply on the whole range at once;
-    # products stay below p^4 < 2^44.
-    n = np.arange(p * p, dtype=np.int64)
-    power, base, e = np.ones_like(n), n.copy(), p - 1
+    # products stay below p^4 < 2^44
+    n = np.arange(1, p, dtype=np.int64)
+    power, base, e = np.ones_like(n), n.copy(), p - 2
     while e:
         if e & 1:
             power = power * base % (p * p)
         base = base * base % (p * p)
         e >>= 1
-    qtab = (power - 1) // p % p
-    qtab[n % p == 0] = 0  # by convention
+    inverse = power % p
+    quotient = (power * n % (p * p) - 1) // p
+    qtab = np.zeros(p * p, dtype=np.uint16)
+    rows = qtab.reshape(p, p)  # rows[k, n] is the cell n + kp
+    step = max(_BLOCK // p, 1)
+    for k in range(0, p, step):
+        ks = np.arange(k, min(k + step, p))[:, None]
+        rows[k : k + step, 1:] = (quotient - ks * inverse) % p
     qtab.setflags(write=False)
     return qtab
 
@@ -207,9 +251,8 @@ def _elements_from_mask(q: int, mask: np.ndarray) -> ResidueSet:
 def quadratic_residue_set(p: int) -> ResidueSet:
     """The (p-1)/2 nonzero quadratic residues mod the odd prime p."""
     nt._require_odd_prime(p)
-    half = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    mask = np.zeros(p, dtype=bool)
-    mask[half * half % p] = True
+    mask = _block_mask(p, lambda h: h * h % p, (p + 1) // 2)
+    mask[0] = False  # the square of h = 0
     return _elements_from_mask(p, mask)
 
 
@@ -233,8 +276,8 @@ def power_residue_set(p: int, d: int, f) -> ResidueSet:
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
     power_mask = _dth_power_mask(p, d)  # first: its index table refuses p >= 2^26
-    values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
-    return _elements_from_mask(p, power_mask[values])
+    mask = _block_mask(p, lambda xs: power_mask[nt.poly_eval_array(fr, xs, p)])
+    return _elements_from_mask(p, mask)
 
 
 def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
@@ -243,12 +286,11 @@ def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
     _require_divisor("s", s, p)
     _require_divisor("r", r, p)
     fr = _checked_poly(f, p)
-    table = nt.build_index_table(p)
-    roots = np.flatnonzero(_primitive_root_mask(p))
-    xs = table.powers[table.table[roots] * s % (p - 1)]
-    fvals = nt.poly_eval_array(fr, xs, p)
-    mask = np.zeros(p, dtype=bool)
-    mask[xs[_dth_power_mask(p, r)[fvals]]] = True
+    root_powers = _primitive_root_mask(p, s)  # first: it refuses p >= 2^26
+    power_mask = _dth_power_mask(p, r)
+    mask = _block_mask(
+        p, lambda xs: root_powers[xs] & power_mask[nt.poly_eval_array(fr, xs, p)]
+    )
     return _elements_from_mask(p, mask)
 
 
@@ -260,11 +302,14 @@ def index_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     """
     nt._require_odd_prime(p)
     _require_window(s, p)
-    table = nt.build_index_table(p)
-    values = nt.poly_eval_array(_checked_poly(f, p), np.arange(p), p)
-    inds = table.table[values]
-    member = (values != 0) & ((inds - r) % (p - 1) < s)
-    return _elements_from_mask(p, member)
+    table = nt.build_index_table(p).table
+    fr = _checked_poly(f, p)
+
+    def members(xs):
+        values = nt.poly_eval_array(fr, xs, p)
+        return (values != 0) & ((table[values] - r) % (p - 1) < s)
+
+    return _elements_from_mask(p, _block_mask(p, members))
 
 
 def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -274,9 +319,8 @@ def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     fr = _checked_poly(f, p)
     if len(fr) - 1 < 2:
         raise DegreeTooSmallError(f"need deg f >= 2 mod {p}, got {tuple(f)}")
-    values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
-    member = (values - r) % p < s
-    return _elements_from_mask(p, member)
+    mask = _block_mask(p, lambda xs: (nt.poly_eval_array(fr, xs, p) - r) % p < s)
+    return _elements_from_mask(p, mask)
 
 
 def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -289,11 +333,14 @@ def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
     table = nt.build_index_table(p)  # first: it refuses p >= 2^26
-    values = nt.poly_eval_array(fr, np.arange(p, dtype=np.int64), p)
-    # (g^j)^-1 = g^-j; zeros of f (index -1, the sentinel) are masked out below
-    inv = table.powers[-table.table[values] % (p - 1)]
-    member = (values != 0) & ((inv - r) % p < s)
-    return _elements_from_mask(p, member)
+
+    def members(xs):
+        values = nt.poly_eval_array(fr, xs, p)
+        # (g^j)^-1 = g^-j; zeros of f (index -1, the sentinel) are masked out
+        inv = table.powers[-table.table[values] % (p - 1)]
+        return (values != 0) & ((inv - r) % p < s)
+
+    return _elements_from_mask(p, _block_mask(p, members))
 
 
 def character_argument_set(
@@ -331,30 +378,28 @@ def character_argument_set(
         raise InvalidParameterError(
             f"polynomial {tuple(f)} is zero mod {p}: no n has gcd(f(n), p) = 1"
         )
-    fvals = nt.poly_eval_array(fr, np.arange(p), p)
-    if a != 0:
-        gr = nt.poly_reduce(g if g is not None else (), p)
-        if len(gr) - 1 < 2:
-            raise DegreeTooSmallError(f"need deg g >= 2 mod {p} for a nontrivial "
-                                      f"additive part, got {g}")
-        gvals = nt.poly_eval_array(gr, np.arange(p, dtype=np.int64), p)
-    else:
-        gvals = np.zeros(p, dtype=np.int64)
-    if chi_trivial:
-        kvals = np.zeros(p, dtype=np.int64)
-        order = 1
-    else:
-        order = chi.order
-        kvals = (chi.index % order) * chi.index_table.table[fvals] % order
+    gr = nt.poly_reduce(g if g is not None else (), p)
+    if a != 0 and len(gr) - 1 < 2:
+        raise DegreeTooSmallError(f"need deg g >= 2 mod {p} for a nontrivial "
+                                  f"additive part, got {g}")
+    order = 1 if chi_trivial else chi.order
     # theta*scale is an integer in [0, scale) for scale = order*p < 2^52 (order
     # divides p-1), and an integer lies in [alpha*scale, beta*scale) exactly
     # when it lies in [ceil(alpha*scale), ceil(beta*scale)): int64 decides
     # every window, whatever its denominators.
     scale = order * p
-    theta = kvals * p + (a * gvals % p) * order
     start, stop = math.ceil(alpha * scale), math.ceil(beta * scale)
-    member = (fvals != 0) & ((theta - start % scale) % scale < stop - start)
-    return _elements_from_mask(p, member)
+
+    def members(xs):
+        fvals = nt.poly_eval_array(fr, xs, p)
+        theta = np.zeros_like(xs)
+        if not chi_trivial:
+            theta += (chi.index % order) * chi.index_table.table[fvals] % order * p
+        if a != 0:
+            theta += a * nt.poly_eval_array(gr, xs, p) % p * order
+        return (fvals != 0) & ((theta - start % scale) % scale < stop - start)
+
+    return _elements_from_mask(p, _block_mask(p, members))
 
 
 def fermat_quotient_power_residue_set(p: int, d: int) -> ResidueSet:
@@ -389,9 +434,10 @@ def explicit_set(q: int, elements) -> ResidueSet:
 
 # ----------------------------------------------------------------------
 # Predicted cardinalities: exact where the count is an identity; the
-# power-residue count carries its explicit asserted sqrt budget (root
-# count by exhaustive evaluation); the window and character constructions
-# get report-only budgets with unit constants.
+# power-residue count carries its explicit asserted sqrt budget (its root
+# count by evaluating f over Z_p a block at a time, apart from the set);
+# the window and character constructions get report-only budgets with
+# unit constants.
 
 
 def _exact_count(main) -> CardinalityPrediction:
@@ -399,9 +445,15 @@ def _exact_count(main) -> CardinalityPrediction:
 
 
 def _power_residue_count(p, d, f) -> CardinalityPrediction:
-    fr = nt.poly_reduce(f, p)
-    values = nt.poly_eval_array(fr or (0,), np.arange(p, dtype=np.int64), p)
-    zeros = int(np.count_nonzero(values == 0))
+    """(p - z)/d for the z roots of f in Z_p, within the Weil bound.
+
+    The roots are counted by evaluating f at every residue through
+    _block_mask, independently of the set the prediction is checked
+    against, in temporaries of one block.
+    """
+    fr = nt.poly_reduce(f, p) or (0,)
+    roots = _block_mask(p, lambda xs: nt.poly_eval_array(fr, xs, p) == 0)
+    zeros = int(np.count_nonzero(roots))
     budget = DeviationBudget(
         "((d-1)/d) * (deg f - 1) * sqrt(p)",
         True,
@@ -436,6 +488,12 @@ def _character_argument_count(p, f, alpha, beta, g=None, **_) -> CardinalityPred
     return CardinalityPrediction((beta - alpha) * p, budget)
 
 
+def _horner_cost(p, f, g=None, **_) -> int:
+    """Building a polynomial kind's set takes one pass over Z_p per
+    coefficient of f (and of g), and at least one pass."""
+    return p * max(len(f or ()) + len(g or ()), 1)
+
+
 def _character_argument(p, order, additive, f, alpha, beta, char_index=1, g=None):
     chi = None if order == 1 else nt.MultiplicativeCharacter.build(p, order, char_index)
     return character_argument_set(p, chi, additive, f, g, alpha, beta)
@@ -450,7 +508,8 @@ def _character_argument(p, order, additive, f, alpha, beta, char_index=1, g=None
 class ConstructionKind:
     """A construction kind: its params (some optional), the builder of
     its set, the predicted cardinality, the q the set lives in, and the
-    cost of building the set for admission control (its q if None)."""
+    cost of building the set for admission control (its q if None; p per
+    coefficient for the kinds that evaluate polynomials)."""
 
     params: set
     build: Callable[..., ResidueSet]
@@ -472,7 +531,7 @@ CONSTRUCTIONS = {
         {"p"}, quadratic_residue_set, lambda p: _exact_count(Fraction(p - 1, 2))
     ),
     "power_residues": ConstructionKind(
-        {"p", "d", "f"}, power_residue_set, _power_residue_count
+        {"p", "d", "f"}, power_residue_set, _power_residue_count, cost=_horner_cost
     ),
     "primitive_roots": ConstructionKind(
         {"p"},
@@ -480,22 +539,26 @@ CONSTRUCTIONS = {
         lambda p: _exact_count(nt.euler_phi(nt.factorize(p - 1))),
     ),
     "primitive_root_powers": ConstructionKind(
-        {"p", "s", "r", "f"}, primitive_root_power_set, _primitive_root_power_count
+        {"p", "s", "r", "f"},
+        primitive_root_power_set,
+        _primitive_root_power_count,
+        cost=_horner_cost,
     ),
     "index_range": ConstructionKind(
-        {"p", "f", "r", "s"}, index_range_set, _window_count
+        {"p", "f", "r", "s"}, index_range_set, _window_count, cost=_horner_cost
     ),
     "poly_value_range": ConstructionKind(
-        {"p", "f", "r", "s"}, poly_value_range_set, _window_count
+        {"p", "f", "r", "s"}, poly_value_range_set, _window_count, cost=_horner_cost
     ),
     "inverse_range": ConstructionKind(
-        {"p", "f", "r", "s"}, inverse_range_set, _window_count
+        {"p", "f", "r", "s"}, inverse_range_set, _window_count, cost=_horner_cost
     ),
     "character_argument": ConstructionKind(
         {"p", "order", "char_index", "additive", "f", "g", "alpha", "beta"},
         _character_argument,
         _character_argument_count,
         optional={"char_index", "g"},
+        cost=_horner_cost,
     ),
     "fermat_quotient_power_residues": ConstructionKind(
         {"p", "d"},
@@ -590,7 +653,8 @@ class ConstructionSpec:
 
     @property
     def cost(self) -> int:
-        """Operations to build the set: its elements if explicit, else q."""
+        """Operations to build the set: its elements if explicit, p per
+        polynomial coefficient if it evaluates polynomials, else q."""
         return (self.record.cost or self.record.modulus)(**self.params)
 
     @classmethod

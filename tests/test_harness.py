@@ -766,6 +766,16 @@ class TestEstimateCost:
              {"kind": "characteristic"}, 43 + 43),
             ({"kind": "fermat_quotient_primitive_roots", "params": {"p": 7}},
              {"kind": "characteristic"}, 49 + 49),
+            # polynomial kinds cost p per coefficient, at least p
+            ({"kind": "poly_value_range",
+              "params": {"p": 43, "f": [0, 0, 1], "r": 0, "s": 5}},
+             {"kind": "characteristic"}, 43 * 3 + 43),
+            ({"kind": "character_argument",
+              "params": {"p": 43, "order": 2, "additive": 1, "f": [1, 1],
+                         "g": [0, 0, 1], "alpha": 0, "beta": {"num": 1, "den": 2}}},
+             {"kind": "gap_mod", "M": 2}, 43 * 5),
+            ({"kind": "index_range", "params": {"p": 43, "f": [], "r": 0, "s": 5}},
+             {"kind": "gap_mod", "M": 2}, 43),
         ],
     )
     def test_construction_and_derivation_costs(self, construction, derivation, cost):
@@ -799,6 +809,16 @@ class TestEstimateCost:
              "analyses": [analysis]}
         )
         assert estimate_cost(config) == cost
+
+    def test_a_gap_sequence_is_charged_at_most_q(self):
+        # the set costs 43 per coefficient; its gap sequence has under 43 symbols
+        config = ExperimentConfig.from_dict(
+            {"construction": {"kind": "poly_value_range",
+                              "params": {"p": 43, "f": [1] * 10, "r": 0, "s": 5}},
+             "derivations": [{"kind": "gap_mod", "M": 2}],
+             "analyses": [{"kind": "balance", "sequence": "gap_mod"}]}
+        )
+        assert estimate_cost(config) == 43 * 10 + 43
 
     def test_gap_balance_of_a_sparse_set_in_a_huge_q_runs(self):
         config = ExperimentConfig.from_dict(
@@ -1236,6 +1256,20 @@ class TestCli:
         assert cli.main(["verify", "--config", cfg]) == 2
         assert "budget is 1000000000" in capsys.readouterr().err
         assert cli.main(["verify", "--config", cfg, "--budget", "10"]) == 2
+
+    def test_construct_charges_each_horner_pass(self, tmp_path, capsys, monkeypatch):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(cli, "construct", construct)
+        monkeypatch.setattr(harness, "construct", construct)
+        # 3001 coefficients: 3001 passes over Z_p, 3.0e9 operations
+        params = {"p": 1000003, "f": [1] * 3001, "r": 0, "s": 1000}
+        cfg = self.write(
+            tmp_path, "c.json", {"kind": "poly_value_range", "params": params}
+        )
+        assert cli.main(["construct", "--config", cfg]) == 2
+        assert "budget is 1000000000" in capsys.readouterr().err
 
     def test_corr_samples_over_budget_exits_2_before_construct(
         self, tmp_path, capsys, monkeypatch

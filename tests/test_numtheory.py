@@ -148,6 +148,8 @@ def test_index_table_equals_sequential_loop():
 def test_index_table_spot_check_large():
     p = 1000003
     t = build_index_table(p)
+    for array in (t.table, t.powers):  # built in place, then frozen
+        assert array.dtype == np.int64 and not array.flags.writeable
     assert t.powers.tolist() == sequential_powers(p)
     assert t.table[0] == -1
     assert (t.table[t.powers] == range(p - 1)).all()
@@ -226,6 +228,22 @@ def test_poly_eval_mod():
 def test_poly_eval_array_needs_a_coefficient():
     with pytest.raises(errors.EmptyPolynomialError):
         poly_eval_array((), np.arange(5), 7)
+
+
+@given(
+    st.sampled_from([2, 3, 7, 101, 65537, 67108859]),
+    st.one_of(
+        st.just([0]),  # the zero polynomial
+        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=1),  # constants
+        st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=8),
+    ),
+    st.lists(st.integers(0, 2**26), max_size=20),
+)
+def test_poly_eval_array_equals_poly_eval_mod(p, coeffs, xs):
+    xs = [x % p for x in xs]
+    values = poly_eval_array(coeffs, np.array(xs, dtype=np.int64), p)
+    assert values.dtype == np.int64 and values.shape == (len(xs),)
+    assert values.tolist() == [poly_eval_mod(coeffs, x, p) for x in xs]
 
 
 def test_poly_reduce_drops_leading_zeros():

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zqlab.subsets as sub
 from zqlab import errors
 from zqlab import numtheory as nt
 from zqlab.numtheory import MultiplicativeCharacter
@@ -15,6 +16,7 @@ from zqlab.subsets import (
     ConstructionSpec,
     ResidueSet,
     _fermat_quotient_table,
+    _power_residue_count,
     _primitive_root_mask,
     character_argument_set,
     construct,
@@ -181,6 +183,22 @@ class TestPrimitiveRootPowers:
 
     def test_squares_of_roots(self):
         assert primitive_root_power_set(7, 2, 1, (0, 1)).elements == (2, 4)
+
+    @given(
+        st.sampled_from([p for p in range(3, 120) if nt.is_prime(p)]),
+        st.data(),
+    )
+    def test_equals_powers_of_roots(self, p, data):
+        divisors = nt.factorize(p - 1).divisors()
+        s, r = data.draw(st.sampled_from(divisors)), data.draw(st.sampled_from(divisors))
+        f = data.draw(st.lists(st.integers(-p, 2 * p), min_size=1, max_size=4))
+        g = nt.find_primitive_root(p)
+        xs = {pow(g, s * j, p) for j in range(1, p) if np.gcd(j, p - 1) == 1}
+        expected = sorted(
+            x for x in xs
+            if (v := nt.poly_eval_mod(f, x, p)) and pow(v, (p - 1) // r, p) == 1
+        )
+        assert primitive_root_power_set(p, s, r, f).elements == tuple(expected)
 
     def test_square_filter_empty(self):
         # no primitive root mod 5 is itself a square
@@ -399,10 +417,12 @@ class TestCharacterArgumentReference:
 
 class TestFermatQuotientTable:
     def test_equals_per_n_quotients(self):
-        for p in range(3, 100, 2):
+        for p in [*range(3, 100, 2), 151]:
             if nt.is_prime(p):
+                qtab = _fermat_quotient_table(p)
+                assert qtab.dtype == np.uint16 and not qtab.flags.writeable
                 expect = [nt.fermat_quotient(n, p) for n in range(p * p)]
-                assert _fermat_quotient_table(p).tolist() == expect
+                assert qtab.tolist() == expect
 
     def test_cache_keeps_four_primes(self):
         for p in (3, 5, 7, 11, 13):
@@ -575,3 +595,156 @@ def test_index_table_sets_refuse_p_past_2_26_before_allocating(build):
 def test_shift_preserves_cardinality(r):
     for off in (1, 2, r.q - 1):
         assert r.shifted(off).cardinality == r.cardinality
+
+
+# The per-n kinds, built from _block_mask a _BLOCK of residues at a time.
+PER_N_KINDS = [
+    "quadratic_residues",
+    "power_residues",
+    "primitive_root_powers",
+    "index_range",
+    "poly_value_range",
+    "inverse_range",
+    "character_argument",
+]
+
+
+@st.composite
+def per_n_specs(draw, p):
+    kind = draw(st.sampled_from(PER_N_KINDS))
+    divisor = st.sampled_from(nt.factorize(p - 1).divisors())
+    f = draw(st.lists(st.integers(-p, 2 * p), min_size=1, max_size=4))
+    window = {"f": f, "r": draw(st.integers(-p, 2 * p)), "s": draw(st.integers(1, p - 1))}
+    if kind == "character_argument":
+        order = draw(divisor)
+        den = draw(st.integers(1, 12))
+        alpha = Fraction(draw(st.integers(-den, den)), den)
+        params = {
+            "order": order,
+            "char_index": order - 1 or 1,  # coprime to the order
+            "additive": draw(st.integers(0, 2 * p)),
+            "f": f,
+            "g": draw(st.lists(st.integers(-p, 2 * p), min_size=3, max_size=4)),
+            "alpha": alpha,
+            "beta": alpha + Fraction(draw(st.integers(1, den)), den),
+        }
+    else:
+        params = {
+            "quadratic_residues": {},
+            "power_residues": {"d": draw(divisor), "f": f},
+            "primitive_root_powers": {"s": draw(divisor), "r": draw(divisor), "f": f},
+        }.get(kind, window)
+    return ConstructionSpec(kind, {"p": p, **params})
+
+
+SMALL_PRIMES = [p for p in range(3, 400) if nt.is_prime(p)]
+
+
+class TestBlocks:
+    """A build is the same whatever the block size and wherever the last
+    block ends."""
+
+    @given(st.sampled_from(SMALL_PRIMES).flatmap(per_n_specs))
+    @settings(max_examples=150)
+    def test_every_block_size_gives_the_one_block_set(self, spec):
+        assert sub._BLOCK > spec.modulus  # one block
+        try:
+            whole = construct(spec)
+        except errors.Error:
+            assume(False)  # params this kind refuses
+        with pytest.MonkeyPatch.context() as mp:
+            for block in (1, 7, 64):
+                mp.setattr(sub, "_BLOCK", block)
+                assert construct(spec) == whole, block
+
+    @given(
+        st.sampled_from(SMALL_PRIMES),
+        st.lists(st.integers(-500, 500), min_size=0, max_size=5),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_every_block_size_gives_the_one_block_root_count(self, p, f, data):
+        d = data.draw(st.sampled_from(nt.factorize(p - 1).divisors()))
+        whole = _power_residue_count(p, d, f)
+        roots = sum(nt.poly_eval_mod(f or [0], n, p) == 0 for n in range(p))
+        assert whole.main == Fraction(p - roots, d)
+        with pytest.MonkeyPatch.context() as mp:
+            for block in (1, 7, 64):
+                mp.setattr(sub, "_BLOCK", block)
+                assert _power_residue_count(p, d, f) == whole, block
+
+    # 65537 = 2^16 + 1: one full block and a tail of one residue;
+    # 131071 = 2^17 - 1: one full block and a tail of 65535
+    @pytest.mark.parametrize("p", [65537, 131071])
+    def test_a_tail_after_a_full_block(self, p, monkeypatch):
+        assert sub._BLOCK == 2**16
+        specs = [
+            ConstructionSpec("quadratic_residues", {"p": p}),
+            ConstructionSpec("power_residues", {"p": p, "d": 2, "f": (1, 0, 1)}),
+            ConstructionSpec(
+                "primitive_root_powers", {"p": p, "s": 2, "r": 2, "f": (1, 1)}
+            ),
+            ConstructionSpec("index_range", {"p": p, "f": (3, 1), "r": 5, "s": p // 3}),
+            ConstructionSpec(
+                "poly_value_range", {"p": p, "f": (1, 0, 1), "r": 7, "s": p // 3}
+            ),
+            ConstructionSpec("inverse_range", {"p": p, "f": (0, 1), "r": 1, "s": p // 4}),
+            ConstructionSpec(
+                "character_argument",
+                {"p": p, "order": 2, "additive": 1, "f": (1, 1), "g": (0, 0, 1),
+                 "alpha": Fraction(0), "beta": Fraction(1, 2)},
+            ),
+        ]
+        assert {spec.kind for spec in specs} == set(PER_N_KINDS)
+        blocked = [construct(spec) for spec in specs]
+        # x^3 (1 + x^2): the root 0, and +-i where -1 is a square
+        f = (0, 0, 0, 1, 0, 1)
+        count = _power_residue_count(p, 2, f)
+        monkeypatch.setattr(sub, "_BLOCK", 2**17)  # one block
+        assert [construct(spec) for spec in specs] == blocked
+        assert _power_residue_count(p, 2, f) == count
+
+
+# Bytes a build may hold per residue of Z_p at its peak, caches cleared:
+# the index table's 16, the bool masks, the set's int64 elements and
+# temporaries of one block.
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ConstructionSpec(
+            "index_range", {"p": 1000003, "f": (0, 1), "r": 0, "s": 333334}
+        ),
+        ConstructionSpec("power_residues", {"p": 1000003, "d": 3, "f": (1, 0, 1)}),
+        ConstructionSpec(
+            "inverse_range", {"p": 1000003, "f": (0, 1), "r": 1, "s": 250000}
+        ),
+        ConstructionSpec(
+            "character_argument",
+            {"p": 1000003, "order": 6, "additive": 1, "f": (0, 1), "g": (0, 0, 1),
+             "alpha": Fraction(0), "beta": Fraction(1, 3)},
+        ),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_a_build_holds_under_26_bytes_per_residue(spec):
+    nt.build_index_table.cache_clear()
+    _fermat_quotient_table.cache_clear()
+    tracemalloc.start()
+    try:
+        construct(spec)
+        spec.record.cardinality(**spec.params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 * spec.params["p"]
+
+
+def test_the_fermat_table_holds_under_16_bytes_per_cell():
+    _fermat_quotient_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _fermat_quotient_table(2039)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2039**2
