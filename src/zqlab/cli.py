@@ -49,7 +49,7 @@ def _add_run_flags(p):
         "--workers",
         type=int,
         default=1,
-        help="grid points sweep runs at once; corr and verify run on one thread",
+        help="accepted for compatibility; every command runs in one process",
     )
     p.add_argument(
         "--budget",
@@ -147,8 +147,9 @@ def _cmd_corr(args) -> tuple:
     analysis = harness.AnalysisSpec(
         kind, k=args.order, samples=args.samples, seed=_seed(args)
     )
-    measures.validate_correlation(q, args.order, args.samples)
-    measures.admit(what, harness.ANALYSES[kind].cost(analysis, q), args.budget)
+    record = harness.ANALYSES[kind]  # refused as verify refuses the analysis
+    record.check(analysis, q)
+    measures.admit(what, record.cost(analysis, q), args.budget)
     result = harness.correlate(construct(spec), analysis, 0, budget=args.budget)
     fields = result.to_json()
     row = {
@@ -177,14 +178,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    workers = _count(args, "workers")
+    _count(args, "workers")
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict) or "base" not in cfg or "grid" not in cfg:
         raise Error('sweep config must be {"base": .., "grid": [..]}')
     bodies, rows = harness.sweep(
         cfg["base"],
         cfg["grid"],
-        workers=workers,
         op_budget=args.budget,
         outdir=args.out,
     )

@@ -8,13 +8,11 @@ exact main terms, with per-item PASS / FAIL / REPORT_ONLY statuses;
 sweep() repeats a base config over a parameter grid.
 
 Reports are deterministic byte for byte (given config, seed, and budget)
-apart from the timing fields; grid points may run on a process pool
-without affecting the output.
+apart from the timing fields.  Everything runs in the calling process.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import csv
 import decimal
@@ -22,7 +20,6 @@ import hashlib
 import io
 import itertools
 import json
-import os
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -271,10 +268,15 @@ class AnalysisSpec:
             for key in record.keys
             if key in obj or key not in _OPTIONAL_FIELDS
         }
-        budget = fields.get("budget")
-        if budget is not None and budget.shape == "lemma" and not record.lemma:
+        analysis = cls(kind, **fields)
+        if analysis.lemma_budget and not record.lemma:
             _fail(f"{path}.budget.shape", "lemma budgets fit sign_patterns only")
-        return cls(kind, **fields)
+        return analysis
+
+    @property
+    def lemma_budget(self) -> bool:
+        """Whether its budget is the correlation-driven lemma shape."""
+        return self.budget is not None and self.budget.shape == "lemma"
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -384,11 +386,14 @@ def estimate_cost(config: ExperimentConfig) -> int:
     """Elementary-operation estimate used for budget admission control:
     building the set, deriving its sequences and running the analyses.
     An analysis of a derived sequence is costed at that sequence's length
-    bound, any other at q."""
+    bound, a cardinality analysis at its prediction's cost, any other at
+    q."""
     spec = config.construction
     q = spec.modulus
 
     def length(analysis) -> int:
+        if analysis.kind == "cardinality":
+            return spec.prediction_cost
         if analysis.sequence is None:
             return q
         return sequences.DERIVATIONS[analysis.sequence].length(q, spec.cost)
@@ -490,7 +495,7 @@ def _run_sign_patterns(rset, seqs, config, analysis, op_budget):
     membership signs, plus the exact conservation row."""
     s, q = analysis.window, rset.q
     budget = None
-    if analysis.budget is not None and analysis.budget.shape == "lemma":
+    if analysis.lemma_budget:
         cmax = measures.correlation_up_to(rset, s, budget=op_budget)
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
     items = _run_patterns(
@@ -539,7 +544,7 @@ def _run_correlation(rset, seqs, config, analysis, op_budget):
 def _sign_patterns_cost(analysis, q: int) -> int:
     s = analysis.window
     cost = q * s + 2**s  # one pass of window codes, then one item per pattern
-    if analysis.budget is not None and analysis.budget.shape == "lemma":
+    if analysis.lemma_budget:
         cost += measures.up_to_cost(q, s)
     return cost
 
@@ -553,7 +558,8 @@ class AnalysisKind:
     """An analysis kind: its config keys besides "kind", parsed in order;
     its cost (analysis, n) for admission control, n the length bound of
     the sequence it reads (q for all but balance and patterns, which read
-    a configured derivation; see estimate_cost); its runner (rset, seqs,
+    a configured derivation, and cardinality, whose n is its prediction's
+    cost; see estimate_cost); its runner (rset, seqs,
     config, analysis, op_budget) -> items; lemma budgets or not; and its
     check (analysis, q), if any, which refuses what cannot run at q
     before the set is built."""
@@ -573,12 +579,12 @@ def _check_sign_patterns(analysis, q: int) -> None:
     s = analysis.window
     if s > q:  # before the lemma's scans, which would refuse order s instead
         raise PatternTooLongError(f"pattern length {s} exceeds q={q}")
-    if analysis.budget is not None and analysis.budget.shape == "lemma":
+    if analysis.lemma_budget:
         measures.validate_correlation(q, s)
 
 
 ANALYSES = {
-    "cardinality": AnalysisKind((), lambda a, q: q, _run_cardinality),
+    "cardinality": AnalysisKind((), lambda a, n: n, _run_cardinality),
     "balance": AnalysisKind(
         ("sequence", "budget"),
         lambda a, q: q,
@@ -766,24 +772,11 @@ def _point_dict(base: dict, axes, values) -> dict:
 
 
 def _run_point(config: ExperimentConfig, op_budget: int) -> dict:
-    """Worker entry: returns a report body or an error marker."""
+    """One grid point's report body, or an error marker."""
     try:
         return run(config, op_budget=op_budget).body
     except Error as exc:  # keep the sweep going; note the failure
         return {"error": f"{type(exc).__name__}: {exc}"}
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pool_size(workers: int, points: int) -> int:
-    """Processes worth starting: no more than asked for, than there are
-    points or than there are CPUs to run them on."""
-    return min(workers, points, _cpus())
 
 
 def _summary_item(entry: dict):
@@ -801,16 +794,14 @@ def sweep(
     base: dict,
     grid,
     *,
-    workers: int = 1,
     op_budget: int = DEFAULT_BUDGET,
     outdir=None,
 ):
     """Run a base config across a parameter grid (cartesian product).
 
     Every point is validated and cost-estimated before anything runs;
-    an oversized total is refused outright.  Points run independently
-    (on a process pool of at most `workers` processes, one a point and one
-    a CPU, when that is more than one); one point's failure is recorded in
+    an oversized total is refused outright.  Points then run one after
+    another in the calling process; one point's failure is recorded in
     the summary without stopping the rest.  Returns (bodies, rows) and,
     when outdir is given, writes report_NNNN.json files plus summary.csv
     with one row per (point, analysis), ordered by grid coordinates.
@@ -826,12 +817,7 @@ def sweep(
             raise ConfigError(f"grid point {i}: {exc}") from exc
     total_cost = sum(map(estimate_cost, configs))
     admit(f"sweep of {len(configs)} points", total_cost, op_budget, "operations")
-    processes = _pool_size(workers, len(configs))
-    if processes > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            bodies = list(pool.map(partial(_run_point, op_budget=op_budget), configs))
-    else:
-        bodies = [_run_point(c, op_budget) for c in configs]
+    bodies = [_run_point(c, op_budget) for c in configs]
 
     header = ["point", *(path for path, _ in axes), *_REPORT_COLUMNS, "seconds"]
     rows = [header]

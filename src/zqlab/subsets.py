@@ -507,9 +507,10 @@ def _character_argument(p, order, additive, f, alpha, beta, char_index=1, g=None
 @dataclass(frozen=True)
 class ConstructionKind:
     """A construction kind: its params (some optional), the builder of
-    its set, the predicted cardinality, the q the set lives in, and the
-    cost of building the set for admission control (its q if None; p per
-    coefficient for the kinds that evaluate polynomials)."""
+    its set, the predicted cardinality, the q the set lives in, and, for
+    admission control, the cost of building the set (its q if None; p per
+    coefficient for the kinds that evaluate polynomials) and of predicting
+    its cardinality (its q if None)."""
 
     params: set
     build: Callable[..., ResidueSet]
@@ -517,6 +518,7 @@ class ConstructionKind:
     modulus: Callable[..., int] = lambda p, **_: p
     optional: set = frozenset()
     cost: Callable[..., int] | None = None
+    prediction_cost: Callable[..., int] | None = None
 
 
 CONSTRUCTIONS = {
@@ -531,7 +533,11 @@ CONSTRUCTIONS = {
         {"p"}, quadratic_residue_set, lambda p: _exact_count(Fraction(p - 1, 2))
     ),
     "power_residues": ConstructionKind(
-        {"p", "d", "f"}, power_residue_set, _power_residue_count, cost=_horner_cost
+        {"p", "d", "f"},
+        power_residue_set,
+        _power_residue_count,  # counts the roots of f as the build does
+        cost=_horner_cost,
+        prediction_cost=_horner_cost,
     ),
     "primitive_roots": ConstructionKind(
         {"p"},
@@ -656,6 +662,13 @@ class ConstructionSpec:
         """Operations to build the set: its elements if explicit, p per
         polynomial coefficient if it evaluates polynomials, else q."""
         return (self.record.cost or self.record.modulus)(**self.params)
+
+    @property
+    def prediction_cost(self) -> int:
+        """Operations to predict the set's cardinality: p per coefficient
+        of f for power residues, else q."""
+        record = self.record
+        return (record.prediction_cost or record.modulus)(**self.params)
 
     @classmethod
     def from_json(cls, obj) -> "ConstructionSpec":

@@ -1,9 +1,11 @@
 import copy
+import csv
 import dataclasses
 import importlib.util
 import itertools
 import json
 import math
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -864,6 +866,22 @@ class TestEstimateCost:
         with pytest.raises(errors.BudgetExceededError):
             run(dataclasses.replace(config, analyses=()), op_budget=42)
 
+    def test_power_residue_cardinality_charges_its_root_count(self, monkeypatch):
+        def construct(spec):
+            raise AssertionError("construct ran before admission")
+
+        monkeypatch.setattr(harness, "construct", construct)
+        # the prediction counts the roots of f in one pass per coefficient,
+        # as the build does: 300 passes over Z_p each
+        params = {"p": 100003, "d": 2, "f": [1] * 300}
+        config = ExperimentConfig.from_dict(
+            {"construction": {"kind": "power_residues", "params": params},
+             "analyses": [{"kind": "cardinality"}]}
+        )
+        assert estimate_cost(config) == 2 * 100003 * 300
+        with pytest.raises(errors.BudgetExceededError):
+            run(config, op_budget=45 * 10**6)  # above the q it was charged
+
     @pytest.mark.parametrize(
         "construction, analysis, error",
         [
@@ -944,44 +962,33 @@ class TestSweep:
         assert rows[0][:2] == ["point", "construction.params.p"]
         assert [r[1] for r in rows[1:]] == ["11", "11", "19", "19", "23", "23"]
 
-    def test_order_stable_with_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_cpus", lambda: 4)  # a pool on any machine
-        a_bodies, a_rows = sweep(self.SWEEP_BASE, self.GRID, workers=1)
-        b_bodies, b_rows = sweep(self.SWEEP_BASE, self.GRID, workers=3)
-        assert [scrub(x) for x in a_bodies] == [scrub(x) for x in b_bodies]
+    def test_order_stable_with_workers(self, tmp_path):
+        # --workers is accepted and changes nothing: same reports, same rows
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": self.SWEEP_BASE, "grid": self.GRID}))
+        outputs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}"
+            argv = ["sweep", "--config", str(cfg), "--workers", workers, "--out", str(out)]
+            assert cli.main(argv) == 0
+            reports = [scrub(json.loads(path.read_text()))
+                       for path in sorted(out.glob("report_*.json"))]
+            with open(out / "summary.csv", newline="") as fh:
+                summary = [row[:-1] for row in csv.reader(fh)]  # but seconds
+            outputs.append((reports, summary))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0]) == 3 and len(outputs[0][1]) == 1 + 6
 
-    @pytest.mark.parametrize("cpus, asked", [(64, [2]), (1, [])])
-    def test_pool_sized_by_points_and_cpus(self, monkeypatch, cpus, asked):
-        pools = []
+    def test_sweeps_start_no_process(self, tmp_path, monkeypatch):
+        def start(process):
+            raise AssertionError("a process was started")
 
-        class Recording:  # starts no process: runs the points here
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor", Recording)
-        grid = [{"path": "construction.params.p", "values": [11, 19]}]
-        bodies, rows = sweep(self.SWEEP_BASE, grid, workers=10**6)
-        serial_bodies, serial_rows = sweep(self.SWEEP_BASE, grid)
-        assert pools == asked
-        assert [scrub(b) for b in bodies] == [scrub(b) for b in serial_bodies]
-
-    def test_cpus_without_affinity(self, monkeypatch):
-        assert harness._cpus() >= 1
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
-        assert harness._cpus() == 6
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)  # undeterminable
-        assert harness._cpus() == 1
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        bodies, rows = sweep(self.SWEEP_BASE, self.GRID)
+        assert [b["status"] for b in bodies] == ["PASS"] * 3
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"base": self.SWEEP_BASE, "grid": self.GRID}))
+        assert cli.main(["sweep", "--config", str(cfg), "--workers", "4"]) == 0
 
     def test_point_error_preserved(self):
         grid = [{"path": "construction.params.p", "values": [11, 10, 13]}]
@@ -1416,10 +1423,22 @@ class TestCli:
                     cli.main([op.command, "--config", cfg, *op.args])
         assert capsys.readouterr().err == ""
 
-    def test_module_entry_point(self, tmp_path):
+    def env(self) -> dict:
+        """The environment with this checkout's zqlab first on the path."""
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+    def test_import_leaves_out_concurrent_futures(self):
+        script = "import sys, zqlab.cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=self.env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_module_entry_point(self, tmp_path):
+        env = self.env()
 
         def zqlab(*args):
             return subprocess.run(
