@@ -15,7 +15,9 @@ check failed, 2 configuration or usage error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import sys
 from pathlib import Path
@@ -202,7 +204,19 @@ _RENDERED = {"construct": _cmd_construct, "stats": _cmd_stats, "corr": _cmd_corr
 _COMMANDS = {"derive": _cmd_derive, "verify": _cmd_verify, "sweep": _cmd_sweep}
 
 
+# Whether main has registered gc.freeze to run at exit in this process.
+_freeze_at_exit = False
+
+
 def main(argv=None) -> int:
+    global _freeze_at_exit
+    if not _freeze_at_exit:
+        # Teardown then leaves the objects it would collect, mostly import-time
+        # cycles, to the OS instead of a collection that outlasts most small
+        # scans.  Outputs are written before main returns, and stdout and
+        # stderr are flushed after exit handlers run.
+        atexit.register(gc.freeze)
+        _freeze_at_exit = True
     parser = argparse.ArgumentParser(
         prog="zqlab",
         description="Pseudorandom subsets of Z_q: constructions, derived "

@@ -60,6 +60,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -321,7 +322,10 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
     sum_i (-1)^(i-j) C(i, j) e_i, so the block's positive mass of P is
     linear in the e_i too.  Each row takes the AND over every nonempty S
     and counts it into e_|S|.  The e_i are summed in int16 (each is at most
-    C(k, i) * 32), then weighted in int64.
+    C(k, i) * 32), then weighted in int64.  Every exact row's first lag is
+    0, so the pass rotates m(. + 0) once and such rows share it: a block of
+    them rotates k - 1 masks a row, not k, and counts the lag-0 popcounts
+    once.
 
     Every call takes its arrays from `workspace`, a dict of named buffers
     that grow to the largest request and are handed out as views; the
@@ -346,6 +350,12 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         out[...] = slices[d % 8, d // 8]
         out[:, cut:] &= inside  # positions q and past: another period
         return out
+
+    @cache
+    def zero() -> np.ndarray:
+        """m(. + 0), the first mask of every exact row, rotated once for
+        the pass, and only if an exact block comes (q / 8 bytes)."""
+        return rotated(np.zeros(1, np.intp), np.empty((1, size), np.uint8))[0]
 
     table = _table(q, t, k, object)
     weights = np.array(
@@ -376,30 +386,38 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         real window reaches, and that plus `ends` times the largest
         positive or negative mass of P inside one block, by which moving a
         window end to its block's start can change a sum.  Its (rows,
-        blocks) arrays and packed masks are views of the workspace."""
+        blocks) arrays and packed masks are views of the workspace.  Where
+        every row's first lag is 0, as in the exact scan, the rows share
+        the pass's one lag-0 mask and its popcounts instead of each
+        rotating, ANDing and counting its own."""
         rows, blocks = len(lags), 8 * size // width
         view = np.dtype(f"<u{width // 8}")
+        shared = not lags[:, 0].any()
         # e[n - 1] is e_n, at most C(k, n) * 32 <= 192
         e = scratch("e", (k, rows, blocks), np.int16)
         e[...] = 0
         counts = scratch("counts", (rows, blocks), np.uint8)
         subsets = [(0, None)]  # (|S|, AND over S) for each S of the lags so far
-        slots = iter(scratch("ands", (2**k - 1, rows, size), np.uint8))
+        slots = iter(scratch("ands", (2**k - 1 - shared, rows, size), np.uint8))
         for i in range(k):
-            masks = rotated(lags[:, i], next(slots))
+            masks = zero() if i == 0 and shared else rotated(lags[:, i], next(slots))
             subsets += [
                 (n + 1, masks if a is None else np.bitwise_and(a, masks, out=next(slots)))
                 for n, a in subsets
             ]
         for n, a in subsets[1:]:
-            np.add(e[n - 1], np.bitwise_count(a.view(view), out=counts), out=e[n - 1])
-        # block sums into sums[:, 1:], positive masses into pos; e_0 is the
-        # block length, the same in every row
+            count = np.bitwise_count(a.view(view), out=counts if a.ndim == 2 else None)
+            np.add(e[n - 1], count, out=e[n - 1])
+        # block sums into a contiguous (rows, blocks) view of spare, positive
+        # masses into pos, their terms into one of sums; e_0 is the block
+        # length, the same in every row
         lengths = np.clip(q - width * np.arange(blocks), 0, width)
         sums = scratch("sums", (rows, blocks + 1), np.int64)
         pos = scratch("pos", (rows, blocks), np.int64)
         spare = scratch("spare", (rows, blocks + 1), np.int64)
-        block_sums, term = sums[:, 1:], spare[:, :blocks]
+        # the first cells of the two buffers just sized: no growth, same memory
+        block_sums = scratch("spare", (rows, blocks), np.int64)
+        term = scratch("sums", (rows, blocks), np.int64)
         for w, out in enumerate((block_sums, pos)):
             np.multiply(e[0], weights[w, 1], out=out)
             out += weights[w, 0] * lengths
@@ -409,7 +427,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         np.minimum(block_sums, 0, out=term)
         slack = np.subtract(pos, term, out=term).max(axis=1)
         sums[:, 0] = 0
-        np.cumsum(block_sums, axis=1, out=block_sums)
+        np.cumsum(block_sums, axis=1, out=sums[:, 1:])
         lower = _cyclic_best(sums, spare) if ends == 2 else _prefix_best(sums)
         return lower, lower + ends * slack
 

@@ -51,14 +51,29 @@ class ResidueSet:
 
     Built from any 1-d sequence of integers and backed by `array`, a sorted,
     read-only int64 copy; `elements` is the same set as a tuple of Python
-    ints, made on first use.  Every construction goes through this one
-    validating constructor.
+    ints, made on first use.  Every set is validated alike: constructions
+    hand the arrays they have just made to `_adopt`, which keeps them
+    instead of copying them.
     """
 
     q: int
     array: np.ndarray
 
     def __init__(self, q: int, elements):
+        # a copy: the caller's array stays theirs, writable and not aliased
+        self._freeze(q, self._checked(q, elements).astype(np.int64))
+
+    @classmethod
+    def _adopt(cls, q: int, arr: np.ndarray) -> "ResidueSet":
+        """The set over `arr`, a fresh array this module made and hands
+        over: validated as any input is, then frozen in place, not copied
+        where it is already int64."""
+        rset = cls.__new__(cls)
+        rset._freeze(q, rset._checked(q, arr).astype(np.int64, copy=False))
+        return rset
+
+    @staticmethod
+    def _checked(q: int, elements) -> np.ndarray:
         if q < 1:
             raise InvalidParameterError(f"q must be >= 1, got {q}")
         arr = np.asarray(elements)
@@ -74,7 +89,9 @@ class ResidueSet:
             raise InvalidParameterError(
                 f"elements must be strictly increasing in [0, {q - 1}]"
             )
-        arr = arr.astype(np.int64)
+        return arr
+
+    def _freeze(self, q: int, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "array", arr)
@@ -116,7 +133,8 @@ class ResidueSet:
         # members at or past q - offset wrap around to the front
         cut = int(np.searchsorted(self.array, self.q - offset))
         wrapped = self.array[cut:] - (self.q - offset)
-        return ResidueSet(self.q, np.concatenate([wrapped, self.array[:cut] + offset]))
+        members = np.concatenate([wrapped, self.array[:cut] + offset])
+        return ResidueSet._adopt(self.q, members)
 
     def to_json(self) -> dict:
         return {
@@ -241,7 +259,7 @@ def _require_window(s: int, modulus: int) -> None:
 
 
 def _elements_from_mask(q: int, mask: np.ndarray) -> ResidueSet:
-    return ResidueSet(q, np.flatnonzero(mask))
+    return ResidueSet._adopt(q, np.flatnonzero(mask))
 
 
 # ----------------------------------------------------------------------

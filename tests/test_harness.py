@@ -1,6 +1,8 @@
+import atexit
 import copy
 import csv
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import json
@@ -1455,6 +1457,62 @@ class TestCli:
             '{\n  "q": 11,\n  "cardinality": 5,\n'
             '  "elements": [\n    1,\n    3,\n    4,\n    5,\n    9\n  ]\n}\n'
         )
+
+    def test_exit_hook_registered_once(self, tmp_path, capsys, monkeypatch):
+        # however often main runs in a process, and whether it succeeds
+        registered = []
+        monkeypatch.setattr(cli, "_freeze_at_exit", False)
+        monkeypatch.setattr(atexit, "register", registered.append)
+        cfg = self.write(tmp_path, "c.json", self.QR11)
+        assert cli.main(["construct", "--config", cfg]) == 0
+        assert cli.main(["corr", "--config", cfg, "-k", "2"]) == 0
+        assert cli.main(["construct", "--config", str(tmp_path / "none.json")]) == 2
+        assert registered == [gc.freeze]
+
+    def test_in_process_main_freezes_nothing(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "c.json", self.QR11)
+        assert cli.main(["corr", "--config", cfg, "-k", "2"]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_process_writes_stdout_whole_and_keeps_exit_codes(self, tmp_path):
+        # outputs of thousands of lines, written to stdout, then the exit hook
+        env = self.env()
+
+        def zqlab(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "zqlab", *args],
+                env=env, capture_output=True, timeout=120,
+            )
+
+        qr10007 = {"kind": "quadratic_residues", "params": {"p": 10007}}
+        qr = self.write(tmp_path, "qr.json", qr10007)
+        for args in (
+            ["corr", "--config", qr, "-k", "2"],
+            ["construct", "--config", qr, "--format", "csv"],
+        ):
+            out = tmp_path / "out"
+            done = zqlab(*args, "--out", str(out))
+            assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+            done = zqlab(*args)
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert done.stdout == out.read_bytes()
+        failing = {
+            "construction": self.QR11,
+            "derivations": [{"kind": "gap_mod", "M": 2}],
+            "analyses": [
+                {
+                    "kind": "balance",
+                    "sequence": "gap_mod",
+                    "budget": {"constant": 0, "shape": "absolute"},
+                }
+            ],
+        }
+        done = zqlab("verify", "--config", self.write(tmp_path, "v.json", failing))
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert json.loads(done.stdout)["status"] == "FAIL"
+        done = zqlab("construct", "--config", str(tmp_path / "none.json"))
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: ")
 
     def test_verify_q_zero_exits_2(self, tmp_path, capsys):
         cfg = self.write(

@@ -732,6 +732,32 @@ class TestCoarsePass:
             for a, b in zip(got, fresh):
                 np.testing.assert_array_equal(a, b)
 
+    @given(
+        coarse_cases().filter(lambda case: case[1] >= 2),
+        st.integers(1, 300),  # rows
+        st.integers(0, 99),  # which representatives
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_shared_lag_0_mask_equals_per_row_masks(self, case, rows, seed):
+        # exact rows share the lag-0 mask; one more row whose first lag is
+        # not 0 sends the same rows down the per-row path
+        r, k = case
+        pool = next(measures._representatives(r.q, k, 300))
+        picked = np.random.default_rng(seed).random(len(pool)) < 0.5
+        lags = pool[picked][:rows] if picked.any() else pool[:1]
+        other = np.concatenate([lags, (lags[:1] + 1) % r.q])
+        size = -(-r.q // measures._COARSE_WIDTHS[0]) * measures._COARSE_WIDTHS[0] // 8
+        for width in measures._COARSE_WIDTHS:
+            for ends in (2, 1):
+                shared_ws, per_row_ws = {}, {}
+                shared = measures._coarse(r, k, shared_ws)[0](lags, width, ends)
+                per_row = measures._coarse(r, k, per_row_ws)[0](other, width, ends)
+                # one rotated or ANDed mask fewer a row on the shared path
+                assert len(shared_ws["ands"]) == (2**k - 2) * len(lags) * size
+                assert len(per_row_ws["ands"]) == (2**k - 1) * len(other) * size
+                for a, b in zip(shared, per_row):
+                    np.testing.assert_array_equal(a, b[:-1])
+
     @pytest.mark.parametrize(
         "q, k, drawn", [(10007, 2, False), (1009, 3, True), (1009, 2, True)]
     )

@@ -92,6 +92,35 @@ class TestResidueSet:
         assert r != ResidueSet(11, (1, 4, 7)) and r != ResidueSet(10, (1, 4))
         assert r != (1, 4, 7)  # another type
 
+    def test_a_callers_int64_array_is_copied(self):
+        # already int64, so only the copy keeps it apart from the set
+        source = np.array([1, 4, 7], dtype=np.int64)
+        r = ResidueSet(10, source)
+        assert source.flags.writeable and not r.array.flags.writeable
+        assert not np.shares_memory(source, r.array)
+        source[0] = 0
+        assert r.elements == (1, 4, 7)
+
+    def test_a_module_built_array_is_kept(self):
+        # q = 2^20, every third residue: the flatnonzero array is the only
+        # copy of the elements the build holds at its peak
+        mask = np.zeros(2**20, dtype=bool)
+        mask[::3] = True
+        tracemalloc.start()
+        try:
+            r = sub._elements_from_mask(len(mask), mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.elements == tuple(range(0, 2**20, 3))
+        assert not r.array.flags.writeable
+        assert peak < 1.5 * r.array.nbytes
+
+    def test_adopt_validates(self):
+        for q, arr in ((10, np.array([4, 1])), (10, np.array([10])), (0, np.array([]))):
+            with pytest.raises(errors.InvalidParameterError):
+                ResidueSet._adopt(q, arr)
+
     def test_python_ints_out(self):
         r = quadratic_residue_set(101)
         out = r.to_json()
