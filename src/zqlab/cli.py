@@ -74,17 +74,9 @@ def _count(args, name: str) -> int:
     return value
 
 
-def _admit(command: str, spec, derivations=(), analyses=()) -> None:
-    """Refuse a command's work above the default budget before anything is
-    built, costed as verify costs a config of the same parts."""
-    config = harness.ExperimentConfig(spec, derivations, analyses)
-    cost = harness.estimate_cost(config)
-    measures.admit(command, cost, DEFAULT_BUDGET, "operations")
-
-
 def _cmd_construct(args) -> tuple:
     spec = ConstructionSpec.from_json(_load_json(args.config))
-    _admit(args.command, spec)
+    harness.admit(harness.ExperimentConfig(spec), DEFAULT_BUDGET, args.command)
     rset = construct(spec)
     return rset.to_json(), _element_rows(rset)
 
@@ -110,7 +102,8 @@ def _derived_sequence(args, length=None) -> sequences.DerivedSequence:
     spec = ConstructionSpec.from_json(cfg["construction"])
     dspec = harness.DerivationSpec.from_dict(cfg["derivation"], "derivation")
     windows = harness.AnalysisSpec("patterns", dspec.kind, length)
-    _admit(args.command, spec, (dspec,), () if length is None else (windows,))
+    config = harness.ExperimentConfig(spec, (dspec,), (windows,) if length else ())
+    harness.admit(config, DEFAULT_BUDGET, args.command)
     return dspec.derive(construct(spec))
 
 
@@ -142,16 +135,12 @@ def _count_rows(counts: dict):
 def _cmd_corr(args) -> tuple:
     _count(args, "workers")
     spec = ConstructionSpec.from_json(_load_json(args.config))
-    q = spec.modulus  # admitted before the set is built
-    kind, what = "correlation", f"correlation_exact(q={q}, k={args.order})"
-    if args.samples is not None:
-        kind = what = "correlation_sampled"
+    kind = "correlation" if args.samples is None else "correlation_sampled"
     analysis = harness.AnalysisSpec(
         kind, k=args.order, samples=args.samples, seed=_seed(args)
     )
-    record = harness.ANALYSES[kind]  # refused as verify refuses the analysis
-    record.check(analysis, q)
-    measures.admit(what, record.cost(analysis, q), args.budget)
+    # admitted as verify admits the analysis: its check, then set and scan
+    harness.admit(harness.ExperimentConfig(spec, (), (analysis,)), args.budget, "corr")
     result = harness.correlate(construct(spec), analysis, 0, budget=args.budget)
     fields = result.to_json()
     row = {

@@ -20,6 +20,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -37,14 +38,20 @@ from .errors import (
     InvalidParameterError,
     PatternTooLongError,
 )
-from .measures import DEFAULT_BUDGET, admit
+from .measures import DEFAULT_BUDGET
 from .predictions import DeviationBudget
 from .subsets import ConstructionSpec, _as_fraction, _fraction_to_json, construct
 
 _TOOL_NAME = "zqlab"
 
-# Feasibility guards: enumerated pattern families stay enumerable.
+# Feasibility guards: enumerated pattern families stay enumerable, and
+# their main terms stay renderable.  A main term of a length-l window of a
+# sequence with parameter P (M or m; 1 for the characteristic sequence)
+# has about P * l * log10(q) digits, refused past _MAX_MAIN_TERM_DIGITS:
+# a fixed bound, not the interpreter's int-to-str limit (4300 by default),
+# so admission does not depend on the environment.
 _MAX_PATTERN_FAMILY = 4096
+_MAX_MAIN_TERM_DIGITS = 4300
 
 # Budget shape -> (formula, sqrt(q) factor or not, log(q) power); lemma: c*2^s*Cmax.
 _BUDGET_SHAPES = {
@@ -295,11 +302,30 @@ def _sequence_field(value, path: str) -> str:
     return value
 
 
+def _family_exceeds(size: int, length: int) -> bool:
+    """Whether size^length patterns exceed _MAX_PATTERN_FAMILY, without a
+    power past 4097^13: capping either operand keeps the answer (for size
+    >= 2 the capped power exceeds the family too; for size <= 1 it is at
+    most 1)."""
+    cap = _MAX_PATTERN_FAMILY + 1
+    return min(size, cap) ** min(length, cap.bit_length()) > _MAX_PATTERN_FAMILY
+
+
 def _window_field(value, path: str) -> int:
     window = _expect_int(value, path, minimum=1)
-    if 2**window > _MAX_PATTERN_FAMILY:
+    if _family_exceeds(2, window):
         _fail(path, f"2^window exceeds {_MAX_PATTERN_FAMILY}")
     return window
+
+
+def _check_main_terms(dspec: DerivationSpec, length: int, q: int, path: str):
+    """Refuse length-`length` windows of dspec's sequence in Z_q whose main
+    terms would pass _MAX_MAIN_TERM_DIGITS digits: param * length *
+    log10(q), compared as param * length against the quotient, so no
+    parameter is converted to a float."""
+    if q > 1 and (dspec.param or 1) * length > _MAX_MAIN_TERM_DIGITS / math.log10(q):
+        name = sequences.DERIVATIONS[dspec.kind].param or "1"
+        _fail(path, f"{name}*length*log10(q) exceeds {_MAX_MAIN_TERM_DIGITS} digits")
 
 
 # Parsers (value, path) of the analysis config keys, by key.
@@ -358,12 +384,13 @@ class ExperimentConfig:
                 dspec = derivations[kinds.index(analysis.sequence)]
                 alphabet = sequences.DERIVATIONS[dspec.kind].alphabet(dspec.param)
                 # stop - start, not len(): len() overflows past 2**63 symbols.
-                size = alphabet.stop - alphabet.start
-                if size ** (analysis.length or 1) > _MAX_PATTERN_FAMILY:
+                size, length = alphabet.stop - alphabet.start, analysis.length or 1
+                if _family_exceeds(size, length):
                     _fail(
                         f"analyses[{i}]",
                         f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
                     )
+                _check_main_terms(dspec, length, spec.modulus, f"analyses[{i}]")
             analyses.append(analysis)
         seed = parse_seed(obj.get("seed", 0))
         return cls(spec, tuple(derivations), tuple(analyses), seed)
@@ -663,6 +690,20 @@ def _item_row(name: str, item: dict) -> list:
     return [name, item["label"], *scores, item["status"]]
 
 
+def admit(config: ExperimentConfig, budget: int, what: str = "experiment") -> None:
+    """Refuse a config before its set is built: each analysis's check
+    refuses what cannot run at q (a correlation order outside 1..q or, also
+    for a sign-pattern lemma budget, of 2 and up above q = 2^23; a
+    sign-pattern window past q), then an estimate_cost above budget raises
+    BudgetExceededError, "{what} needs ~N operations, budget is B"."""
+    q = config.construction.modulus
+    for analysis in config.analyses if q >= 1 else ():  # else construct refuses q
+        check = ANALYSES[analysis.kind].check
+        if check is not None:
+            check(analysis, q)
+    measures.admit(what, estimate_cost(config), budget, "operations")
+
+
 def run(
     config: ExperimentConfig,
     *,
@@ -671,20 +712,12 @@ def run(
 ) -> VerificationReport:
     """Execute a config and report every analysis against its budget.
 
-    The whole config is admitted first: each analysis's check refuses
-    what cannot run at q (a correlation order outside 1..q or, also for a
-    sign-pattern lemma budget, of 2 and up above q = 2^23; a sign-pattern
-    window past q), then an estimate_cost above op_budget raises
-    BudgetExceededError, before the set is built.  Every analysis runs on
-    the calling thread; `workers` is accepted and changes nothing.
+    The whole config is admitted first, at op_budget (see admit), before
+    the set is built.  Every analysis runs on the calling thread; `workers`
+    is accepted and changes nothing.
     """
     t_start = time.perf_counter()
-    q = config.construction.modulus
-    for analysis in config.analyses if q >= 1 else ():  # else construct refuses q
-        check = ANALYSES[analysis.kind].check
-        if check is not None:
-            check(analysis, q)
-    admit("experiment", estimate_cost(config), op_budget, "operations")
+    admit(config, op_budget)
     rset = construct(config.construction)
     seqs = {}
     for dspec in config.derivations:
@@ -815,8 +848,8 @@ def sweep(
             configs.append(ExperimentConfig.from_dict(point))
         except Error as exc:
             raise ConfigError(f"grid point {i}: {exc}") from exc
-    total_cost = sum(map(estimate_cost, configs))
-    admit(f"sweep of {len(configs)} points", total_cost, op_budget, "operations")
+    what = f"sweep of {len(configs)} points"
+    measures.admit(what, sum(map(estimate_cost, configs)), op_budget, "operations")
     bodies = [_run_point(c, op_budget) for c in configs]
 
     header = ["point", *(path for path, _ in axes), *_REPORT_COLUMNS, "seconds"]

@@ -117,7 +117,7 @@ def derive_gap_mod(rset: ResidueSet, M: int) -> DerivedSequence:
     if M < 2:
         raise InvalidParameterError(f"gap_mod needs M >= 2, got {M}")
     syms = _gaps(rset)
-    if M < rset.q:  # gaps lie in 1..q-1: from M = q on they are their own symbols
+    if M <= syms.max():  # a gap below M is its own symbol (and M may pass int64)
         syms = syms % M
         syms[syms == 0] = M
     return DerivedSequence("gap_mod", M, syms)

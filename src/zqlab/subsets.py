@@ -320,6 +320,7 @@ def index_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     """
     nt._require_odd_prime(p)
     _require_window(s, p)
+    r %= p - 1  # the same cyclic window, r now within numpy's int64
     table = nt.build_index_table(p).table
     fr = _checked_poly(f, p)
 
@@ -334,6 +335,7 @@ def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     """{n in Z_p : f(n) mod p lies in the cyclic window {r, ..., r+s-1}}."""
     nt._require_odd_prime(p)
     _require_window(s, p)
+    r %= p  # the same cyclic window, r now within numpy's int64
     fr = _checked_poly(f, p)
     if len(fr) - 1 < 2:
         raise DegreeTooSmallError(f"need deg f >= 2 mod {p}, got {tuple(f)}")
@@ -345,6 +347,7 @@ def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     """{n in Z_p : p does not divide f(n), f(n)^-1 in the window {r, ...}}."""
     nt._require_odd_prime(p)
     _require_window(s, p)
+    r %= p  # the same cyclic window, r now within numpy's int64
     fr = _checked_poly(f, p)
     if len(fr) - 1 < 1:
         raise DegreeTooSmallError(f"need deg f >= 1 mod {p}, got {tuple(f)}")

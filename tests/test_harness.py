@@ -9,6 +9,7 @@ import json
 import math
 import multiprocessing.process
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -1292,7 +1293,7 @@ class TestCli:
         )
         args = ["corr", "--config", cfg, "-k", "2", "--samples", "1000"]
         assert cli.main(args + ["--budget", "42999"]) == 2
-        assert "~43000 cells" in capsys.readouterr().err
+        assert "~43043 operations" in capsys.readouterr().err
         assert cli.main(args[:-1] + [str(10**8)]) == 2
 
     def test_corr_exact_over_budget_exits_2_before_construct(
@@ -1308,7 +1309,7 @@ class TestCli:
         assert cli.main(["corr", "--config", cfg, "-k", "3"]) == 2
         cells = math.comb(10006, 2) * 10007
         assert (
-            f"correlation_exact(q=10007, k=3) needs ~{cells} cells"
+            f"corr needs ~{10007 + cells} operations"
             in capsys.readouterr().err
         )
 
@@ -1852,3 +1853,332 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("analysis,item,empirical")
         assert "cardinality" in lines[1]
+
+
+class Admitted(Exception):
+    """Raised where an admitted command would start building its set."""
+
+
+def refuse_building(mp):
+    """Make construction raise Admitted, in the CLI and in the harness."""
+
+    def construct(spec):
+        raise Admitted
+
+    mp.setattr(cli, "construct", construct)
+    mp.setattr(harness, "construct", construct)
+
+
+class NoPower(int):
+    """An integer that fails any power taken of it or to it."""
+
+    def __pow__(self, other):
+        raise AssertionError(f"a power of {int(self)} was taken")
+
+    __rpow__ = __pow__
+
+
+@st.composite
+def small_constructions(draw):
+    """A small construction config, valid or not, costing 0 to ~6000."""
+    kind = draw(
+        st.sampled_from(["explicit", "quadratic_residues", "power_residues",
+                         "index_range"])
+    )
+    if kind == "explicit":
+        q = draw(st.integers(0, 60))
+        elements = draw(st.lists(st.integers(0, max(q - 1, 0)), max_size=8))
+        return {"kind": kind, "params": {"q": q, "elements": sorted(set(elements))}}
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 43, 101, 1009]))
+    if kind == "quadratic_residues":
+        return {"kind": kind, "params": {"p": p}}
+    f = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=6))
+    if kind == "power_residues":
+        return {"kind": kind, "params": {"p": p, "d": 2, "f": f}}
+    r, s = draw(st.integers(-p, p)), draw(st.integers(0, p))
+    return {"kind": kind, "params": {"p": p, "f": f, "r": r, "s": s}}
+
+
+small_derivations = st.sampled_from(
+    [{"kind": "gap_mod", "M": 2}, {"kind": "gap_mod", "M": 3},
+     {"kind": "gap_threshold", "m": 2}, {"kind": "characteristic"}]
+)
+small_analyses = st.sampled_from(
+    [{"kind": "cardinality"},
+     {"kind": "balance", "sequence": "characteristic"},
+     {"kind": "patterns", "sequence": "characteristic", "length": 3},
+     {"kind": "sign_patterns", "window": 3},
+     {"kind": "sign_patterns", "window": 2,
+      "budget": {"constant": 1, "shape": "lemma"}},
+     {"kind": "correlation", "k": 2},
+     {"kind": "correlation", "k": 0},
+     {"kind": "correlation_sampled", "k": 3, "samples": 20}]
+)
+small_budgets = st.integers(0, 20000)
+
+
+class TestAdmissionGate:
+    """run and every CLI command refuse through harness.admit, before the
+    set is built."""
+
+    def write(self, tmp_path, name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    QR11 = {"kind": "quadratic_residues", "params": {"p": 11}}
+    QR1009 = {"kind": "quadratic_residues", "params": {"p": 1009}}
+
+    def test_corr_charges_its_set(self, tmp_path, capsys, monkeypatch):
+        refuse_building(monkeypatch)
+        rng = random.Random(1)
+        f = [rng.randrange(100003) for _ in range(12000)]
+        spec = {"kind": "power_residues", "params": {"p": 100003, "d": 2, "f": f}}
+        cfg = self.write(tmp_path, "c.json", spec)
+        args = ["corr", "--config", cfg, "-k", "1", "--budget", "200000"]
+        assert cli.main(args) == 2
+        cost = 100003 * 12000 + measures.exact_cost(100003, 1)
+        assert capsys.readouterr().err == (
+            f"error: corr needs ~{cost} operations, budget is 200000\n"
+        )
+
+    def test_every_command_goes_through_the_gate(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        gate = harness.admit
+
+        def admit(config, budget, what="experiment"):
+            calls.append((what, budget, len(config.derivations), len(config.analyses)))
+            gate(config, budget, what)
+
+        monkeypatch.setattr(harness, "admit", admit)
+        qr = self.write(tmp_path, "qr.json", self.QR11)
+        gaps = self.write(
+            tmp_path, "g.json",
+            {"construction": self.QR11, "derivation": {"kind": "gap_mod", "M": 2}},
+        )
+        experiment = self.write(
+            tmp_path, "v.json",
+            {"construction": self.QR11, "analyses": [{"kind": "cardinality"}]},
+        )
+        for args in (
+            ["construct", "--config", qr],
+            ["derive", "--config", gaps],
+            ["stats", "--config", gaps, "--length", "2"],
+            ["corr", "--config", qr, "-k", "2", "--budget", "121"],  # 11 + 10 * 11
+            ["verify", "--config", experiment, "--budget", "22"],  # 11 + 11
+        ):
+            assert cli.main(args) == 0
+        capsys.readouterr()
+        assert calls == [
+            ("construct", measures.DEFAULT_BUDGET, 0, 0),
+            ("derive", measures.DEFAULT_BUDGET, 1, 0),
+            ("stats", measures.DEFAULT_BUDGET, 1, 1),
+            ("corr", 121, 0, 1),
+            ("experiment", 22, 0, 1),
+        ]
+
+    @given(
+        small_constructions(),
+        small_derivations,
+        st.lists(small_analyses, max_size=3),
+        small_budgets,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_run_builds_only_within_budget(
+        self, construction, derivation, analyses, budget
+    ):
+        derivations = [derivation]
+        if derivation["kind"] != "characteristic":
+            derivations.append({"kind": "characteristic"})
+        raw = {"construction": construction, "derivations": derivations,
+               "analyses": analyses}
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_building(mp)
+            try:
+                config = ExperimentConfig.from_dict(raw)
+                run(config, op_budget=budget)
+            except Admitted:
+                assert estimate_cost(config) <= budget
+            except errors.Error:
+                pass  # refused: construct, which raises Admitted, never ran
+            else:
+                raise AssertionError("run finished without building its set")
+
+    @given(
+        st.sampled_from(["construct", "derive", "stats", "corr"]),
+        small_constructions(),
+        small_derivations,
+        st.integers(1, 4),
+        st.integers(0, 4),
+        st.one_of(st.none(), st.integers(0, 40)),
+        small_budgets,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_commands_build_only_within_budget(
+        self, tmp_path_factory, command, construction, derivation, length, order,
+        samples, budget,
+    ):
+        body, flags = construction, []
+        if command in ("derive", "stats"):
+            body = {"construction": construction, "derivation": derivation}
+        if command == "stats":
+            flags = ["--length", str(length)]
+        if command == "corr":
+            flags = ["-k", str(order), "--budget", str(budget)]
+            flags += [] if samples is None else ["--samples", str(samples)]
+        path = tmp_path_factory.getbasetemp() / "gate.json"
+        path.write_text(json.dumps(body))
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_building(mp)
+            mp.setattr(cli, "DEFAULT_BUDGET", budget)
+            try:
+                code = cli.main([command, "--config", str(path), *flags])
+            except Admitted:
+                spec = harness.ConstructionSpec.from_json(construction)
+                dspec = DerivationSpec.from_dict(derivation, "derivation")
+                config = {
+                    "construct": ExperimentConfig(spec),
+                    "derive": ExperimentConfig(spec, (dspec,)),
+                    "stats": ExperimentConfig(
+                        spec, (dspec,), (AnalysisSpec("patterns", dspec.kind, length),)
+                    ),
+                    "corr": ExperimentConfig(spec, (), (AnalysisSpec(
+                        "correlation" if samples is None else "correlation_sampled",
+                        k=order, samples=samples,
+                    ),)),
+                }[command]
+                assert estimate_cost(config) <= budget
+            else:
+                assert code == 2
+
+    @pytest.mark.parametrize("window", [NoPower(10**9), NoPower(2**64)])
+    def test_window_guard_takes_no_power(self, window):
+        raw = {"construction": self.QR11,
+               "analyses": [{"kind": "sign_patterns", "window": window}]}
+        with pytest.raises(errors.ConfigError, match=r"2\^window exceeds 4096"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("length", [NoPower(10**9), NoPower(2**64)])
+    def test_length_guard_takes_no_power(self, length):
+        raw = {"construction": self.QR11,
+               "derivations": [{"kind": "characteristic"}],
+               "analyses": [{"kind": "patterns", "sequence": "characteristic",
+                             "length": length}]}
+        with pytest.raises(errors.ConfigError, match=r"alphabet\^length exceeds 4096"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "analysis, message",
+        [
+            ({"kind": "sign_patterns", "window": 10**9},
+             "analyses[0].window: 2^window exceeds 4096"),
+            ({"kind": "sign_patterns", "window": 2**64},
+             "analyses[0].window: 2^window exceeds 4096"),
+            ({"kind": "patterns", "sequence": "characteristic", "length": 10**9},
+             "analyses[0]: alphabet^length exceeds 4096"),
+        ],
+        ids=["window_1e9", "window_2_64", "length_1e9"],
+    )
+    def test_huge_families_exit_2(self, tmp_path, capsys, monkeypatch, analysis,
+                                  message):
+        refuse_building(monkeypatch)
+        cfg = self.write(tmp_path, "v.json", {
+            "construction": self.QR11,
+            "derivations": [{"kind": "characteristic"}],
+            "analyses": [analysis],
+        })
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "derivation, analysis, name",
+        [
+            ({"kind": "gap_threshold", "m": 1500}, {"kind": "balance"}, "m"),
+            ({"kind": "gap_mod", "M": 4096}, {"kind": "balance"}, "M"),
+            ({"kind": "gap_threshold", "m": 300}, {"kind": "patterns", "length": 12},
+             "m"),
+            ({"kind": "gap_threshold", "m": 10**6}, {"kind": "balance"}, "m"),
+            ({"kind": "gap_threshold", "m": 10**400}, {"kind": "balance"}, "m"),
+        ],
+        ids=["m1500", "M4096", "m300_length12", "m1e6", "m1e400"],
+    )
+    def test_unrenderable_main_terms_exit_2(
+        self, tmp_path, capsys, monkeypatch, derivation, analysis, name
+    ):
+        refuse_building(monkeypatch)
+        cfg = self.write(tmp_path, "v.json", {
+            "construction": self.QR1009,
+            "derivations": [derivation],
+            "analyses": [{**analysis, "sequence": derivation["kind"]}],
+        })
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: analyses[0]: {name}*length*log10(q) exceeds 4300 digits\n"
+        )
+
+    def test_sweep_refuses_an_unrenderable_point_before_any_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        refuse_building(monkeypatch)
+        base = {"construction": self.QR1009,
+                "derivations": [{"kind": "gap_threshold", "m": 2}],
+                "analyses": [{"kind": "balance", "sequence": "gap_threshold"}]}
+        grid = [{"path": "derivations.0.m", "values": [2, 1500]}]
+        cfg = self.write(tmp_path, "s.json", {"base": base, "grid": grid})
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid point 1: analyses[0]: m*length*log10(q) exceeds 4300 digits\n"
+        )
+
+    def test_main_term_bound_at_its_edge(self, tmp_path):
+        # 4300 / log10(1009) = 1431.48: m = 1431 renders, m = 1432 is refused
+        def config(m):
+            return {"construction": self.QR1009,
+                    "derivations": [{"kind": "gap_threshold", "m": m}],
+                    "analyses": [{"kind": "balance", "sequence": "gap_threshold"}]}
+
+        with pytest.raises(errors.ConfigError, match="exceeds 4300 digits"):
+            ExperimentConfig.from_dict(config(1432))
+        report = run(ExperimentConfig.from_dict(config(1431)))
+        text = report.to_json_text()
+        assert json.loads(text)["analyses"][0]["items"][0]["label"] == "symbol=0"
+
+    def test_characteristic_windows_at_large_q_stay_admitted(self):
+        # 12 * log10(10^9) = 108 digits
+        ExperimentConfig.from_dict({
+            "construction": {"kind": "explicit",
+                             "params": {"q": 10**9, "elements": [0, 1]}},
+            "derivations": [{"kind": "characteristic"}],
+            "analyses": [{"kind": "patterns", "sequence": "characteristic",
+                          "length": 12}],
+        })
+
+    @pytest.mark.parametrize("command", ["derive", "stats"])
+    def test_gap_mod_past_int64(self, tmp_path, capsys, command):
+        cfg = self.write(tmp_path, "g.json", {
+            "construction": {"kind": "explicit",
+                             "params": {"q": 2**64, "elements": [0, 5, 9]}},
+            "derivation": {"kind": "gap_mod", "M": 2**63},
+        })
+        assert cli.main([command, "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        if command == "derive":
+            assert out["symbols"] == [5, 4]
+        else:
+            assert out["counts"] == [{"pattern": [4], "count": 1},
+                                     {"pattern": [5], "count": 1}]
+
+    @pytest.mark.parametrize(
+        "kind, f, period",
+        [("index_range", [0, 1], 10), ("poly_value_range", [0, 0, 1], 11),
+         ("inverse_range", [0, 1], 11)],
+    )
+    @pytest.mark.parametrize("r", [2**64, -(2**64)])
+    def test_window_start_past_int64(self, tmp_path, capsys, kind, f, period, r):
+        outputs = []
+        for start in (r, r % period):
+            params = {"p": 11, "f": f, "r": start, "s": 3}
+            cfg = self.write(tmp_path, "c.json", {"kind": kind, "params": params})
+            assert cli.main(["construct", "--config", cfg]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

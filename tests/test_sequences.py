@@ -41,6 +41,12 @@ def test_gap_mod_from_modulus_q_on_is_raw_gaps(M):
     assert seq.param == M
 
 
+def test_gap_mod_past_int64_below_every_gap_is_raw_gaps():
+    # M = 2^63 exceeds every gap, so no reduction happens, even past int64
+    seq = derive_gap_mod(explicit_set(2**64, [0, 5, 9]), 2**63)
+    assert seq.symbols == (5, 4)
+
+
 def test_gap_threshold_qr11():
     seq = derive_gap_threshold(QR11, 2)
     assert seq.symbols == (0, 1, 1, 0)

@@ -319,6 +319,21 @@ class TestInverseRange:
             assert inverse_range_set(p, f, r, s).elements == expect, (p, f, r, s)
 
 
+@pytest.mark.parametrize("r", [2**64, -(2**64), 2**63 - 1, -(2**63), 3 * 2**100 + 5])
+def test_window_starts_past_int64_are_reduced(r):
+    """Every window kind at a start r outside int64 is the set its
+    definition gives at r, computed on Python ints."""
+    p, s = 13, 4
+    ind = nt.build_index_table(p).index_of
+    for build, f, member in (
+        (index_range_set, (0, 1), lambda v: v and (ind(v) - r) % (p - 1) < s),
+        (poly_value_range_set, (1, 0, 1), lambda v: (v - r) % p < s),
+        (inverse_range_set, (2, 1), lambda v: v and (pow(v, -1, p) - r) % p < s),
+    ):
+        expect = tuple(n for n in range(p) if member(nt.poly_eval_mod(f, n, p)))
+        assert build(p, f, r, s).elements == expect, (build.__name__, r)
+
+
 class TestCharacterArgument:
     def test_legendre_recovers_quadratic_residues(self):
         chi = MultiplicativeCharacter.legendre(11)
