@@ -29,8 +29,16 @@ from .subsets import ConstructionSpec, construct
 
 
 def _load_json(path: str) -> dict:
+    """The JSON value in the file; a value json parses but cannot hold,
+    such as an integer past the interpreter's int-to-str digit limit, is
+    a config error."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None):

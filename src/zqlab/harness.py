@@ -117,6 +117,34 @@ def _key_text(key) -> str:
     )
 
 
+class _Item(dict):
+    """A report item, {"label": label, **fields}, that keeps `fields`: the
+    scored fields it shares with the items of its (sum, count), which
+    json_text renders once.  An item that is changed after it is made
+    drops `fields` and renders as any dict."""
+
+    __slots__ = ("fields",)
+
+    def __init__(self, label, fields: dict):
+        dict.__init__(self, label=label, **fields)
+        self.fields = fields
+
+
+def _unshared(method):
+    def change(self, *args, **kwargs):
+        self.fields = None
+        return method(self, *args, **kwargs)
+
+    return change
+
+
+for _name in (
+    "__setitem__", "__delitem__", "__ior__",
+    "clear", "pop", "popitem", "setdefault", "update",
+):
+    setattr(_Item, _name, _unshared(getattr(dict, _name)))
+
+
 def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte.
 
@@ -125,13 +153,36 @@ def json_text(obj, sort_keys: bool = False) -> str:
     of json's C encoder, its separators carrying the newline and indent of
     its depth; any other container joins its rendered entries.  The text
     of a dict entry whose value is a dict is kept, keyed by the key's
-    text, the value's identity and the depth: the report's items share
-    their scored fields, so each shared body is rendered once.  No other
-    text is kept, so no long one (a report's items, a set's elements) is
-    held twice.  Values must be acyclic (a cycle raises RecursionError,
-    not json's ValueError).
+    text, the value's identity and the depth.  A report item (_Item) that
+    still holds its shared fields is written as the text around its label
+    with the label spliced in; that text is made once per shared fields
+    and depth, from the first such item, so each shared body is rendered
+    once.  No other text is kept, so no long one (a report's items, a
+    set's elements) is held twice.  Values must be acyclic (a cycle raises
+    RecursionError, not json's ValueError).
     """
-    entries = {}
+    entries, around = {}, {}
+
+    def entry(k, v, depth: int) -> str:
+        # keyed on the key's text: 1 == True, but they are written apart
+        name = encode_basestring_ascii(k) if type(k) is str else _key_text(k)
+        cached = (name, id(v), depth)
+        part = entries.get(cached)
+        if part is None:
+            part = f"{name}: {render(v, depth + 1)}"
+            if isinstance(v, dict):
+                entries[cached] = part
+        return part
+
+    def label_halves(item: _Item, depth: int) -> tuple[str, str]:
+        """The text of `item` before and after its label's value."""
+        indent = "  " * (depth + 1)
+        sep = ",\n" + indent
+        keys = sorted(item) if sort_keys else list(item)
+        at = keys.index("label")
+        head = "".join(entry(k, item[k], depth) + sep for k in keys[:at])
+        tail = "".join(sep + entry(k, item[k], depth) for k in keys[at + 1 :])
+        return f'{{\n{indent}{head}"label": ', f"{tail}\n{indent[:-2]}}}"
 
     def render(value, depth: int) -> str:
         kind = type(value)
@@ -139,24 +190,20 @@ def json_text(obj, sort_keys: bool = False) -> str:
             return encode_basestring_ascii(value)
         if kind is int:
             return int.__repr__(value)
+        if kind is _Item and getattr(value, "fields", None) is not None:
+            shared = (id(value.fields), depth)
+            halves = around.get(shared)
+            if halves is None:
+                halves = around[shared] = label_halves(value, depth)
+            return f"{halves[0]}{render(value['label'], depth + 1)}{halves[1]}"
         if not isinstance(value, _CONTAINERS) or not value:
             return _encoder(depth, sort_keys)(value)
         is_dict, indent = isinstance(value, dict), "  " * (depth + 1)
         if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
             inner = _encoder(depth, sort_keys)(value)[1:-1]
         elif is_dict:
-            parts = []
-            for k, v in sorted(value.items()) if sort_keys else value.items():
-                # keyed on the key's text: 1 == True, but they are written apart
-                name = encode_basestring_ascii(k) if type(k) is str else _key_text(k)
-                cached = (name, id(v), depth)
-                part = entries.get(cached)
-                if part is None:
-                    part = f"{name}: {render(v, depth + 1)}"
-                    if isinstance(v, dict):
-                        entries[cached] = part
-                parts.append(part)
-            inner = (",\n" + indent).join(parts)
+            pairs = sorted(value.items()) if sort_keys else value.items()
+            inner = (",\n" + indent).join([entry(k, v, depth) for k, v in pairs])
         else:
             inner = (",\n" + indent).join([render(v, depth + 1) for v in value])
         start, end = "{}" if is_dict else "[]"
@@ -328,6 +375,20 @@ def _check_main_terms(dspec: DerivationSpec, length: int, q: int, path: str):
         _fail(path, f"{name}*length*log10(q) exceeds {_MAX_MAIN_TERM_DIGITS} digits")
 
 
+def _check_budget_value(analysis: AnalysisSpec, q: int, path: str):
+    """Refuse a budget whose report value, a float, cannot be formed: a
+    constant past float range, or for a lemma budget c * 2^s * q, which
+    bounds c * 2^s * Cmax (every window sum of the centered indicator is at
+    most q)."""
+    bound = analysis.budget.constant
+    if analysis.lemma_budget:
+        bound *= 2**analysis.window * q
+    try:
+        float(bound)
+    except OverflowError:
+        _fail(f"{path}.budget.constant", "too large for the report's float value")
+
+
 # Parsers (value, path) of the analysis config keys, by key.
 _FIELDS = {
     "sequence": _sequence_field,
@@ -391,6 +452,8 @@ class ExperimentConfig:
                         f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
                     )
                 _check_main_terms(dspec, length, spec.modulus, f"analyses[{i}]")
+            if analysis.budget is not None:
+                _check_budget_value(analysis, spec.modulus, f"analyses[{i}]")
             analyses.append(analysis)
         seed = parse_seed(obj.get("seed", 0))
         return cls(spec, tuple(derivations), tuple(analyses), seed)
@@ -453,7 +516,9 @@ def _combine(statuses) -> str:
 
 def _scored(empirical: int, main: Fraction, predicted: dict, budget, budget_json):
     """An item's fields but its label: its count against its main term."""
-    deviation = abs(empirical - main)
+    # |empirical - main|, over main's denominator
+    den = main.denominator
+    deviation = Fraction(abs(empirical * den - main.numerator), den)
     ok = budget.allows(deviation) if budget.asserted else True
     return {
         "empirical": empirical,
@@ -492,28 +557,38 @@ def _run_patterns(
     characteristic sequence with +-1 labels."""
     seq = seqs[analysis.sequence] if seq is None else seq
     length = length or analysis.length
-    counts = measures.pattern_counts(seq, length)
     main_term = sequences.DERIVATIONS[seq.kind].main_term
     T, q = rset.cardinality, rset.q
     budget = budget or _analysis_budget(analysis, q)
     budget_json = _budget_json(budget)
-    # A main term depends on its pattern only through (length, sum), so
-    # one per sum; items of one (sum, count) share their scored fields.
     prefix, text = label
-    texts = [text(symbol) for symbol in seq.alphabet]
+    alphabet = seq.alphabet
+    texts = [text(symbol) for symbol in alphabet]
     labels = [prefix + t for t in texts]
     for _ in range(length - 1):  # in the order of itertools.product
         labels = [f"{head},{t}" for head in labels for t in texts]
-    mains, scored, items = {}, {}, []
-    patterns = itertools.product(seq.alphabet, repeat=length)
-    for pattern, name in zip(patterns, labels):
-        weight, n = sum(pattern), counts.get(pattern, 0)
-        if (weight, n) not in scored:
-            if weight not in mains:
-                main = main_term(pattern, T, q, seq.param)
-                mains[weight] = main, _fraction_json(main)
-            scored[weight, n] = _scored(n, *mains[weight], budget, budget_json)
-        items.append({"label": name, **scored[weight, n]})
+    counts = measures.pattern_counts(seq, length)
+    if len(counts) == len(labels):  # every pattern occurs: in product order
+        tally = counts.values()
+    else:
+        patterns = itertools.product(alphabet, repeat=length)
+        tally = map(counts.get, patterns, itertools.repeat(0))
+    sums = [0]  # of each pattern's symbols, in the same order
+    for _ in range(length):
+        sums = [head + symbol for head in sums for symbol in alphabet]
+    # A main term depends on its pattern only through (length, sum), so
+    # one per sum; items of one (sum, count) share their scored fields.
+    base, mains, bodies, items = len(alphabet), {}, {}, []
+    for i, (name, total, n) in enumerate(zip(labels, sums, tally)):
+        body = bodies.get((total, n))
+        if body is None:
+            if total not in mains:  # pattern i: i's digits in base |alphabet|
+                digits = reversed(range(length))
+                main = main_term(tuple(alphabet[i // base**d % base] for d in digits),
+                                 T, q, seq.param)
+                mains[total] = main, _fraction_json(main)
+            body = bodies[total, n] = _scored(n, *mains[total], budget, budget_json)
+        items.append(_Item(name, body))
     return items
 
 

@@ -23,6 +23,9 @@ positive or negative mass of one block for each free end makes it an
 upper bound.  A row goes on to the full kernel only if its upper bound
 reaches the best value known so far, so every row at the maximum gets
 there, in order, and values and witnesses are those of the full scan.
+A cyclic row whose block sums span R = max S - min S and total Tot cannot
+pass R + |Tot| plus the slack of its two ends; rows below the floor by
+that measure skip the running extremes of the exact lower bound.
 The witness window is read from the prefix sums the scan keeps of its
 best row, not from a second kernel call.
 The pass runs where it pays, which the input decides: orders 2 to 4, q of
@@ -40,8 +43,10 @@ The sampled scan maximizes over prefix windows (one free end).  Where the
 coarse pass runs, its rows never reach the full kernel: inside a block,
 every prefix sum lies within the block's positive mass above the sum
 before the block and within that mass below the sum after it, so only the
-blocks of the narrowest width where that reaches the floor are summed
-position by position, and the shortest witness window is read from them.
+blocks of the widest width where that reaches the floor are summed
+position by position, and the shortest witness window is read from them;
+the narrower widths, which pay for cyclic rows before the kernel, cost a
+prefix row more than the few blocks they would spare.
 No row of q prefix sums is built, so its draws come in blocks of at least
 _DRAW_ROWS rows, whatever q.  Elsewhere it shares the kernel with the
 exact scan.  Its lag tuples are those of one
@@ -93,7 +98,8 @@ _INT64_HEADROOM = 2**62
 _HIGH_ORDER_MAX_Q = 2**23
 
 # The coarse pass (_coarse) runs at these orders when q has at least four of
-# the widest blocks; each width in turn bounds the rows the last one kept.
+# the widest blocks.  For cyclic rows each width in turn bounds the rows the
+# last one kept; prefix rows are finished at the widest.
 _COARSE_ORDERS = range(2, 5)
 _COARSE_WIDTHS = (32, 16, 8)
 _COARSE_MIN_Q = 4 * _COARSE_WIDTHS[0]
@@ -158,10 +164,13 @@ def pattern_counts(seq: DerivedSequence, length: int) -> dict:
     windows that never occur are simply absent.  The counts sum to
     len(seq) - length + 1.  Each window is counted by its code in base
     |alphabet|, in the narrowest of uint16, uint32 and uint64 that holds
-    |alphabet|^length (and so every symbol), Python ints beyond.  With no
-    more possible codes than windows the codes are tallied with
-    np.bincount, in O(windows) cells; otherwise they are sorted with
-    np.unique.  Only the codes that occur are decoded.
+    |alphabet|^length (and so every symbol), Python ints beyond.  Codes are
+    built by doubling: those of 2s consecutive symbols are the codes of s
+    symbols times base^s plus those of the s after, and a window's length
+    is a sum of such spans, so a length-l code takes about 2 log2(l)
+    passes, not 2 (l - 1).  With no more possible codes than windows the
+    codes are tallied with np.bincount, in O(windows) cells; otherwise
+    they are sorted with np.unique.  Only the codes that occur are decoded.
     """
     if length < 1:
         raise InvalidParameterError(f"pattern length must be >= 1, got {length}")
@@ -175,12 +184,22 @@ def pattern_counts(seq: DerivedSequence, length: int) -> dict:
     family, windows = base**length, size - length + 1
     unsigned = (np.uint16, np.uint32, np.uint64)
     dtype = next((t for t in unsigned if family <= np.iinfo(t).max), object)
-    digits = seq.array.astype(dtype)  # holds every symbol
-    digits -= alphabet.start
-    codes = digits[:windows].copy()
-    for i in range(1, length):
-        codes *= base
-        codes += digits[i : i + windows]
+    block = seq.array.astype(dtype)  # holds every symbol
+    block -= alphabet.start
+    # codes: of each window's first `width` symbols; block: of every `span`
+    codes, width, span = None, 0, 1
+    for bit in range(length.bit_length()):
+        if bit:
+            n = size - 2 * span + 1
+            block = block[:n] * base**span + block[span : span + n]
+            span *= 2
+        if length >> bit & 1:
+            if codes is None:
+                codes, width = block, span
+            else:
+                n = size - width - span + 1
+                codes = codes[:n] * base**span + block[width : width + n]
+                width += span
     if family <= windows:  # a tally of O(windows) cells
         counts = np.bincount(codes, minlength=family)
         codes = np.flatnonzero(counts)
@@ -192,7 +211,7 @@ def pattern_counts(seq: DerivedSequence, length: int) -> dict:
         patterns[:, i] = codes % base
         codes //= base
     patterns += alphabet.start
-    return dict(zip(map(tuple, patterns.tolist()), counts.tolist()))
+    return dict(zip(zip(*patterns.T.tolist()), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -325,7 +344,13 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
     C(k, i) * 32), then weighted in int64.  Every exact row's first lag is
     0, so the pass rotates m(. + 0) once and such rows share it: a block of
     them rotates k - 1 masks a row, not k, and counts the lag-0 popcounts
-    once.
+    once.  The doubled membership mask is packed once; its seven other
+    bit offsets are byte shifts of that packing.
+
+    Cyclic rows below the floor by R + |Tot| + 2 * slack skip the running
+    extremes (see bounds).  Prefix rows are bounded at the widest width
+    only and finished there by refine, which sums the blocks that can
+    reach the floor position by position.
 
     Every call takes its arrays from `workspace`, a dict of named buffers
     that grow to the largest request and are handed out as views; the
@@ -340,11 +365,17 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
     bits = np.zeros(8 * span + 8, dtype=bool)
     bits[:q] = bits[q : 2 * q] = rset.member_mask
     # shifted[o, b] packs positions 8b + o .. 8b + o + 7 of the doubled mask,
-    # so m(. + d) is the byte slice [d // 8, d // 8 + size) of shifted[d % 8]
-    shifted = np.stack([np.packbits(bits[o : o + 8 * span]) for o in range(8)])
+    # so m(. + d) is the byte slice [d // 8, d // 8 + size) of shifted[d % 8];
+    # the mask is packed once and each offset shifts its bytes
+    packed = np.packbits(bits)
+    shifted = np.empty((8, span), np.uint8)
+    shifted[0] = packed[:span]
+    for o in range(1, 8):
+        np.left_shift(packed[:span], o, out=shifted[o])
+        shifted[o] |= packed[1:] >> (8 - o)
     slices = sliding_window_view(shifted, size, axis=1)
     cut = q // 8
-    inside = np.packbits(np.arange(8 * size) < q)[cut:]
+    inside = np.packbits(np.arange(8 * cut, 8 * size) < q)
 
     def rotated(d: np.ndarray, out: np.ndarray) -> np.ndarray:
         out[...] = slices[d % 8, d // 8]
@@ -380,7 +411,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
             workspace[name] = np.empty(n, dtype)
         return workspace[name][:n].reshape(shape)
 
-    def bounds(lags: np.ndarray, width: int, ends: int):
+    def bounds(lags: np.ndarray, width: int, ends: int, floor: int = 0):
         """(lower, upper) per row: the best block-boundary prefix sum or
         cyclic window (`ends` free ends: 2 cyclic, 1 prefix), which some
         real window reaches, and that plus `ends` times the largest
@@ -389,7 +420,13 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         blocks) arrays and packed masks are views of the workspace.  Where
         every row's first lag is 0, as in the exact scan, the rows share
         the pass's one lag-0 mask and its popcounts instead of each
-        rotating, ANDing and counting its own."""
+        rotating, ANDing and counting its own.
+
+        A cyclic row's best over block boundaries is at most R + |Tot|,
+        with R = max S - min S and Tot = S_q, and both are sums of real
+        windows.  So a row whose R + |Tot| + 2 * slack is below `floor`
+        cannot reach it, and gets max(R, |Tot|) and that upper bound in
+        place of the running extremes' exact bounds."""
         rows, blocks = len(lags), 8 * size // width
         view = np.dtype(f"<u{width // 8}")
         shared = not lags[:, 0].any()
@@ -428,24 +465,37 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         slack = np.subtract(pos, term, out=term).max(axis=1)
         sums[:, 0] = 0
         np.cumsum(block_sums, axis=1, out=sums[:, 1:])
-        lower = _cyclic_best(sums, spare) if ends == 2 else _prefix_best(sums)
-        return lower, lower + ends * slack
+        if ends == 1:
+            lower = _prefix_best(sums)
+            return lower, lower + slack
+        spread, total = sums.max(axis=1) - sums.min(axis=1), np.abs(sums[:, -1])
+        reach = spread + total
+        live = reach + 2 * slack >= floor
+        n = int(np.count_nonzero(live))
+        if n == rows:
+            lower = _cyclic_best(sums, spare)
+        else:
+            lower = np.maximum(spread, total)
+            if n:  # pos is spent: it takes the live rows' sums
+                part = scratch("pos", (n, blocks + 1), np.int64)
+                np.compress(live, sums, axis=0, out=part)
+                lower[live] = _cyclic_best(part, spare[:n])
+        return lower, np.where(live, lower, reach) + 2 * slack
 
     products = _table(q, t, k, np.int64)
-    narrow = _COARSE_WIDTHS[-1]
-    offsets = np.arange(narrow)
+    offsets = np.arange(wide)
 
     def refine(lags: np.ndarray, keep: np.ndarray, floor: int):
         """(value, lags, M) of the best prefix window [0, M) among the rows
         `keep` of `lags`, the rows of the last bounds call, made at the
-        narrowest width with one free end: the highest |S_M| that reaches
+        widest width with one free end: the highest |S_M| that reaches
         `floor`, then the first row, then the shortest M; (-1, None, None)
         if none does.  Inside a block, every prefix sum lies within the
         block's positive mass above the sum before it, and within that
         mass below the sum after it, so only the blocks where one of these
         reaches the floor are summed position by position, from the
-        membership bits, _CHUNK_CELLS // 8 positions at a time."""
-        rows, blocks = len(lags), 8 * size // narrow
+        membership bits, about _CHUNK_CELLS // 8 positions at a time."""
+        rows, blocks = len(lags), 8 * size // wide
         sums = scratch("sums", (rows, blocks + 1), np.int64)
         reach = scratch("spare", (rows, blocks + 1), np.int64)[:, :blocks]
         np.negative(sums[:, 1:], out=reach)
@@ -454,7 +504,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         hit = np.greater_equal(reach, floor, out=scratch("hit", (rows, blocks), bool))
         hit[~keep] = False
         found, best = np.flatnonzero(hit), (-1, None, None)
-        step = _CHUNK_CELLS // 8 // narrow
+        step = max(1, _CHUNK_CELLS // 8 // wide)
         for lo in range(0, len(found), step):
             row, block = np.divmod(found[lo : lo + step], blocks)
             # the best so far comes first: only a higher value displaces it
@@ -462,7 +512,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
             row, block = row[higher], block[higher]
             if not len(row):
                 continue
-            n = block[:, None] * narrow + offsets  # (row, M - 1) in order
+            n = block[:, None] * wide + offsets  # (row, M - 1) in order
             members = bits[n + lags[row, :1]].astype(np.uint8)
             for i in range(1, k):
                 members += bits[n + lags[row, i : i + 1]]
@@ -472,7 +522,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
             s[n >= q] = -1  # the tail block's positions past the period
             top = int(np.argmax(s))
             if s.flat[top] > best[0]:
-                r = row[top // narrow]
+                r = row[top // wide]
                 best = int(s.flat[top]), tuple(int(d) for d in lags[r]), int(n.flat[top]) + 1
         return best
 
@@ -569,26 +619,27 @@ def _best_row(rset, k, blocks, ends: int, floor: int = 0):
 
     Where _coarse selects it, rows whose upper bound is below the floor
     are dropped; a row at the maximum never is, and survivors keep their
-    order.  Prefix windows are then finished from the narrowest block
-    sums; cyclic ones go to the full kernel, and the witness is read from
-    its prefix sums.  _coarse packs its masks once, here, and the scan
-    owns the pass's workspace and gives it back only before a kernel
-    call."""
-    prefix_sums = _kernel(rset, k)
+    order.  Prefix windows are finished from the widest block sums, where
+    the narrower widths do not pay; cyclic ones are bounded at every width,
+    then go to the full kernel, and the witness is read from its prefix
+    sums.  _coarse packs its masks once, here; the kernel is built when a
+    row first reaches it.  The scan owns the pass's workspace and gives it
+    back only before a kernel call."""
     row_best, witness = (
         (_cyclic_best, _cyclic_witness) if ends == 2 else (_prefix_best, _first_length)
     )
     workspace = {}
     coarse = _coarse(rset, k, workspace)
+    prefix_sums = None
 
     def scan(lags):
-        nonlocal floor
+        nonlocal floor, prefix_sums
         if coarse is not None:
             bounds, refine = coarse
             for width in _COARSE_WIDTHS:
-                lower, upper = bounds(lags, width, ends)
+                lower, upper = bounds(lags, width, ends, floor)
                 floor = max(floor, int(lower.max()))
-                if ends == 1 and width == _COARSE_WIDTHS[-1]:
+                if ends == 1:
                     found = refine(lags, upper >= floor, floor)
                     floor = max(floor, found[0])
                     return found
@@ -596,6 +647,8 @@ def _best_row(rset, k, blocks, ends: int, floor: int = 0):
                 if not len(lags):
                     return -1, None, None
             workspace.clear()  # the kernel's arrays may take this memory
+        if prefix_sums is None:
+            prefix_sums = _kernel(rset, k)
         sums = prefix_sums(lags)
         best = row_best(sums)
         r = int(np.argmax(best))

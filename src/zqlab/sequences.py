@@ -28,7 +28,8 @@ class DerivedSequence:
     gap_mod, m for gap_threshold, None for characteristic); the symbols
     lie in the kind's alphabet.  They are held in `array`, a read-only
     int64 copy; `symbols` is the same sequence as a tuple of Python ints,
-    made on first use.
+    made on first use.  The derivations hand the arrays they have just
+    made to `_adopt`, which keeps them instead of copying them.
     """
 
     kind: str
@@ -42,6 +43,18 @@ class DerivedSequence:
             raise InvalidParameterError(
                 f"{kind}: symbols must be below 2**63"
             ) from None
+        self._freeze(kind, param, arr)
+
+    @classmethod
+    def _adopt(cls, kind: str, param: int | None, arr: np.ndarray):
+        """The sequence over `arr`, a fresh array of symbols a derivation
+        has made and hands over: frozen in place, not copied where it is
+        already int64."""
+        seq = cls.__new__(cls)
+        seq._freeze(kind, param, arr.astype(np.int64, copy=False))
+        return seq
+
+    def _freeze(self, kind: str, param: int | None, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "param", param)
@@ -118,16 +131,18 @@ def derive_gap_mod(rset: ResidueSet, M: int) -> DerivedSequence:
         raise InvalidParameterError(f"gap_mod needs M >= 2, got {M}")
     syms = _gaps(rset)
     if M <= syms.max():  # a gap below M is its own symbol (and M may pass int64)
-        syms = syms % M
-        syms[syms == 0] = M
-    return DerivedSequence("gap_mod", M, syms)
+        # gaps are at least 1: (gap - 1) mod M + 1 is gap mod M, or M for 0
+        syms -= 1
+        syms %= M
+        syms += 1
+    return DerivedSequence._adopt("gap_mod", M, syms)
 
 
 def derive_gap_threshold(rset: ResidueSet, m: int) -> DerivedSequence:
     """Binary flags: 1 where the gap to the next element is below m."""
     if m < 2:
         raise InvalidParameterError(f"gap_threshold needs m >= 2, got {m}")
-    return DerivedSequence("gap_threshold", m, _gaps(rset) < m)
+    return DerivedSequence._adopt("gap_threshold", m, _gaps(rset) < m)
 
 
 def derive_characteristic(rset: ResidueSet) -> DerivedSequence:

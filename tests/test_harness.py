@@ -674,6 +674,93 @@ class TestJsonTextSharedEntries:
         self.check({nan: [1], inf: {"é": nan}, -inf: "✓"})
 
 
+# Labels that a splice could get wrong: quotes, backslashes, format and
+# separator text, non-ASCII, and text that looks like the item's own keys.
+item_labels = (
+    st.text()
+    | st.sampled_from(['"', "\\", "%", "%s", "{}", "é", "naïve ✓", "\U0001f600",
+                       "\u2028", '"label": ', ",\n  ", "}", "", "pattern=+1,-1"])
+    | json_scalars
+)
+item_bodies = st.dictionaries(
+    st.text(max_size=4).filter(lambda key: key != "label"), json_values, max_size=5
+)
+
+
+def mutated(item, how):
+    """`item` changed in place by one of dict's mutators."""
+    key = next(iter(item))
+    {
+        "setitem": lambda: item.__setitem__("extra", [1]),
+        "delitem": lambda: item.__delitem__(key),
+        "ior": lambda: item.__ior__({"z": None}),
+        "clear": item.clear,
+        "pop": lambda: item.pop(key),
+        "popitem": item.popitem,
+        "setdefault": lambda: item.setdefault("new", {"a": 1}),
+        "update": lambda: item.update(label="changed"),
+    }[how]()
+    return item
+
+
+class TestJsonTextItems:
+    """Report items (harness._Item) that share their scored fields are
+    written as the text around their label with the label spliced in; the
+    text is still json.dumps's."""
+
+    check = staticmethod(TestJsonTextSharedEntries.check)
+
+    @given(
+        st.lists(item_bodies, min_size=1, max_size=4),
+        st.lists(st.tuples(item_labels, st.integers(0, 3)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_bodies_equal_json_dumps(self, bodies, labelled):
+        items = [harness._Item(label, bodies[i % len(bodies)]) for label, i in labelled]
+        report = {
+            "analyses": [{"items": items, "status": "PASS"}, {"items": items[:1]}],
+            "deeper": [[{"items": items}]],  # the same bodies at other depths
+            "status": "PASS",
+        }
+        self.check(report)
+        self.check(items)
+
+    @given(
+        item_bodies,
+        st.lists(item_labels, min_size=2, max_size=6),
+        st.sampled_from(
+            ["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault",
+             "update"]
+        ),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_changed_item_is_written_as_it_is(self, body, labels, how, which):
+        items = [harness._Item(label, body) for label in labels]
+        mutated(items[which % len(items)], how)
+        self.check({"items": items})
+
+    def test_copies_are_written_as_they_are(self):
+        body = {"empirical": 3, "deviation": {"num": 1, "den": 2}, "status": "PASS"}
+        items = [harness._Item(f"pattern={i}", body) for i in range(3)]
+        for copied in (copy.deepcopy(items), [copy.copy(item) for item in items]):
+            copied[1]["empirical"] = 4
+            self.check({"items": copied})
+            assert items[1]["empirical"] == 3
+        assert [dict(item) for item in items] == [
+            {"label": f"pattern={i}", **body} for i in range(3)
+        ]
+
+    def test_report_items_share_their_fields(self):
+        body = run(ExperimentConfig.from_dict(TestRun.LENGTH_12)).body
+        items = body["analyses"][0]["items"]
+        assert all(type(item) is harness._Item for item in items)
+        assert len({id(item.fields) for item in items}) < len(items)
+        assert VerificationReport(body).to_json_text() == (
+            json.dumps(body, indent=2, sort_keys=True) + "\n"
+        )
+
+
 # Keys json.dumps accepts besides str: it writes their scalar text, quoted.
 json_keys = (
     st.none() | st.booleans() | st.integers()
@@ -2182,3 +2269,100 @@ class TestAdmissionGate:
             assert cli.main(["construct", "--config", cfg]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+class TestValuesPastTheirLimits:
+    """Config values that parse but cannot be used are config errors, exit
+    2, before anything runs."""
+
+    DIGITS = "1" * 5000  # past CPython's int-to-str digit limit (4300)
+
+    def write_text(self, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("construct", '{"kind": "quadratic_residues", "params": {"p": %s}}'),
+            ("corr", '{"kind": "quadratic_residues", "params": {"p": %s}}'),
+            ("verify", '{"construction": {"kind": "quadratic_residues", '
+                       '"params": {"p": 43}}, "seed": %s}'),
+            ("derive", '{"sequence": {"kind": "gap_mod", "params": {"M": %s}, '
+                       '"symbols": [1]}}'),
+            ("sweep", '{"base": {}, "grid": [{"path": "seed", "values": [%s]}]}'),
+        ],
+    )
+    def test_an_integer_past_the_digit_limit(self, tmp_path, capsys, command, text):
+        cfg = self.write_text(tmp_path, text % self.DIGITS)
+        args = [command, "--config", cfg] + (["-k", "1"] if command == "corr" else [])
+        assert cli.main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {cfg}: Exceeds the limit (4300 digits)")
+
+    def test_malformed_json_keeps_its_message(self, tmp_path, capsys):
+        cfg = self.write_text(tmp_path, '{"kind": ')
+        assert cli.main(["construct", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: Expecting value: line 1 column 10 (char 9)\n"
+        )
+
+    @staticmethod
+    def config(constant, shape="absolute", kind="balance"):
+        analysis = {"kind": kind, "budget": {"constant": constant, "shape": shape}}
+        if kind == "balance":
+            analysis["sequence"] = "characteristic"
+        else:
+            analysis["window"] = 2
+        return {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "derivations": [{"kind": "characteristic"}],
+            "analyses": [analysis],
+        }
+
+    @pytest.mark.parametrize(
+        "constant, shape, kind",
+        [
+            ({"num": 10**4000, "den": 3}, "absolute", "balance"),
+            (10**309, "sqrt_log", "balance"),
+            (10**309, "sqrt_log2", "sign_patterns"),
+            # c * 2^s * Cmax past float range for some set of Z_43: c * 4 * 43
+            (10**307, "lemma", "sign_patterns"),
+        ],
+    )
+    def test_a_budget_constant_past_float_range(
+        self, tmp_path, capsys, monkeypatch, constant, shape, kind
+    ):
+        def refuse(spec):
+            raise AssertionError("the set was built")
+
+        monkeypatch.setattr(harness, "construct", refuse)
+        config = self.config(constant, shape, kind)
+        with pytest.raises(errors.ConfigError, match="too large for the report's float"):
+            ExperimentConfig.from_dict(config)
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: analyses[0].budget.constant: too large for the report's float value\n"
+        )
+        sweep_cfg = {"base": config, "grid": [{"path": "seed", "values": [0, 1]}]}
+        path.write_text(json.dumps(sweep_cfg))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "grid point 0: analyses[0].budget.constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "constant, shape, kind",
+        [
+            (10**308, "absolute", "balance"),
+            ({"num": 10**300, "den": 7}, "sqrt_log", "balance"),
+            (10**300, "lemma", "sign_patterns"),
+        ],
+    )
+    def test_a_budget_constant_within_float_range_runs(self, constant, shape, kind):
+        report = run(ExperimentConfig.from_dict(self.config(constant, shape, kind)))
+        text = report.to_json_text()
+        assert text == json.dumps(report.body, indent=2, sort_keys=True) + "\n"
+        assert report.status == "PASS"

@@ -618,7 +618,8 @@ class TestCoarsePass:
     )
     def test_bounds_hold_on_every_row(self, r, k):
         # the exact scan's rows, and rows whose first lag is not 0, as the
-        # sampled scan draws them
+        # sampled scan draws them; under any floor, also where the cyclic
+        # prefilter gives rows below it its own bounds
         rows = list(measures._representatives(r.q, k, 1000))
         rows.append((rows[0] + r.q // 3) % r.q)
         (bounds, _), prefix_sums = measures._coarse(r, k, {}), measures._kernel(r, k)
@@ -629,8 +630,9 @@ class TestCoarsePass:
                 (measures._prefix_best, 1),
             ):
                 best = row_best(sums)
-                for width in measures._COARSE_WIDTHS:
-                    lower, upper = bounds(lags, width, ends)
+                floors = (0, int(np.median(best)), int(best.max()) + 1)
+                for width, floor in itertools.product(measures._COARSE_WIDTHS, floors):
+                    lower, upper = bounds(lags, width, ends, floor)
                     assert (lower <= best).all() and (best <= upper).all()
 
     def test_zero_slack_is_caught(self, monkeypatch):
@@ -647,8 +649,8 @@ class TestCoarsePass:
         def zero_slack(rset, k, workspace):
             bounds, refine = coarse(rset, k, workspace)
 
-            def tight(lags, width, ends):
-                lower, _ = bounds(lags, width, ends)
+            def tight(lags, width, ends, floor):
+                lower, _ = bounds(lags, width, ends, floor)
                 return lower, lower
 
             return tight, refine
@@ -683,10 +685,10 @@ class TestCoarsePass:
         def counting(rset, k, workspace):
             bounds, refine = coarse(rset, k, workspace)
 
-            def counted(lags, width, ends):
+            def counted(lags, width, ends, floor):
                 if width == measures._COARSE_WIDTHS[0]:
                     widest.append(len(lags))
-                return bounds(lags, width, ends)
+                return bounds(lags, width, ends, floor)
 
             return counted, refine
 
@@ -811,10 +813,10 @@ class TestCoarsePass:
         def counting(rset, k, workspace):
             bounds, refine = coarse(rset, k, workspace)
 
-            def counted(lags, width, ends):
+            def counted(lags, width, ends, floor):
                 if width == measures._COARSE_WIDTHS[0]:
                     widest.append(len(lags))
-                return bounds(lags, width, ends)
+                return bounds(lags, width, ends, floor)
 
             return counted, refine
 
@@ -875,6 +877,60 @@ class TestCoarsePass:
         t = data.draw(st.sampled_from([m, q - m]))
         if fits(q, t):
             assert measures._COARSE_WIDTHS[0] * (3 * m) ** k < 2**63
+
+    @staticmethod
+    def counted_scan(monkeypatch, scan):
+        """(result, rows bounded at each width, rows sent to the kernel,
+        rows given the running extremes of _cyclic_best) of scan()."""
+        widths, kernel, extremes = {}, [], []
+        coarse, full, cyclic = measures._coarse, measures._kernel, measures._cyclic_best
+
+        def counting(rset, k, workspace):
+            pass_ = coarse(rset, k, workspace)
+            if pass_ is None:
+                return None
+            bounds, refine = pass_
+
+            def counted(lags, width, ends, floor):
+                widths[width] = widths.get(width, 0) + len(lags)
+                return bounds(lags, width, ends, floor)
+
+            return counted, refine
+
+        def counted_kernel(rset, k):
+            prefix_sums = full(rset, k)
+            return lambda lags: kernel.append(len(lags)) or prefix_sums(lags)
+
+        def counted_extremes(sums, run=None):
+            extremes.append(len(sums))
+            return cyclic(sums, run)
+
+        monkeypatch.setattr(measures, "_coarse", counting)
+        monkeypatch.setattr(measures, "_kernel", counted_kernel)
+        monkeypatch.setattr(measures, "_cyclic_best", counted_extremes)
+        return scan(), widths, sum(kernel), sum(extremes)
+
+    def test_the_cyclic_prefilter_keeps_every_survivor(self, monkeypatch):
+        # rows whose R + |Tot| + 2 slack is below the floor skip the running
+        # extremes; the rows each width keeps, the rows sent to the kernel,
+        # the values and the witnesses are those of the pass without it
+        r = quadratic_residue_set(1009)
+        res, widths, kernel, extremes = self.counted_scan(
+            monkeypatch, lambda: correlation_exact(r, 3)
+        )
+        assert witness(res) == (Fraction(15664702957, 1009**3), 778, (16, 559, 752))
+        assert widths == {32: 169344, 16: 16647, 8: 1134}
+        assert kernel == 126
+        assert extremes == 96282  # of the 187,125 rows bounded
+        # the order-1 best is the floor of the order-2 scan: 12 of the
+        # 5,014 rows bounded need the running extremes
+        r = quadratic_residue_set(10007)
+        res, widths, kernel, extremes = self.counted_scan(
+            monkeypatch, lambda: correlation_up_to(r, 2)
+        )
+        assert res == Fraction(653386, 10007)
+        assert widths == {32: 5003, 16: 11}
+        assert (kernel, extremes) == (1, 12)  # the order-1 row; no order-2 row
 
     def test_lower_orders_seed_the_bound(self, monkeypatch):
         # QR 10007: the order-1 value, 6.5e9 in order-2 units, is above every
@@ -976,9 +1032,9 @@ class TestWitnessFromTheScan:
         def bounded(rset, k, workspace):
             bounds, refine = coarse(rset, k, workspace)
 
-            def recorded(lags, width, ends):
+            def recorded(lags, width, ends, floor):
                 events.append((width, lags.tolist()))
-                return bounds(lags, width, ends)
+                return bounds(lags, width, ends, floor)
 
             def refined(lags, keep, floor):
                 events.append(("refine", lags[keep].tolist()))
@@ -1001,11 +1057,13 @@ class TestWitnessFromTheScan:
         calls = [i for i, (what, _) in enumerate(events) if what == final]
         assert calls  # the maximum reaches the kernel, or the refinement
         assert all(what != never for what, _ in events)
+        # the kernel right after the narrowest bounds of its block, the
+        # refinement right after the widest, on survivors of them, in their
+        # order
+        last = measures._COARSE_WIDTHS[-1 if samples is None else 0]
         for i in calls:
-            # right after the narrowest bounds of its block, on survivors of
-            # them, in their order
             width, rows = events[i - 1]
-            assert width == measures._COARSE_WIDTHS[-1]
+            assert width == last
             survivors = iter(rows)
             assert all(row in survivors for row in events[i][1])
 
@@ -1050,9 +1108,30 @@ def drawn_cases(draw):
     return ResidueSet(q, tuple(sorted(els))), k
 
 
+def structured_set(kind: str, q: int) -> ResidueSet:
+    """An interval, a dense set (all but every 17th residue) or a periodic
+    set (residues below 20 mod 64) in Z_q: sets whose block sums are far
+    from each other's, and the opposite of a quadratic residue set's."""
+    members = {
+        "interval": lambda n: n < q // 2,
+        "dense": lambda n: n % 17 != 3,
+        "periodic": lambda n: n % 64 < 20,
+    }[kind]
+    return ResidueSet(q, tuple(n for n in range(q) if members(n)))
+
+
 class TestRefinedPrefixWindows:
-    """Sampled rows are finished from the narrowest block sums, never by
-    the full kernel, with the kernel-only scan's values and witnesses."""
+    """Sampled rows are finished from the widest block sums, never by the
+    full kernel, with the kernel-only scan's values and witnesses."""
+
+    @pytest.mark.parametrize("kind", ["interval", "dense", "periodic"])
+    @pytest.mark.parametrize("q, k", [(128, 2), (128, 4), (257, 3), (1000, 2), (4099, 3)])
+    @pytest.mark.parametrize("samples, seed", [(1, 0), (40, 1), (700, 2)])
+    def test_structured_sets_equal_the_kernel_only_scan(self, kind, q, k, samples, seed):
+        r = structured_set(kind, q)
+        assert measures._coarse_selected(q, r.cardinality, k)
+        got = witness(correlation_sampled(r, k, samples, seed=seed))
+        assert got == unpruned(lambda: witness(correlation_sampled(r, k, samples, seed=seed)))
 
     @given(
         drawn_cases(),
@@ -1096,9 +1175,9 @@ class TestRefinedPrefixWindows:
         def counting(rset, k, workspace):
             bounds, refine = coarse(rset, k, workspace)
 
-            def counted(lags, width, ends):
+            def counted(lags, width, ends, floor):
                 widths.append((len(lags), width))
-                return bounds(lags, width, ends)
+                return bounds(lags, width, ends, floor)
 
             return counted, refine
 

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,3 +164,27 @@ def test_gap_threshold_consistent_with_raw_gaps(r, m):
 @settings(max_examples=60)
 def test_characteristic_sums_to_cardinality(r):
     assert sum(derive_characteristic(r).symbols) == r.cardinality
+
+
+@given(sets_with_two, st.integers(min_value=2, max_value=6))
+@settings(max_examples=60)
+def test_gap_mod_consistent_with_raw_gaps(r, M):
+    els = r.elements
+    assert derive_gap_mod(r, M).symbols == tuple(
+        (els[i + 1] - els[i]) % M or M for i in range(len(els) - 1)
+    )
+
+
+def test_a_derived_array_is_kept():
+    # every third residue of 2^20: the gaps are made once, reduced in
+    # place and kept, so the derivation's peak is the int64 symbols alone
+    r = ResidueSet(2**20, np.arange(0, 2**20, 3))
+    tracemalloc.start()
+    try:
+        seq = derive_gap_mod(r, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seq.array.dtype == np.int64 and not seq.array.flags.writeable
+    assert seq.symbols[:3] == (1, 1, 1)  # gaps of 3, mod 2
+    assert peak < 1.5 * seq.array.nbytes
