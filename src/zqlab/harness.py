@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import decimal
 import hashlib
 import io
 import itertools
@@ -23,7 +22,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
@@ -39,7 +37,7 @@ from .errors import (
     PatternTooLongError,
 )
 from .measures import DEFAULT_BUDGET
-from .predictions import DeviationBudget
+from .predictions import _DECIMAL, DeviationBudget
 from .subsets import ConstructionSpec, _as_fraction, _fraction_to_json, construct
 
 _TOOL_NAME = "zqlab"
@@ -84,10 +82,8 @@ def parse_seed(value, path: str = "seed") -> int:
 
 def _fraction_json(fr: Fraction) -> dict:
     """Exact rational plus a 15-significant-digit decimal rendering."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 15
-        dec = Decimal(fr.numerator) / Decimal(fr.denominator)
-    return {**_fraction_to_json(fr), "decimal": str(dec)}
+    dec = _DECIMAL.divide(fr.numerator, fr.denominator)  # 15 digits
+    return {**_fraction_to_json(fr), "decimal": _DECIMAL.to_sci_string(dec)}
 
 
 _CONTAINERS = (dict, list, tuple)

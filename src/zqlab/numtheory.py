@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -154,15 +154,23 @@ def find_primitive_root(p: int) -> int:
 class IndexTable:
     """Dense discrete-logarithm table for Z_p relative to base g.
 
-    table[n] = j with g^j = n mod p for 1 <= n < p; table[0] = -1 sentinel.
-    powers[j] = g^j mod p for 0 <= j < p - 1.  Both arrays are read-only
-    and safe to share across threads.
+    powers[j] = g^j mod p for 0 <= j < p - 1.  table[n] = j with g^j = n
+    mod p for 1 <= n < p, table[0] = -1 sentinel, is scattered from powers
+    on first use.  Both arrays are read-only and safe to share across threads.
     """
 
     p: int
     g: int
-    table: np.ndarray
     powers: np.ndarray
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = np.full(self.p, -1, dtype=np.int64)
+        for start in range(0, self.p - 1, _SCATTER_BLOCK):
+            stop = min(start + _SCATTER_BLOCK, self.p - 1)
+            table[self.powers[start:stop]] = np.arange(start, stop)
+        table.setflags(write=False)
+        return table
 
     def index_of(self, n: int) -> int:
         n %= self.p
@@ -175,7 +183,7 @@ class IndexTable:
 
 @lru_cache(maxsize=4)
 def build_index_table(p: int) -> IndexTable:
-    """Index table for odd prime p < 2**26 (Theta(p) memory)."""
+    """Index table for odd prime p < 2**26 (8 bytes per residue, 16 with table)."""
     _require_odd_prime(p)
     if p >= _INDEX_TABLE_LIMIT:
         raise TooLargeError(f"index table for p={p} exceeds the 2**26 limit")
@@ -189,14 +197,8 @@ def build_index_table(p: int) -> IndexTable:
         np.multiply(powers[: len(head)], pow(g, b, p), out=head)
         np.remainder(head, p, out=head)
         b += len(head)
-    # The inverse scatter, a block of exponents at a time.
-    table = np.full(p, -1, dtype=np.int64)
-    for start in range(0, p - 1, _SCATTER_BLOCK):
-        stop = min(start + _SCATTER_BLOCK, p - 1)
-        table[powers[start:stop]] = np.arange(start, stop)
-    table.setflags(write=False)
     powers.setflags(write=False)
-    return IndexTable(p, g, table, powers)
+    return IndexTable(p, g, powers)
 
 
 def legendre_symbol(n: int, p: int) -> int:
@@ -349,10 +351,9 @@ class MultiplicativeCharacter:
 
     def angle_numerator(self, n: int):
         """k with value exp(2*pi*i*k/order) at n, or None when p | n."""
-        n %= self.p
-        if n == 0:
+        if n % self.p == 0:
             return None
-        return self.index * int(self.index_table.table[n]) % self.order
+        return self.index * self.index_table.index_of(n) % self.order
 
     def angle(self, n: int):
         """Value's angle as an exact fraction of a full turn, in [0, 1)."""

@@ -35,6 +35,21 @@ if TYPE_CHECKING:
     from .subsets import ConstructionSpec
 
 
+# Every decimal result comes from this context or a copy at another
+# precision, never the caller's: each field is set, none from DefaultContext.
+_DECIMAL = decimal.Context(
+    prec=15, rounding=decimal.ROUND_HALF_EVEN, Emin=-999999, Emax=999999,
+    capitals=1, clamp=0, flags=[],
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+)
+
+
+def _decimal_context(prec: int) -> decimal.Context:
+    ctx = _DECIMAL.copy()
+    ctx.prec = prec
+    return ctx
+
+
 def _density(T: int, q: int) -> Fraction:
     if q < 1 or not 0 <= T <= q:
         raise InvalidParameterError(f"need 0 <= T <= q, got T={T}, q={q}")
@@ -134,16 +149,13 @@ class BalanceThreshold:
     def size_for(self, q: int) -> int:
         if self.exact is not None:
             return round(self.exact * q)
-        with decimal.localcontext() as ctx:
-            ctx.prec = self.digits + 30
-            value = _threshold_decimal(self.m, ctx.prec) * q
-            return int(value.to_integral_value(decimal.ROUND_HALF_EVEN))
+        ctx = _decimal_context(self.digits + 30)
+        value = ctx.multiply(_threshold_decimal(self.m, ctx), q)
+        return int(value.to_integral_value(decimal.ROUND_HALF_EVEN, ctx))
 
 
-def _threshold_decimal(m: int, prec: int) -> Decimal:
-    with decimal.localcontext() as ctx:
-        ctx.prec = prec
-        return 1 - Decimal(2) ** (Decimal(-1) / Decimal(m - 1))
+def _threshold_decimal(m: int, ctx: decimal.Context) -> Decimal:
+    return ctx.subtract(1, ctx.power(2, ctx.divide(-1, m - 1)))
 
 
 def gap_threshold_balance_point(m: int) -> BalanceThreshold:
@@ -151,8 +163,8 @@ def gap_threshold_balance_point(m: int) -> BalanceThreshold:
         raise InvalidParameterError(f"threshold must be >= 2, got {m}")
     if m == 2:
         return BalanceThreshold(m, Fraction(1, 2), Decimal("0.5"))
-    rough = _threshold_decimal(m, 80)
-    fifty = decimal.Context(prec=50).plus(rough)
+    rough = _threshold_decimal(m, _decimal_context(80))
+    fifty = _decimal_context(50).plus(rough)
     return BalanceThreshold(m, None, fifty)
 
 
@@ -164,12 +176,11 @@ def _ln_bracket(n: int, digits: int) -> tuple[Fraction, Fraction]:
     """Rationals lo <= ln(n) <= hi, hi - lo about 10^(1-digits) ln(n), for
     an integer n >= 1: Decimal's ln is correctly rounded, so its result is
     within half a unit in the last place; one unit either side is safe."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        value = Decimal(n).ln()
+    ctx = _decimal_context(digits)
+    value = ctx.ln(n)
     if not value:
         return Fraction(0), Fraction(0)
-    ulp = Fraction(Decimal(1).scaleb(value.adjusted() - digits + 1))
+    ulp = Fraction(ctx.scaleb(1, value.adjusted() - digits + 1))
     return Fraction(value) - ulp, Fraction(value) + ulp
 
 

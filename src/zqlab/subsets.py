@@ -9,6 +9,10 @@ ResidueSet.  CONSTRUCTIONS maps each kind name to its params, builder,
 modulus and predicted cardinality; `construct` builds the set a
 JSON-serializable spec names, so experiment configs can name any set in
 the catalog.
+
+A kind that filters n by a polynomial f takes the preimage under f of a
+target mask over Z_p.  The index-table kinds mark their targets from the
+table's `powers` alone; only character-argument sets read its `table`.
 """
 
 from __future__ import annotations
@@ -184,15 +188,16 @@ def _primitive_root_mask(p: int, s: int = 1) -> np.ndarray:
     units mod (p - 1)/s, since every unit mod (p - 1)/s lifts to one mod
     p - 1.
     """
-    table = nt.build_index_table(p).table  # first: it refuses p >= 2^26
-    exponents = np.zeros(p - 1, dtype=bool)  # exponents[e]: g^e qualifies
-    units = exponents[::s]  # a view: units[t] is exponents[s*t]
-    units[:] = True
+    powers = nt.build_index_table(p).powers  # first: it refuses p >= 2^26
+    units = np.ones((p - 1) // s, dtype=bool)  # units[t]: t is a unit mod (p-1)/s
     for prime, _ in nt.factorize((p - 1) // s).factors:
         units[::prime] = False
-    mask = exponents[table]
-    mask[0] = False  # the table's -1 sentinel reads exponents[p - 2]
-    return mask
+    return _block_mask(p, lambda ts: powers[s * ts[units[ts]]], (p - 1) // s)
+
+
+def _preimage(p: int, fr, target: np.ndarray) -> np.ndarray:
+    """mask[n] = True iff target[f(n)], for f with reduced coefficients fr."""
+    return _block_mask(p, lambda xs: target[nt.poly_eval_array(fr, xs, p)])
 
 
 @lru_cache(maxsize=4)
@@ -285,7 +290,7 @@ def power_residue_set(p: int, d: int, f) -> ResidueSet:
     """{n in Z_p : f(n) is a nonzero d-th power residue mod p}.
 
     Membership is equivalent to f(n)^((p-1)/d) = 1 mod p; it is decided
-    here through the index table (ind f(n) divisible by d).  Requires
+    here through the index table (f(n) one of the g^(dj)).  Requires
     d | p - 1 and f non-constant and squarefree mod p.
     """
     nt._require_odd_prime(p)
@@ -294,8 +299,7 @@ def power_residue_set(p: int, d: int, f) -> ResidueSet:
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
     power_mask = _dth_power_mask(p, d)  # first: its index table refuses p >= 2^26
-    mask = _block_mask(p, lambda xs: power_mask[nt.poly_eval_array(fr, xs, p)])
-    return _elements_from_mask(p, mask)
+    return _elements_from_mask(p, _preimage(p, fr, power_mask))
 
 
 def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
@@ -304,11 +308,8 @@ def primitive_root_power_set(p: int, s: int, r: int, f) -> ResidueSet:
     _require_divisor("s", s, p)
     _require_divisor("r", r, p)
     fr = _checked_poly(f, p)
-    root_powers = _primitive_root_mask(p, s)  # first: it refuses p >= 2^26
-    power_mask = _dth_power_mask(p, r)
-    mask = _block_mask(
-        p, lambda xs: root_powers[xs] & power_mask[nt.poly_eval_array(fr, xs, p)]
-    )
+    mask = _primitive_root_mask(p, s)  # first: it refuses p >= 2^26
+    mask &= _preimage(p, fr, _dth_power_mask(p, r))
     return _elements_from_mask(p, mask)
 
 
@@ -321,14 +322,10 @@ def index_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     nt._require_odd_prime(p)
     _require_window(s, p)
     r %= p - 1  # the same cyclic window, r now within numpy's int64
-    table = nt.build_index_table(p).table
+    powers = nt.build_index_table(p).powers  # first: it refuses p >= 2^26
     fr = _checked_poly(f, p)
-
-    def members(xs):
-        values = nt.poly_eval_array(fr, xs, p)
-        return (values != 0) & ((table[values] - r) % (p - 1) < s)
-
-    return _elements_from_mask(p, _block_mask(p, members))
+    window = _block_mask(p, lambda js: powers[(js + r) % (p - 1)], s)
+    return _elements_from_mask(p, _preimage(p, fr, window))
 
 
 def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -339,8 +336,8 @@ def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     fr = _checked_poly(f, p)
     if len(fr) - 1 < 2:
         raise DegreeTooSmallError(f"need deg f >= 2 mod {p}, got {tuple(f)}")
-    mask = _block_mask(p, lambda xs: (nt.poly_eval_array(fr, xs, p) - r) % p < s)
-    return _elements_from_mask(p, mask)
+    window = _block_mask(p, lambda js: (js + r) % p, s)
+    return _elements_from_mask(p, _preimage(p, fr, window))
 
 
 def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -353,15 +350,10 @@ def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
         raise DegreeTooSmallError(f"need deg f >= 1 mod {p}, got {tuple(f)}")
     if not nt.poly_is_squarefree(fr, p):
         raise NotSquarefreeError(f"polynomial {tuple(f)} has repeated roots mod {p}")
-    table = nt.build_index_table(p)  # first: it refuses p >= 2^26
-
-    def members(xs):
-        values = nt.poly_eval_array(fr, xs, p)
-        # (g^j)^-1 = g^-j; zeros of f (index -1, the sentinel) are masked out
-        inv = table.powers[-table.table[values] % (p - 1)]
-        return (values != 0) & ((inv - r) % p < s)
-
-    return _elements_from_mask(p, _block_mask(p, members))
+    powers = nt.build_index_table(p).powers  # first: it refuses p >= 2^26
+    # the g^-j whose inverses g^j lie in the window; powers[-j] is g^(p-1-j)
+    inverses = _block_mask(p, lambda js: powers[-js][(powers[js] - r) % p < s], p - 1)
+    return _elements_from_mask(p, _preimage(p, fr, inverses))
 
 
 def character_argument_set(
@@ -404,6 +396,8 @@ def character_argument_set(
         raise DegreeTooSmallError(f"need deg g >= 2 mod {p} for a nontrivial "
                                   f"additive part, got {g}")
     order = 1 if chi_trivial else chi.order
+    # built on first use: before the block temporaries, which it outlives
+    table = None if chi_trivial else chi.index_table.table
     # theta*scale is an integer in [0, scale) for scale = order*p < 2^52 (order
     # divides p-1), and an integer lies in [alpha*scale, beta*scale) exactly
     # when it lies in [ceil(alpha*scale), ceil(beta*scale)): int64 decides
@@ -415,7 +409,7 @@ def character_argument_set(
         fvals = nt.poly_eval_array(fr, xs, p)
         theta = np.zeros_like(xs)
         if not chi_trivial:
-            theta += (chi.index % order) * chi.index_table.table[fvals] % order * p
+            theta += (chi.index % order) * table[fvals] % order * p
         if a != 0:
             theta += a * nt.poly_eval_array(gr, xs, p) % p * order
         return (fvals != 0) & ((theta - start % scale) % scale < stop - start)

@@ -2,6 +2,7 @@ import atexit
 import copy
 import csv
 import dataclasses
+import decimal
 import gc
 import importlib.util
 import itertools
@@ -289,6 +290,25 @@ class TestRun:
         assert json.dumps(scrub(a), sort_keys=True) == json.dumps(
             scrub(b), sort_keys=True
         )
+
+    def test_reports_ignore_the_callers_decimal_context(self):
+        # QR 43's pattern main terms are inexact in 15 digits, and its
+        # sqrt_log budgets bracket ln 43: a caller's rounding, traps,
+        # precision or exponent letter would change the report or stop it
+        config = ExperimentConfig.from_dict(BASE)
+        expected = harness.json_text(scrub(run(config).body), sort_keys=True)
+        large = harness._fraction_json(Fraction(10**30, 3))
+        assert large["decimal"] == "3.33333333333333E+29"
+        hostile = decimal.Context(
+            prec=3, rounding=decimal.ROUND_DOWN, Emin=-5, Emax=5, capitals=0,
+            traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow,
+                   decimal.Underflow, decimal.Clamped, decimal.FloatOperation],
+        )
+        predictions._ln_bracket.cache_clear()  # recomputed under the context
+        with decimal.localcontext(hostile):
+            text = harness.json_text(scrub(run(config).body), sort_keys=True)
+            assert harness._fraction_json(Fraction(10**30, 3)) == large
+        assert text == expected
 
     def test_correlation_analysis_value(self):
         config = ExperimentConfig.from_dict(

@@ -222,6 +222,15 @@ class TestBalancePoint:
         digits = str(bp.decimal).replace("0.", "")
         assert len(digits) == 50
 
+    def test_the_callers_decimal_context_is_not_read(self):
+        expected = [(bp.decimal, bp.size_for(10**6 + 3))
+                    for bp in map(gap_threshold_balance_point, (3, 4, 7))]
+        hostile = decimal.Context(prec=2, rounding=decimal.ROUND_CEILING, Emax=3,
+                                  traps=[decimal.Inexact, decimal.Rounded])
+        with decimal.localcontext(hostile):
+            assert [(bp.decimal, bp.size_for(10**6 + 3))
+                    for bp in map(gap_threshold_balance_point, (3, 4, 7))] == expected
+
 
 class TestDeviationBudget:
     def test_exact_budget(self):

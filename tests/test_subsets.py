@@ -319,6 +319,64 @@ class TestInverseRange:
             assert inverse_range_set(p, f, r, s).elements == expect, (p, f, r, s)
 
 
+@st.composite
+def polys_with_roots(draw, p):
+    """Coefficients of (x - a_1) ... (x - a_k) h(x), k >= 1, unreduced."""
+    f = draw(st.lists(st.integers(-p, 2 * p), min_size=1, max_size=3))
+    for a in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)):
+        f = [(f[i - 1] if i else 0) - a * (f[i] if i < len(f) else 0)
+             for i in range(len(f) + 1)]
+    return f
+
+
+PRIMES_BELOW_300 = [p for p in range(3, 300) if nt.is_prime(p)]
+
+
+class TestDefinitionsOnPythonInts:
+    """index_range and power_residues against their definitions: the
+    discrete log by a pow loop, and Euler's criterion."""
+
+    @given(
+        st.sampled_from(PRIMES_BELOW_300).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                polys_with_roots(p),
+                st.integers(-3 * p, 3 * p) | st.integers(-(2**80), 2**80),
+                st.integers(1, p - 1),
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_index_range(self, args):
+        p, f, r, s = args
+        g = nt.find_primitive_root(p)
+        ind = {pow(g, j, p): j for j in range(p - 1)}
+        expect = tuple(
+            n for n in range(p)
+            if (v := nt.poly_eval_mod(f, n, p)) and (ind[v] - r) % (p - 1) < s
+        )
+        assert index_range_set(p, f, r, s).elements == expect, (p, f, r, s)
+
+    @given(
+        st.sampled_from(PRIMES_BELOW_300).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                polys_with_roots(p),
+                st.sampled_from(nt.factorize(p - 1).divisors()),
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_power_residues(self, args):
+        p, f, d = args
+        assume(nt.poly_degree(f, p) >= 1 and nt.poly_is_squarefree(f, p))
+        expect = tuple(
+            n for n in range(p)
+            if (v := nt.poly_eval_mod(f, n, p)) and pow(v, (p - 1) // d, p) == 1
+        )
+        assert power_residue_set(p, d, f).elements == expect, (p, f, d)
+
+
 @pytest.mark.parametrize("r", [2**64, -(2**64), 2**63 - 1, -(2**63), 3 * 2**100 + 5])
 def test_window_starts_past_int64_are_reduced(r):
     """Every window kind at a start r outside int64 is the set its
@@ -781,6 +839,52 @@ def test_a_build_holds_under_26_bytes_per_residue(spec):
     finally:
         tracemalloc.stop()
     assert peak < 26 * spec.params["p"]
+
+
+# The kinds that read only the index table's powers: 8 bytes per residue
+# for powers, the bool masks, the set's int64 elements and temporaries of
+# one block; the inverse table is left unbuilt.
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ConstructionSpec(
+            "index_range", {"p": 1000003, "f": (0, 1), "r": 0, "s": 333334}
+        ),
+        ConstructionSpec("power_residues", {"p": 1000003, "d": 3, "f": (1, 0, 1)}),
+        ConstructionSpec(
+            "inverse_range", {"p": 1000003, "f": (0, 1), "r": 1, "s": 250000}
+        ),
+        ConstructionSpec("primitive_roots", {"p": 1000003}),
+        ConstructionSpec(
+            "primitive_root_powers", {"p": 1000003, "s": 3, "r": 2, "f": (1, 1)}
+        ),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_a_powers_build_holds_under_16_bytes_per_residue_without_the_table(spec):
+    p = spec.params["p"]
+    nt.build_index_table.cache_clear()
+    tracemalloc.start()
+    try:
+        construct(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * p
+    assert "table" not in vars(nt.build_index_table(p))
+
+
+def test_character_argument_builds_the_table_on_first_use():
+    p = 1000003
+    nt.build_index_table.cache_clear()
+    spec = ConstructionSpec(
+        "character_argument",
+        {"p": p, "order": 2, "additive": 0, "f": (0, 1),
+         "alpha": Fraction(0), "beta": Fraction(1, 2)},
+    )
+    assert construct(spec) == quadratic_residue_set(p)
+    table = vars(nt.build_index_table(p))["table"]
+    assert table[0] == -1 and not table.flags.writeable
 
 
 def test_the_fermat_table_holds_under_16_bytes_per_cell():
