@@ -86,6 +86,10 @@ def _fraction_json(fr: Fraction) -> dict:
     return {**_fraction_to_json(fr), "decimal": _DECIMAL.to_sci_string(dec)}
 
 
+# An int past the int-to-str digit limit is written in chunks of this many
+# digits: the interpreter allows no limit below 640.
+_INT_CHUNK_DIGITS = 512
+
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
@@ -141,34 +145,77 @@ for _name in (
     setattr(_Item, _name, _unshared(getattr(dict, _name)))
 
 
+def _int_text(n: int) -> str:
+    """str(n) for an int past the int-to-str digit limit: its digits in
+    chunks of _INT_CHUNK_DIGITS, taken by divmod, each chunk below the
+    least limit the interpreter allows."""
+    chunks, rest = [], abs(n)
+    while rest:
+        rest, chunk = divmod(rest, 10**_INT_CHUNK_DIGITS)
+        chunks.append(chunk)
+    head, *tail = reversed(chunks)
+    digits = "".join(f"{chunk:0{_INT_CHUNK_DIGITS}d}" for chunk in tail)
+    return f"{'-' if n < 0 else ''}{head}{digits}"
+
+
 def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte.
 
-    A str or an int (exactly those types) is written as json writes it,
-    without a call into the encoder.  A container of scalars is one call
-    of json's C encoder, its separators carrying the newline and indent of
-    its depth; any other container joins its rendered entries.  The text
-    of a dict entry whose value is a dict is kept, keyed by the key's
-    text, the value's identity and the depth.  A report item (_Item) that
-    still holds its shared fields is written as the text around its label
-    with the label spliced in; that text is made once per shared fields
-    and depth, from the first such item, so each shared body is rendered
-    once.  No other text is kept, so no long one (a report's items, a
-    set's elements) is held twice.  Values must be acyclic (a cycle raises
+    The text is written as fragments appended to one list, joined once at
+    the end, so no container's text is copied into its parent's.  A str or
+    an int (exactly those types) is written as json writes it, without a
+    call into the encoder.  A container of scalars is one call of json's
+    C encoder, its separators carrying the newline and indent of its depth;
+    any other container writes its entries in turn.  The text of a dict
+    entry whose value is a dict is kept, keyed by the key's text, the
+    value's identity and the depth.  A report item (_Item) that still
+    holds its shared fields is written as the text around its label with
+    the label in between; that text is made once per shared fields and
+    depth, from the first such item, so each shared body is rendered once.
+    No other text is kept, so no long one (a report's items, a set's
+    elements) is held twice.  An int past the interpreter's int-to-str
+    digit limit, which json refuses with ValueError, is written in chunks
+    (_int_text) instead, so a report does not depend on that limit; only
+    that ValueError leads there.  Values must be acyclic (a cycle raises
     RecursionError, not json's ValueError).
     """
     entries, around = {}, {}
 
-    def entry(k, v, depth: int) -> str:
+    def text(write, *args) -> str:
+        """The text that write(out, *args) appends, on its own."""
+        parts = []
+        write(parts.append, *args)
+        return "".join(parts)
+
+    def flat(value, depth: int):
+        """The text of a nonempty container that holds only scalars, one
+        call of json's C encoder; None for any other container, or where
+        the encoder refuses an int past the digit limit."""
+        values = value.values() if isinstance(value, dict) else value
+        if not set(map(type, values)) <= _SCALARS:
+            return None
+        try:
+            inner = _encoder(depth, sort_keys)(value)
+        except ValueError:  # past the int-to-str digit limit: entry by entry
+            return None
+        indent = "  " * (depth + 1)
+        return f"{inner[0]}\n{indent}{inner[1:-1]}\n{indent[:-2]}{inner[-1]}"
+
+    def entry(out, k, v, depth: int) -> None:
         # keyed on the key's text: 1 == True, but they are written apart
         name = encode_basestring_ascii(k) if type(k) is str else _key_text(k)
+        if not isinstance(v, dict):
+            out(f"{name}: ")
+            write(out, v, depth + 1)
+            return
         cached = (name, id(v), depth)
         part = entries.get(cached)
         if part is None:
-            part = f"{name}: {render(v, depth + 1)}"
-            if isinstance(v, dict):
-                entries[cached] = part
-        return part
+            body = flat(v, depth + 1) if v else None
+            if body is None:
+                body = text(write, v, depth + 1)
+            part = entries[cached] = f"{name}: {body}"
+        out(part)
 
     def label_halves(item: _Item, depth: int) -> tuple[str, str]:
         """The text of `item` before and after its label's value."""
@@ -176,36 +223,55 @@ def json_text(obj, sort_keys: bool = False) -> str:
         sep = ",\n" + indent
         keys = sorted(item) if sort_keys else list(item)
         at = keys.index("label")
-        head = "".join(entry(k, item[k], depth) + sep for k in keys[:at])
-        tail = "".join(sep + entry(k, item[k], depth) for k in keys[at + 1 :])
+        head = "".join(text(entry, k, item[k], depth) + sep for k in keys[:at])
+        tail = "".join(sep + text(entry, k, item[k], depth) for k in keys[at + 1 :])
         return f'{{\n{indent}{head}"label": ', f"{tail}\n{indent[:-2]}}}"
 
-    def render(value, depth: int) -> str:
+    def write(out, value, depth: int) -> None:
         kind = type(value)
         if kind is str:
-            return encode_basestring_ascii(value)
+            out(encode_basestring_ascii(value))
+            return
         if kind is int:
-            return int.__repr__(value)
+            try:
+                out(int.__repr__(value))
+            except ValueError:  # past the int-to-str digit limit
+                out(_int_text(value))
+            return
         if kind is _Item and getattr(value, "fields", None) is not None:
             shared = (id(value.fields), depth)
             halves = around.get(shared)
             if halves is None:
                 halves = around[shared] = label_halves(value, depth)
-            return f"{halves[0]}{render(value['label'], depth + 1)}{halves[1]}"
+            out(halves[0])
+            write(out, value["label"], depth + 1)
+            out(halves[1])
+            return
         if not isinstance(value, _CONTAINERS) or not value:
-            return _encoder(depth, sort_keys)(value)
+            out(_encoder(depth, sort_keys)(value))
+            return
+        flat_text = flat(value, depth)
+        if flat_text is not None:
+            out(flat_text)
+            return
         is_dict, indent = isinstance(value, dict), "  " * (depth + 1)
-        if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
-            inner = _encoder(depth, sort_keys)(value)[1:-1]
-        elif is_dict:
-            pairs = sorted(value.items()) if sort_keys else value.items()
-            inner = (",\n" + indent).join([entry(k, v, depth) for k, v in pairs])
-        else:
-            inner = (",\n" + indent).join([render(v, depth + 1) for v in value])
         start, end = "{}" if is_dict else "[]"
-        return f"{start}\n{indent}{inner}\n{indent[:-2]}{end}"
+        out(f"{start}\n{indent}")
+        sep = ",\n" + indent
+        if is_dict:
+            pairs = sorted(value.items()) if sort_keys else value.items()
+            for i, (k, v) in enumerate(pairs):
+                if i:
+                    out(sep)
+                entry(out, k, v, depth)
+        else:
+            for i, v in enumerate(value):
+                if i:
+                    out(sep)
+                write(out, v, depth + 1)
+        out(f"\n{indent[:-2]}{end}")
 
-    return render(obj, 0)
+    return text(write, obj, 0)
 
 
 def csv_text(rows) -> str:
@@ -495,6 +561,50 @@ def estimate_cost(config: ExperimentConfig) -> int:
 # Analysis execution.
 
 
+class _Windows:
+    """A run's derived sequences and their window counts.
+
+    The sequences are derived when the run starts, but for a characteristic
+    sequence that only sign_patterns reads, which the first of them
+    derives.  Each sequence is tallied once (measures.window_tally), at the
+    longest length that the run's analyses count of it and that is
+    tallied, by the first analysis that reads it, so the tally's time is in
+    that analysis's seconds.  Every shorter length is the tally's marginal;
+    a length that is not tallied (more codes than windows) is counted on
+    its own by pattern_counts.
+    """
+
+    def __init__(self, rset, config: ExperimentConfig):
+        self.rset = rset
+        self.seqs = {d.kind: d.derive(rset) for d in config.derivations}
+        self.lengths, self.tallies = {}, {}
+        for analysis in config.analyses:
+            windows = ANALYSES[analysis.kind].windows
+            if windows is not None:
+                kind, length = windows(analysis)
+                self.lengths.setdefault(kind, set()).add(length)
+
+    def sequence(self, kind: str) -> sequences.DerivedSequence:
+        seq = self.seqs.get(kind)
+        if seq is None:  # only the characteristic sequence is not configured
+            seq = self.seqs[kind] = sequences.derive_characteristic(self.rset)
+        return seq
+
+    def counts(self, kind: str, length: int) -> list:
+        """The counts of every length-`length` window of kind's sequence,
+        in the order of itertools.product over its alphabet."""
+        seq = self.sequence(kind)
+        tallied = [n for n in self.lengths[kind] if measures.tallied(seq, n)]
+        if length not in tallied:
+            counts = measures.pattern_counts(seq, length)
+            patterns = itertools.product(seq.alphabet, repeat=length)
+            return list(map(counts.get, patterns, itertools.repeat(0)))
+        tally = self.tallies.get(kind)
+        if tally is None:
+            tally = self.tallies[kind] = measures.window_tally(seq, max(tallied))
+        return tally.marginal(length).tolist()
+
+
 def _status_of(asserted: bool, ok: bool) -> str:
     if not asserted:
         return "REPORT_ONLY"
@@ -538,22 +648,23 @@ def _analysis_budget(analysis, q: int) -> DeviationBudget:
     return analysis.budget.realize(q)
 
 
-def _run_cardinality(rset, seqs, config, analysis, op_budget):
+def _run_cardinality(rset, windows, config, analysis, op_budget):
     pred = predictions.predicted_cardinality(config.construction)
     return [_count_item("cardinality", rset.cardinality, pred.main, pred.budget)]
 
 
 def _run_patterns(
-    rset, seqs, config, analysis, op_budget, *, seq=None, length=None,
-    budget=None, label=("pattern=", str),
+    rset, windows, config, analysis, op_budget, *, budget=None,
+    label=("pattern=", str),
 ):
     """Every alphabet^length window count against its main term, labelled
     by label = (prefix, text of a symbol), the symbols comma-separated;
     balance is this at length 1 with symbol= labels, sign_patterns on the
-    characteristic sequence with +-1 labels."""
-    seq = seqs[analysis.sequence] if seq is None else seq
-    length = length or analysis.length
-    main_term = sequences.DERIVATIONS[seq.kind].main_term
+    characteristic sequence with +-1 labels.  The sequence and the length
+    are those the analysis kind's `windows` names."""
+    kind, length = ANALYSES[analysis.kind].windows(analysis)
+    seq = windows.sequence(kind)
+    main_term = sequences.DERIVATIONS[kind].main_term
     T, q = rset.cardinality, rset.q
     budget = budget or _analysis_budget(analysis, q)
     budget_json = _budget_json(budget)
@@ -563,12 +674,7 @@ def _run_patterns(
     labels = [prefix + t for t in texts]
     for _ in range(length - 1):  # in the order of itertools.product
         labels = [f"{head},{t}" for head in labels for t in texts]
-    counts = measures.pattern_counts(seq, length)
-    if len(counts) == len(labels):  # every pattern occurs: in product order
-        tally = counts.values()
-    else:
-        patterns = itertools.product(alphabet, repeat=length)
-        tally = map(counts.get, patterns, itertools.repeat(0))
+    tally = windows.counts(kind, length)  # in the same order
     sums = [0]  # of each pattern's symbols, in the same order
     for _ in range(length):
         sums = [head + symbol for head in sums for symbol in alphabet]
@@ -588,7 +694,7 @@ def _run_patterns(
     return items
 
 
-def _run_sign_patterns(rset, seqs, config, analysis, op_budget):
+def _run_sign_patterns(rset, windows, config, analysis, op_budget):
     """The characteristic sequence's length-s windows, labelled by +-1
     membership signs, plus the exact conservation row."""
     s, q = analysis.window, rset.q
@@ -597,9 +703,7 @@ def _run_sign_patterns(rset, seqs, config, analysis, op_budget):
         cmax = measures.correlation_up_to(rset, s, budget=op_budget)
         budget = analysis.budget.realize(q, cmax=(2**s) * cmax)
     items = _run_patterns(
-        rset, seqs, config, analysis, op_budget,
-        seq=seqs.get("characteristic") or sequences.derive_characteristic(rset),
-        length=s, budget=budget,
+        rset, windows, config, analysis, op_budget, budget=budget,
         label=("pattern=", lambda b: f"{2 * b - 1:+d}"),
     )
     total = sum(item["empirical"] for item in items)
@@ -625,7 +729,7 @@ def correlate(
     )
 
 
-def _run_correlation(rset, seqs, config, analysis, op_budget):
+def _run_correlation(rset, windows, config, analysis, op_budget):
     result = correlate(rset, analysis, config.seed, budget=op_budget)
     trivial = Fraction(min(rset.cardinality, rset.q - rset.cardinality))
     item = result.to_json()  # the result's fields, k in the label instead
@@ -657,16 +761,18 @@ class AnalysisKind:
     its cost (analysis, n) for admission control, n the length bound of
     the sequence it reads (q for all but balance and patterns, which read
     a configured derivation, and cardinality, whose n is its prediction's
-    cost; see estimate_cost); its runner (rset, seqs,
-    config, analysis, op_budget) -> items; lemma budgets or not; and its
-    check (analysis, q), if any, which refuses what cannot run at q
-    before the set is built."""
+    cost; see estimate_cost); its runner (rset, windows, config, analysis,
+    op_budget) -> items, windows the run's _Windows; lemma budgets or
+    not; its check (analysis, q), if any, which refuses what cannot run
+    at q before the set is built; and, for a kind that counts windows,
+    the (derivation kind, length) of the windows it counts (analysis)."""
 
     keys: tuple[str, ...]
     cost: Callable[[AnalysisSpec, int], int]
     run: Callable[..., list]
     lemma: bool = False
     check: Callable[[AnalysisSpec, int], None] | None = None
+    windows: Callable[[AnalysisSpec], tuple[str, int]] | None = None
 
 
 def _check_correlation(analysis, q: int) -> None:
@@ -686,12 +792,14 @@ ANALYSES = {
     "balance": AnalysisKind(
         ("sequence", "budget"),
         lambda a, q: q,
-        partial(_run_patterns, length=1, label=("symbol=", str)),
+        partial(_run_patterns, label=("symbol=", str)),
+        windows=lambda a: (a.sequence, 1),
     ),
     "patterns": AnalysisKind(
         ("sequence", "length", "budget"),
         lambda a, q: q * a.length + _MAX_PATTERN_FAMILY,
         _run_patterns,
+        windows=lambda a: (a.sequence, a.length),
     ),
     "sign_patterns": AnalysisKind(
         ("window", "budget"),
@@ -699,6 +807,7 @@ ANALYSES = {
         _run_sign_patterns,
         lemma=True,
         check=_check_sign_patterns,
+        windows=lambda a: ("characteristic", a.window),
     ),
     "correlation": AnalysisKind(
         ("k",),
@@ -790,13 +899,11 @@ def run(
     t_start = time.perf_counter()
     admit(config, op_budget)
     rset = construct(config.construction)
-    seqs = {}
-    for dspec in config.derivations:
-        seqs[dspec.kind] = dspec.derive(rset)
+    windows = _Windows(rset, config)
     entries = []
     for analysis in config.analyses:
         t_a = time.perf_counter()
-        items = ANALYSES[analysis.kind].run(rset, seqs, config, analysis, op_budget)
+        items = ANALYSES[analysis.kind].run(rset, windows, config, analysis, op_budget)
         entries.append(
             {
                 "analysis": analysis.to_dict(),

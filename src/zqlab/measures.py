@@ -1,5 +1,13 @@
 """Counting statistics and correlation measures of subsets of Z_q.
 
+A sequence's length-l windows are counted by their codes in base
+|alphabet|.  Where there are no more possible codes than windows, the
+codes are built and tallied with np.bincount a cache-sized block of
+windows at a time into a dense WindowTally, and the counts at any shorter
+length are its marginal: a reshape sum, plus the few windows that start
+past its last window.  So one tally at the longest length asked serves
+every shorter one; pattern_counts reads the tally at its own length.
+
 The correlation of order k is the maximum, over window lengths M in
 1..q and strictly increasing lag tuples d_1 < ... < d_k in Z_q, of
 
@@ -77,8 +85,8 @@ from .errors import (
     PatternTooLongError,
     TooLargeError,
 )
-from .sequences import DERIVATIONS, DerivedSequence
-from .subsets import ResidueSet, _fraction_to_json
+from .sequences import DerivedSequence
+from .subsets import _BLOCK, ResidueSet, _fraction_to_json
 
 #: Default elementary-operation budget shared by correlation scans and
 #: sweep sizing.  Oversized requests are refused, never truncated.
@@ -157,35 +165,27 @@ def symbol_counts(seq: DerivedSequence) -> dict:
     return {pattern[0]: count for pattern, count in pattern_counts(seq, 1).items()}
 
 
-def pattern_counts(seq: DerivedSequence, length: int) -> dict:
-    """Occurrences of every observed length-l window (sliding, no wrap).
-
-    Returns a map from symbol tuples to counts, in lexicographic order;
-    windows that never occur are simply absent.  The counts sum to
-    len(seq) - length + 1.  Each window is counted by its code in base
-    |alphabet|, in the narrowest of uint16, uint32 and uint64 that holds
-    |alphabet|^length (and so every symbol), Python ints beyond.  Codes are
-    built by doubling: those of 2s consecutive symbols are the codes of s
-    symbols times base^s plus those of the s after, and a window's length
-    is a sum of such spans, so a length-l code takes about 2 log2(l)
-    passes, not 2 (l - 1).  With no more possible codes than windows the
-    codes are tallied with np.bincount, in O(windows) cells; otherwise
-    they are sorted with np.unique.  Only the codes that occur are decoded.
-    """
-    if length < 1:
-        raise InvalidParameterError(f"pattern length must be >= 1, got {length}")
-    size = len(seq.array)
-    if length > size:
-        raise PatternTooLongError(
-            f"pattern length {length} exceeds sequence length {size}"
-        )
-    alphabet = DERIVATIONS[seq.kind].alphabet(seq.param)
-    base = alphabet.stop - alphabet.start
-    family, windows = base**length, size - length + 1
+def _code_dtype(family: int):
+    """The narrowest of uint16, uint32 and uint64 that holds `family`
+    codes (and so every symbol), object (Python ints) beyond."""
     unsigned = (np.uint16, np.uint32, np.uint64)
-    dtype = next((t for t in unsigned if family <= np.iinfo(t).max), object)
-    block = seq.array.astype(dtype)  # holds every symbol
+    return next((t for t in unsigned if family <= np.iinfo(t).max), object)
+
+
+def _window_codes(symbols: np.ndarray, alphabet: range, length: int) -> np.ndarray:
+    """The code of every length-`length` window of `symbols`, int64 symbols
+    of `alphabet`: the window in base |alphabet|, its symbols less the
+    alphabet's start, in _code_dtype of |alphabet|^length.
+
+    Codes are built by doubling: those of 2s consecutive symbols are the
+    codes of s symbols times base^s plus those of the s after, and a
+    window's length is a sum of such spans, so a length-l code takes about
+    2 log2(l) passes, not 2 (l - 1).
+    """
+    base = alphabet.stop - alphabet.start
+    block = symbols.astype(_code_dtype(base**length))
     block -= alphabet.start
+    size = len(block)
     # codes: of each window's first `width` symbols; block: of every `span`
     codes, width, span = None, 0, 1
     for bit in range(length.bit_length()):
@@ -200,13 +200,102 @@ def pattern_counts(seq: DerivedSequence, length: int) -> dict:
                 n = size - width - span + 1
                 codes = codes[:n] * base**span + block[width : width + n]
                 width += span
-    if family <= windows:  # a tally of O(windows) cells
-        counts = np.bincount(codes, minlength=family)
+    return codes
+
+
+def tallied(seq: DerivedSequence, length: int) -> bool:
+    """Whether the length-`length` windows of seq are tallied by code with
+    np.bincount: a positive length with no more possible codes than
+    windows, so the tally takes O(windows) cells."""
+    base, windows = seq.alphabet.stop - seq.alphabet.start, len(seq.array) - length + 1
+    # base >= 2, so base^length > windows past windows' bit length
+    return 1 <= length <= max(windows, 0).bit_length() and base**length <= windows
+
+
+class WindowTally:
+    """The count of every length-`length` window of `seq` by its code
+    (see _window_codes), dense: `counts[c]` counts code c, so the counts
+    run in the order of itertools.product over the alphabet.  Made by
+    window_tally; read-only.  A plain class: a dataclass would add its
+    definition's cost to every import."""
+
+    __slots__ = ("seq", "length", "counts")
+
+    def __init__(self, seq: DerivedSequence, length: int, counts: np.ndarray):
+        self.seq, self.length, self.counts = seq, length, counts
+
+    def marginal(self, length: int) -> np.ndarray:
+        """The dense counts of the windows of length l = `length`, 1 <= l
+        <= self.length = L.  A length-l window that starts at a length-L
+        window's start is the latter's first l symbols, so those windows
+        are the tally summed over its last L - l symbols, a (base^l,
+        base^(L - l)) reshape; the L - l windows that start past the last
+        length-L window are counted from the sequence's last L - 1
+        symbols."""
+        if length == self.length:
+            return self.counts
+        alphabet, symbols = self.seq.alphabet, self.seq.array
+        base = alphabet.stop - alphabet.start
+        counts = self.counts.reshape(base**length, -1).sum(axis=1)
+        tail = symbols[len(symbols) - self.length + 1 :]
+        np.add.at(counts, _window_codes(tail, alphabet, length), 1)
+        counts.setflags(write=False)
+        return counts
+
+
+def window_tally(seq: DerivedSequence, length: int) -> WindowTally:
+    """The tally of seq's length-`length` windows, which must be tallied
+    (see tallied).  Codes are built and counted by np.bincount
+    _BLOCK windows at a time, or as many as there are codes if that is
+    more, so each block's codes stay cache-sized and the tally takes
+    O(windows) cells; no array of every window's code is made."""
+    if not tallied(seq, length):
+        raise InvalidParameterError(
+            f"length-{length} windows of a {len(seq.array)}-symbol sequence "
+            "have more possible codes than windows"
+        )
+    alphabet, symbols = seq.alphabet, seq.array
+    family = (alphabet.stop - alphabet.start) ** length
+    windows, step = len(symbols) - length + 1, max(_BLOCK, family)
+    counts = None
+    for start in range(0, windows, step):
+        stop = min(start + step, windows) + length - 1  # past the block's last symbol
+        part = np.bincount(
+            _window_codes(symbols[start:stop], alphabet, length), minlength=family
+        )
+        counts = part if counts is None else np.add(counts, part, out=counts)
+    counts.setflags(write=False)
+    return WindowTally(seq, length, counts)
+
+
+def pattern_counts(seq: DerivedSequence, length: int) -> dict:
+    """Occurrences of every observed length-l window (sliding, no wrap).
+
+    Returns a map from symbol tuples to counts, in lexicographic order;
+    windows that never occur are simply absent.  The counts sum to
+    len(seq) - length + 1.  Each window is counted by its code (see
+    _window_codes).  With no more possible codes than windows the codes
+    are tallied with np.bincount, a block of windows at a time, by
+    window_tally; otherwise every window's code is made and they are
+    sorted with np.unique.  Only the codes that occur are decoded.
+    """
+    if length < 1:
+        raise InvalidParameterError(f"pattern length must be >= 1, got {length}")
+    size = len(seq.array)
+    if length > size:
+        raise PatternTooLongError(
+            f"pattern length {length} exceeds sequence length {size}"
+        )
+    alphabet = seq.alphabet
+    if tallied(seq, length):  # a tally of O(windows) cells
+        counts = window_tally(seq, length).counts
         codes = np.flatnonzero(counts)
         counts = counts[codes]
     else:
+        codes = _window_codes(seq.array, alphabet, length)
         codes, counts = np.unique(codes, return_counts=True)
-    patterns = np.empty((len(codes), length), dtype=dtype)
+    base = alphabet.stop - alphabet.start
+    patterns = np.empty((len(codes), length), dtype=codes.dtype)
     for i in reversed(range(length)):
         patterns[:, i] = codes % base
         codes //= base

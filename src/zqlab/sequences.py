@@ -17,7 +17,7 @@ import numpy as np
 
 from . import predictions
 from .errors import InvalidParameterError, TooFewElementsError, UnknownKindError
-from .subsets import ResidueSet
+from .subsets import _BLOCK, ResidueSet, _remainder
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -132,9 +132,11 @@ def derive_gap_mod(rset: ResidueSet, M: int) -> DerivedSequence:
     syms = _gaps(rset)
     if M <= syms.max():  # a gap below M is its own symbol (and M may pass int64)
         # gaps are at least 1: (gap - 1) mod M + 1 is gap mod M, or M for 0
-        syms -= 1
-        syms %= M
-        syms += 1
+        for start in range(0, len(syms), _BLOCK):
+            block = syms[start : start + _BLOCK]  # a view: changed in place
+            block -= 1
+            _remainder(block, M)
+            block += 1
     return DerivedSequence._adopt("gap_mod", M, syms)
 
 

@@ -125,7 +125,10 @@ class ResidueSet:
 
     @cached_property
     def member_mask(self) -> np.ndarray:
-        """Boolean membership mask over 0 .. q-1 (read-only)."""
+        """Boolean membership mask over 0 .. q-1 (read-only).  A set built
+        from a mask over Z_q keeps that mask, made read-only, from its
+        construction (see _elements_from_mask); any other set scatters its
+        elements into a new one on first use."""
         mask = np.zeros(self.q, dtype=bool)
         mask[self.array] = True
         mask.setflags(write=False)
@@ -263,8 +266,21 @@ def _require_window(s: int, modulus: int) -> None:
         )
 
 
+def _remainder(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m in place, for int64 x >= 0 and 0 < m < 2^63, as
+    x - (x // m) * m: numpy's floor division by a scalar is faster than
+    its %."""
+    x -= x // m * m
+    return x
+
+
 def _elements_from_mask(q: int, mask: np.ndarray) -> ResidueSet:
-    return ResidueSet._adopt(q, np.flatnonzero(mask))
+    """The set of the residues `mask` marks.  `mask`, a bool mask over Z_q
+    that no one else holds, becomes its member_mask, read-only."""
+    rset = ResidueSet._adopt(q, np.flatnonzero(mask))
+    mask.setflags(write=False)
+    rset.__dict__["member_mask"] = mask  # the cached_property's value
+    return rset
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +290,7 @@ def _elements_from_mask(q: int, mask: np.ndarray) -> ResidueSet:
 def quadratic_residue_set(p: int) -> ResidueSet:
     """The (p-1)/2 nonzero quadratic residues mod the odd prime p."""
     nt._require_odd_prime(p)
-    mask = _block_mask(p, lambda h: h * h % p, (p + 1) // 2)
+    mask = _block_mask(p, lambda h: _remainder(h * h, p), (p + 1) // 2)
     mask[0] = False  # the square of h = 0
     return _elements_from_mask(p, mask)
 
@@ -325,7 +341,9 @@ def index_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     powers = nt.build_index_table(p).powers  # first: it refuses p >= 2^26
     fr = _checked_poly(f, p)
     window = _block_mask(p, lambda js: powers[(js + r) % (p - 1)], s)
-    return _elements_from_mask(p, _preimage(p, fr, window))
+    members = _preimage(p, fr, window)
+    del window  # before the elements are taken
+    return _elements_from_mask(p, members)
 
 
 def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -337,7 +355,9 @@ def poly_value_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     if len(fr) - 1 < 2:
         raise DegreeTooSmallError(f"need deg f >= 2 mod {p}, got {tuple(f)}")
     window = _block_mask(p, lambda js: (js + r) % p, s)
-    return _elements_from_mask(p, _preimage(p, fr, window))
+    members = _preimage(p, fr, window)
+    del window  # before the elements are taken
+    return _elements_from_mask(p, members)
 
 
 def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
@@ -353,7 +373,9 @@ def inverse_range_set(p: int, f, r: int, s: int) -> ResidueSet:
     powers = nt.build_index_table(p).powers  # first: it refuses p >= 2^26
     # the g^-j whose inverses g^j lie in the window; powers[-j] is g^(p-1-j)
     inverses = _block_mask(p, lambda js: powers[-js][(powers[js] - r) % p < s], p - 1)
-    return _elements_from_mask(p, _preimage(p, fr, inverses))
+    members = _preimage(p, fr, inverses)
+    del inverses  # before the elements are taken
+    return _elements_from_mask(p, members)
 
 
 def character_argument_set(

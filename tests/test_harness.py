@@ -1,4 +1,5 @@
 import atexit
+import contextlib
 import copy
 import csv
 import dataclasses
@@ -11,6 +12,7 @@ import math
 import multiprocessing.process
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -520,6 +522,79 @@ class TestRun:
             n = counts.get(pattern, 0)
             assert item == harness._count_item(label, n, main, budget)
 
+    # balance, patterns at two lengths and sign_patterns on one
+    # characteristic sequence; configured, or derived for sign_patterns
+    ONE_SEQUENCE = [
+        {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 10007}},
+            "derivations": [{"kind": "characteristic"}],
+            "analyses": [
+                {"kind": "balance", "sequence": "characteristic"},
+                {"kind": "patterns", "sequence": "characteristic", "length": 3},
+                {"kind": "sign_patterns", "window": 8,
+                 "budget": {"constant": 32, "shape": "sqrt_log"}},
+                {"kind": "patterns", "sequence": "characteristic", "length": 12,
+                 "budget": {"constant": 32, "shape": "sqrt_log"}},
+            ],
+        },
+        {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 1009}},
+            "analyses": [
+                {"kind": "sign_patterns", "window": 2},
+                {"kind": "cardinality"},
+                {"kind": "sign_patterns", "window": 9},
+            ],
+        },
+    ]
+
+    @pytest.mark.parametrize("raw", ONE_SEQUENCE, ids=["configured", "derived"])
+    def test_one_tally_per_sequence(self, raw, monkeypatch):
+        config = ExperimentConfig.from_dict(raw)
+        tallies, derived = [], []
+        tally, derive = measures.window_tally, sequences.derive_characteristic
+        monkeypatch.setattr(
+            measures, "window_tally",
+            lambda seq, length: tallies.append(length) or tally(seq, length),
+        )
+        monkeypatch.setattr(
+            sequences, "derive_characteristic",
+            lambda rset: derived.append(rset.q) or derive(rset),
+        )
+        body = run(config).body
+        longest = max(a.length or a.window or 1 for a in config.analyses)
+        assert tallies == [longest] and len(derived) == 1
+        # each analysis counting on its own, by pattern_counts, gives the items
+        del tallies[:]
+        monkeypatch.setattr(measures, "tallied", lambda seq, length: False)
+        assert scrub(run(config).body) == scrub(body) and tallies == []
+
+    def test_a_length_past_the_tally_is_counted_on_its_own(self, monkeypatch):
+        # gap_threshold m=2 of QR 43: 20 symbols, 2^6 codes of 15 windows
+        config = ExperimentConfig.from_dict({
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "derivations": [{"kind": "gap_threshold", "m": 2}],
+            "analyses": [
+                {"kind": "patterns", "sequence": "gap_threshold", "length": 6},
+                {"kind": "balance", "sequence": "gap_threshold"},
+                {"kind": "patterns", "sequence": "gap_threshold", "length": 3},
+            ],
+        })
+        tallies, tally = [], measures.window_tally
+        monkeypatch.setattr(
+            measures, "window_tally",
+            lambda seq, length: tallies.append(length) or tally(seq, length),
+        )
+        body = run(config).body
+        # length 6 is sorted by pattern_counts; 1 is the length-3 tally's marginal
+        assert tallies == [3]
+        seq = sequences.derive_gap_threshold(construct(config.construction), 2)
+        for entry, length in zip(body["analyses"], (6, 1, 3)):
+            counts = measures.pattern_counts(seq, length)
+            patterns = itertools.product((0, 1), repeat=length)
+            assert [i["empirical"] for i in entry["items"]] == [
+                counts.get(pattern, 0) for pattern in patterns
+            ]
+
     def test_items_of_one_class_and_count_share_their_fields(self):
         config = ExperimentConfig.from_dict(self.LENGTH_12)
         items = run(config).body["analyses"][0]["items"]
@@ -786,6 +861,49 @@ json_keys = (
     st.none() | st.booleans() | st.integers()
     | st.floats(allow_nan=True, allow_infinity=True)
 )
+
+
+@contextlib.contextmanager
+def digit_limit(limit: int):
+    """The interpreter's int-to-str digit limit set to `limit` (0: none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestJsonTextDigitLimit:
+    """json_text writes ints past the int-to-str digit limit, which json
+    refuses, as json.dumps writes them without the limit."""
+
+    VALUES = [
+        10**3000,
+        {"num": -(10**700) - 7, "den": 3, "decimal": "x"},
+        [1, 10**640, 10**641 - 1, -(10**1536), 2**5000 + 1],
+        {"a": [10**2000], "b": {"c": 10**513 * 7 + 1}},
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=["int", "dict", "list", "nested"])
+    def test_equals_json_dumps_without_the_limit(self, value):
+        for sort_keys in (False, True):
+            with digit_limit(640):  # the least the interpreter allows
+                text = harness.json_text(value, sort_keys=sort_keys)
+            with digit_limit(0):
+                assert text == json.dumps(value, indent=2, sort_keys=sort_keys)
+
+    @given(st.integers(1, 6000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_int_text_is_str(self, digits, negative):
+        n = random.Random(digits).randrange(10 ** (digits - 1), 10**digits)
+        n = -n if negative else n
+        with digit_limit(640):
+            text = harness._int_text(n)
+        with digit_limit(0):
+            assert text == str(n)
 
 
 class TestJsonTextKeys:
@@ -1565,6 +1683,32 @@ class TestCli:
             '{\n  "q": 11,\n  "cardinality": 5,\n'
             '  "elements": [\n    1,\n    3,\n    4,\n    5,\n    9\n  ]\n}\n'
         )
+
+    def test_a_report_does_not_depend_on_the_digit_limit(self, tmp_path):
+        # the m = 1000 main terms of QR 1009 have about 3000 digits
+        cfg = self.write(tmp_path, "c.json", {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 1009}},
+            "derivations": [{"kind": "gap_threshold", "m": 1000}],
+            "analyses": [{"kind": "balance", "sequence": "gap_threshold"}],
+        })
+        reports = []
+        for limit in ("640", None):
+            env = self.env()
+            env.pop("PYTHONINTMAXSTRDIGITS", None)
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            out = tmp_path / f"report_{limit}.json"
+            done = subprocess.run(
+                [sys.executable, "-m", "zqlab", "verify", "--config", cfg,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (0, ""), done.stderr
+            text = out.read_text()
+            reports.append(re.sub(r'"seconds": [-+.0-9e]+', '"seconds": 0', text))
+        assert reports[0] == reports[1]
+        items = json.loads(reports[1])["analyses"][0]["items"]
+        assert max(len(str(item["predicted"]["num"])) for item in items) > 2000
 
     def test_exit_hook_registered_once(self, tmp_path, capsys, monkeypatch):
         # however often main runs in a process, and whether it succeeds

@@ -262,6 +262,61 @@ class TestWindowCodes:
                 )
 
 
+# (kind, param, longest L) of the tally property: each family M^L fits
+# the 2^16 - 1 windows of the shortest sequence, 2^L that of 2^16 + L
+TALLIED_FAMILIES = [
+    ("characteristic", None, 12), ("gap_threshold", 3, 12),
+    ("gap_mod", 2, 12), ("gap_mod", 3, 10), ("gap_mod", 5, 6), ("gap_mod", 16, 3),
+]
+
+
+class TestWindowTally:
+    # sequences of 2^16 - 1, 2^16 and 2^16 + L symbols: a tally of one
+    # block, of one block at the edge, and of a block and a short tail
+    @given(st.sampled_from(TALLIED_FAMILIES), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_marginal_is_the_pattern_counts(self, family, data):
+        kind, param, top = family
+        L = data.draw(st.integers(1, top), label="L")
+        length = data.draw(st.integers(1, L), label="length")
+        size = data.draw(st.sampled_from([2**16 - 1, 2**16, 2**16 + L]), label="size")
+        alphabet = DERIVATIONS[kind].alphabet(param)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        weights = rng.dirichlet(np.ones(len(alphabet)))  # some symbols rare
+        seq = DerivedSequence(kind, param, rng.choice(alphabet, size, p=weights))
+        assert measures.tallied(seq, L) and measures._BLOCK == 2**16
+        tally = measures.window_tally(seq, L)
+        marginal = tally.marginal(length)
+        assert not marginal.flags.writeable
+        assert marginal.sum() == size - length + 1
+        patterns = itertools.product(alphabet, repeat=length)
+        counts = {pat: n for pat, n in zip(patterns, marginal.tolist()) if n}
+        assert counts == pattern_counts(seq, length)
+        if length == L:
+            assert marginal is tally.counts
+
+    def test_blocks_and_tail_against_a_counter(self):
+        # 2^17 + 5 symbols: two full blocks of 2^16 windows and a tail
+        rng = np.random.default_rng(7)
+        seq = DerivedSequence("gap_mod", 3, rng.integers(1, 4, 2**17 + 5))
+        tally = measures.window_tally(seq, 6)
+        for length in (1, 4, 6):
+            assert pattern_counts(seq, length) == counter_reference(
+                seq.symbols, length
+            )
+            dense = tally.marginal(length).tolist()
+            patterns = itertools.product(range(1, 4), repeat=length)
+            reference = counter_reference(seq.symbols, length)
+            assert dense == [reference.get(pat, 0) for pat in patterns]
+
+    def test_an_untallied_family_is_refused(self):
+        seq = derive_characteristic(QR11)  # 2^4 codes, 8 windows
+        assert measures.tallied(seq, 3) and not measures.tallied(seq, 4)
+        with pytest.raises(errors.InvalidParameterError):
+            measures.window_tally(seq, 4)
+        assert not measures.tallied(seq, 12)  # past the sequence
+
+
 class TestCorrelationExact:
     def test_qr11_order1(self):
         res = correlation_exact(QR11, 1)
