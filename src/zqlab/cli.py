@@ -28,13 +28,40 @@ from .measures import DEFAULT_BUDGET
 from .subsets import ConstructionSpec, construct
 
 
+# An integer literal of a config longer than this many digits is refused:
+# CPython's default int-to-str digit limit, fixed here so that reading a
+# config does not depend on the limit the process runs under.
+_MAX_INT_DIGITS = 4300
+
+
+def _parse_int(text: str) -> int:
+    """int(text) for a JSON integer literal of at most _MAX_INT_DIGITS
+    digits, whatever the interpreter's digit limit: a literal longer than
+    harness._INT_CHUNK_DIGITS (below the least limit allowed, 640) is read
+    in chunks of that many digits, the inverse of harness._int_text."""
+    step = harness._INT_CHUNK_DIGITS
+    if len(text) <= step:
+        return int(text)
+    digits = text.lstrip("-")
+    if len(digits) > _MAX_INT_DIGITS:
+        raise ValueError(
+            f"Exceeds the limit ({_MAX_INT_DIGITS} digits) for integer string "
+            f"conversion: value has {len(digits)} digits"
+        )
+    value = 0
+    for start in range(0, len(digits), step):
+        chunk = digits[start : start + step]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
 def _load_json(path: str) -> dict:
-    """The JSON value in the file; a value json parses but cannot hold,
-    such as an integer past the interpreter's int-to-str digit limit, is
-    a config error."""
+    """The JSON value in the file; an integer literal past _MAX_INT_DIGITS
+    digits, or another value json parses but cannot hold, is a config
+    error."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=_parse_int)
         except json.JSONDecodeError:
             raise
         except ValueError as exc:
@@ -109,6 +136,7 @@ def _derived_sequence(args, length=None) -> sequences.DerivedSequence:
         )
     spec = ConstructionSpec.from_json(cfg["construction"])
     dspec = harness.DerivationSpec.from_dict(cfg["derivation"], "derivation")
+    harness._check_derivation(dspec, "derivation")
     windows = harness.AnalysisSpec("patterns", dspec.kind, length)
     config = harness.ExperimentConfig(spec, (dspec,), (windows,) if length else ())
     harness.admit(config, DEFAULT_BUDGET, args.command)

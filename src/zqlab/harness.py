@@ -299,17 +299,13 @@ class DerivationSpec:
         if not isinstance(obj, dict):
             _fail(path, "expected an object")
         kind = obj.get("kind")
-        if not isinstance(kind, str) or kind not in sequences.DERIVATIONS:
-            _fail(f"{path}.kind", f"unknown derivation kind {kind!r}")
-        pname = sequences.DERIVATIONS[kind].param
+        pname = _known(kind, sequences.DERIVATIONS, f"{path}.kind", "derivation").param
         extras = set(obj) - {"kind"} - ({pname} if pname else set())
         if extras:
             _fail(path, f"unexpected keys {sorted(extras)}")
-        if pname is None:
-            return cls(kind, None)
-        if pname not in obj:
+        if pname is not None and pname not in obj:
             _fail(f"{path}.{pname}", "required")
-        return cls(kind, _expect_int(obj[pname], f"{path}.{pname}", minimum=2))
+        return cls(kind, obj.get(pname))
 
     def to_dict(self) -> dict:
         pname = sequences.DERIVATIONS[self.kind].param
@@ -335,16 +331,11 @@ class BudgetSpec:
     def from_dict(cls, obj, path: str) -> "BudgetSpec":
         if not isinstance(obj, dict) or set(obj) != {"constant", "shape"}:
             _fail(path, 'expected {"constant": .., "shape": ..}')
-        shape, shapes = obj["shape"], tuple(_BUDGET_SHAPES)
-        if shape not in shapes:
-            _fail(f"{path}.shape", f"expected one of {shapes}, got {shape!r}")
         try:
             constant = _as_fraction(obj["constant"], f"{path}.constant")
         except InvalidParameterError as exc:
             raise ConfigError(str(exc)) from exc
-        if constant < 0:
-            _fail(f"{path}.constant", "must be nonnegative")
-        return cls(constant, shape)
+        return cls(constant, obj["shape"])
 
     def to_dict(self) -> dict:
         return {"constant": _fraction_to_json(self.constant), "shape": self.shape}
@@ -373,21 +364,14 @@ class AnalysisSpec:
         if not isinstance(obj, dict):
             _fail(path, "expected an object")
         kind = obj.get("kind")
-        if not isinstance(kind, str) or kind not in ANALYSES:
-            _fail(f"{path}.kind", f"unknown analysis kind {kind!r}")
-        record = ANALYSES[kind]
+        record = _known(kind, ANALYSES, f"{path}.kind", "analysis")
         extras = set(obj) - {"kind"} - set(record.keys)
         if extras:
             _fail(path, f"unexpected keys {sorted(extras)} for kind {kind!r}")
-        fields = {
-            key: _FIELDS[key](obj.get(key), f"{path}.{key}")
-            for key in record.keys
-            if key in obj or key not in _OPTIONAL_FIELDS
-        }
-        analysis = cls(kind, **fields)
-        if analysis.lemma_budget and not record.lemma:
-            _fail(f"{path}.budget.shape", "lemma budgets fit sign_patterns only")
-        return analysis
+        fields = {key: obj[key] for key in record.keys if key in obj}
+        if "budget" in fields:
+            fields["budget"] = BudgetSpec.from_dict(fields["budget"], f"{path}.budget")
+        return cls(kind, **fields)
 
     @property
     def lemma_budget(self) -> bool:
@@ -403,12 +387,9 @@ class AnalysisSpec:
         return out
 
 
-def _sequence_field(value, path: str) -> str:
-    if value is None:
-        _fail(path, "required")
+def _sequence_field(value, path: str) -> None:
     if not isinstance(value, str):
-        _fail(path, "expected a derivation kind name")
-    return value
+        _fail(path, "required" if value is None else "expected a derivation kind name")
 
 
 def _family_exceeds(size: int, length: int) -> bool:
@@ -420,48 +401,91 @@ def _family_exceeds(size: int, length: int) -> bool:
     return min(size, cap) ** min(length, cap.bit_length()) > _MAX_PATTERN_FAMILY
 
 
-def _window_field(value, path: str) -> int:
-    window = _expect_int(value, path, minimum=1)
-    if _family_exceeds(2, window):
-        _fail(path, f"2^window exceeds {_MAX_PATTERN_FAMILY}")
-    return window
+def _budget_field(budget: BudgetSpec, path: str) -> None:
+    shapes = tuple(_BUDGET_SHAPES)
+    if budget.shape not in shapes:
+        _fail(f"{path}.shape", f"expected one of {shapes}, got {budget.shape!r}")
+    if budget.constant < 0:
+        _fail(f"{path}.constant", "must be nonnegative")
 
 
-def _check_main_terms(dspec: DerivationSpec, length: int, q: int, path: str):
-    """Refuse length-`length` windows of dspec's sequence in Z_q whose main
-    terms would pass _MAX_MAIN_TERM_DIGITS digits: param * length *
-    log10(q), compared as param * length against the quotient, so no
-    parameter is converted to a float."""
-    if q > 1 and (dspec.param or 1) * length > _MAX_MAIN_TERM_DIGITS / math.log10(q):
-        name = sequences.DERIVATIONS[dspec.kind].param or "1"
-        _fail(path, f"{name}*length*log10(q) exceeds {_MAX_MAIN_TERM_DIGITS} digits")
-
-
-def _check_budget_value(analysis: AnalysisSpec, q: int, path: str):
-    """Refuse a budget whose report value, a float, cannot be formed: a
-    constant past float range, or for a lemma budget c * 2^s * q, which
-    bounds c * 2^s * Cmax (every window sum of the centered indicator is at
-    most q)."""
-    bound = analysis.budget.constant
-    if analysis.lemma_budget:
-        bound *= 2**analysis.window * q
-    try:
-        float(bound)
-    except OverflowError:
-        _fail(f"{path}.budget.constant", "too large for the report's float value")
-
-
-# Parsers (value, path) of the analysis config keys, by key.
+# Checks (value, path) of the analysis config keys, by key.
 _FIELDS = {
     "sequence": _sequence_field,
     "length": partial(_expect_int, minimum=1),
-    "window": _window_field,
+    "window": partial(_expect_int, minimum=1),
     "k": partial(_expect_int, minimum=1),
     "samples": partial(_expect_int, minimum=1),
     "seed": parse_seed,
-    "budget": BudgetSpec.from_dict,
+    "budget": _budget_field,
 }
 _OPTIONAL_FIELDS = ("seed", "budget")
+
+
+def _known(kind, table: dict, path: str, what: str):
+    """table's record of kind; any other kind is refused."""
+    if not isinstance(kind, str) or kind not in table:
+        _fail(path, f"unknown {what} kind {kind!r}")
+    return table[kind]
+
+
+def _check_derivation(dspec: DerivationSpec, path: str) -> None:
+    """Refuse an unknown kind, or a parameter that is not an integer >= 2."""
+    record = _known(dspec.kind, sequences.DERIVATIONS, f"{path}.kind", "derivation")
+    if record.param is not None:
+        _expect_int(dspec.param, f"{path}.{record.param}", minimum=2)
+
+
+def _check_analysis(analysis: AnalysisSpec, params: dict, q: int, path: str) -> None:
+    """Refuse an analysis of unknown kind or with a bad value of a key; for
+    a kind that counts windows, then a lemma budget it takes none of, an
+    unconfigured `sequence`, the (derivation kind, length) its `windows`
+    names past the family cap or the main-term cap (P * length * log10(q)
+    digits, P the parameter or 1, compared with no float of P), and a
+    budget whose float report value overflows (lemma: c * 2^s * q bounds
+    c * 2^s * Cmax, as a window sum is at most q)."""
+    record = _known(analysis.kind, ANALYSES, f"{path}.kind", "analysis")
+    for key in record.keys:
+        if getattr(analysis, key) is not None or key not in _OPTIONAL_FIELDS:
+            _FIELDS[key](getattr(analysis, key), f"{path}.{key}")
+    if record.windows is None:
+        return
+    if analysis.lemma_budget and not record.lemma:
+        _fail(f"{path}.budget.shape", "lemma budgets fit sign_patterns only")
+    kind, length = record.windows(analysis)
+    if "sequence" in record.keys and kind not in params:
+        _fail(f"{path}.sequence", f"no derivation of kind {kind!r} configured")
+    derivation = sequences.DERIVATIONS[kind]
+    param = params.get(kind) if derivation.param else None
+    alphabet = derivation.alphabet(param)
+    # stop - start, not len(): len() overflows past 2**63 symbols.
+    if _family_exceeds(alphabet.stop - alphabet.start, length):
+        _fail(path, f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}")
+    if q > 1 and (param or 1) * length > _MAX_MAIN_TERM_DIGITS / math.log10(q):
+        name = derivation.param or "1"
+        _fail(path, f"{name}*length*log10(q) exceeds {_MAX_MAIN_TERM_DIGITS} digits")
+    if analysis.budget is not None:
+        lemma = 2**analysis.window * q if analysis.lemma_budget else 1
+        try:
+            float(analysis.budget.constant * lemma)
+        except OverflowError:
+            _fail(f"{path}.budget.constant", "too large for the report's float value")
+
+
+def _check(config: "ExperimentConfig") -> None:
+    """Refuse a config's bad values and references as ConfigError, by path:
+    its derivations (no kind twice), then its analyses, then its seed."""
+    params = {}
+    for i, dspec in enumerate(config.derivations):
+        _check_derivation(dspec, f"derivations[{i}]")
+        params[dspec.kind] = dspec.param
+    kinds = [d.kind for d in config.derivations]
+    if len(params) != len(kinds):
+        _fail("derivations", f"duplicate derivation kinds in {kinds}")
+    q = config.construction.modulus
+    for i, analysis in enumerate(config.analyses):
+        _check_analysis(analysis, params, q, f"analyses[{i}]")
+    parse_seed(config.seed)
 
 
 @dataclass(frozen=True)
@@ -475,6 +499,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj) -> "ExperimentConfig":
+        """The config a JSON object describes.  Its shape is parsed here;
+        then the check run also makes (_check) refuses its bad values and
+        references, so a config is refused as it is read."""
         if not isinstance(obj, dict):
             raise ConfigError("config: expected an object")
         extras = set(obj) - {"construction", "derivations", "analyses", "seed"}
@@ -489,36 +516,13 @@ class ExperimentConfig:
         for key in ("derivations", "analyses"):
             if not isinstance(obj.get(key, []), (list, tuple)):
                 _fail(key, f"expected a list, got {type(obj[key]).__name__}")
-        derivations = []
-        for i, raw in enumerate(obj.get("derivations", ())):
-            derivations.append(DerivationSpec.from_dict(raw, f"derivations[{i}]"))
-        kinds = [d.kind for d in derivations]
-        if len(set(kinds)) != len(kinds):
-            _fail("derivations", f"duplicate derivation kinds in {kinds}")
-        analyses = []
-        for i, raw in enumerate(obj.get("analyses", ())):
-            analysis = AnalysisSpec.from_dict(raw, f"analyses[{i}]")
-            if analysis.sequence is not None:  # balance: patterns of length 1
-                if analysis.sequence not in kinds:
-                    _fail(
-                        f"analyses[{i}].sequence",
-                        f"no derivation of kind {analysis.sequence!r} configured",
-                    )
-                dspec = derivations[kinds.index(analysis.sequence)]
-                alphabet = sequences.DERIVATIONS[dspec.kind].alphabet(dspec.param)
-                # stop - start, not len(): len() overflows past 2**63 symbols.
-                size, length = alphabet.stop - alphabet.start, analysis.length or 1
-                if _family_exceeds(size, length):
-                    _fail(
-                        f"analyses[{i}]",
-                        f"alphabet^length exceeds {_MAX_PATTERN_FAMILY}",
-                    )
-                _check_main_terms(dspec, length, spec.modulus, f"analyses[{i}]")
-            if analysis.budget is not None:
-                _check_budget_value(analysis, spec.modulus, f"analyses[{i}]")
-            analyses.append(analysis)
-        seed = parse_seed(obj.get("seed", 0))
-        return cls(spec, tuple(derivations), tuple(analyses), seed)
+        derivations = tuple(DerivationSpec.from_dict(raw, f"derivations[{i}]")
+                            for i, raw in enumerate(obj.get("derivations", ())))
+        analyses = tuple(AnalysisSpec.from_dict(raw, f"analyses[{i}]")
+                         for i, raw in enumerate(obj.get("analyses", ())))
+        config = cls(spec, derivations, analyses, obj.get("seed", 0))
+        _check(config)
+        return config
 
     def to_dict(self) -> dict:
         return {
@@ -612,12 +616,8 @@ def _status_of(asserted: bool, ok: bool) -> str:
 
 
 def _combine(statuses) -> str:
-    statuses = list(statuses)
-    if any(s == "FAIL" for s in statuses):
-        return "FAIL"
-    if any(s == "PASS" for s in statuses):
-        return "PASS"
-    return "REPORT_ONLY"
+    statuses = set(statuses)
+    return next((s for s in ("FAIL", "PASS") if s in statuses), "REPORT_ONLY")
 
 
 def _scored(empirical: int, main: Fraction, predicted: dict, budget, budget_json):
@@ -765,7 +765,8 @@ class AnalysisKind:
     op_budget) -> items, windows the run's _Windows; lemma budgets or
     not; its check (analysis, q), if any, which refuses what cannot run
     at q before the set is built; and, for a kind that counts windows,
-    the (derivation kind, length) of the windows it counts (analysis)."""
+    the (derivation kind, length) of the windows it counts (analysis),
+    which the config check's one family and main-term rule reads."""
 
     keys: tuple[str, ...]
     cost: Callable[[AnalysisSpec, int], int]
@@ -892,11 +893,14 @@ def run(
 ) -> VerificationReport:
     """Execute a config and report every analysis against its budget.
 
-    The whole config is admitted first, at op_budget (see admit), before
-    the set is built.  Every analysis runs on the calling thread; `workers`
-    is accepted and changes nothing.
+    The config is checked first as from_dict checks what it reads, so one
+    built in code raises the ConfigError its JSON would; then it is
+    admitted at op_budget (see admit), before the set is built.  Every
+    analysis runs on the calling thread; `workers` is accepted and changes
+    nothing.
     """
     t_start = time.perf_counter()
+    _check(config)
     admit(config, op_budget)
     rset = construct(config.construction)
     windows = _Windows(rset, config)

@@ -169,7 +169,7 @@ class TestConfigParsing:
     def test_feasibility_guards(self):
         bad = copy.deepcopy(BASE)
         bad["analyses"][3]["window"] = 13  # 2^13 sign patterns
-        with pytest.raises(errors.ConfigError, match="window"):
+        with pytest.raises(errors.ConfigError, match=r"analyses\[3\]: alphabet"):
             ExperimentConfig.from_dict(bad)
 
         bad = copy.deepcopy(BASE)
@@ -1684,13 +1684,9 @@ class TestCli:
             '  "elements": [\n    1,\n    3,\n    4,\n    5,\n    9\n  ]\n}\n'
         )
 
-    def test_a_report_does_not_depend_on_the_digit_limit(self, tmp_path):
-        # the m = 1000 main terms of QR 1009 have about 3000 digits
-        cfg = self.write(tmp_path, "c.json", {
-            "construction": {"kind": "quadratic_residues", "params": {"p": 1009}},
-            "derivations": [{"kind": "gap_threshold", "m": 1000}],
-            "analyses": [{"kind": "balance", "sequence": "gap_threshold"}],
-        })
+    def verify_under_limits(self, tmp_path, cfg) -> list:
+        """verify's report on cfg with PYTHONINTMAXSTRDIGITS=640 and at the
+        default limit, its seconds scrubbed."""
         reports = []
         for limit in ("640", None):
             env = self.env()
@@ -1706,9 +1702,41 @@ class TestCli:
             assert (done.returncode, done.stderr) == (0, ""), done.stderr
             text = out.read_text()
             reports.append(re.sub(r'"seconds": [-+.0-9e]+', '"seconds": 0', text))
+        return reports
+
+    def test_a_report_does_not_depend_on_the_digit_limit(self, tmp_path):
+        # the m = 1000 main terms of QR 1009 have about 3000 digits
+        cfg = self.write(tmp_path, "c.json", {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 1009}},
+            "derivations": [{"kind": "gap_threshold", "m": 1000}],
+            "analyses": [{"kind": "balance", "sequence": "gap_threshold"}],
+        })
+        reports = self.verify_under_limits(tmp_path, cfg)
         assert reports[0] == reports[1]
         items = json.loads(reports[1])["analyses"][0]["items"]
         assert max(len(str(item["predicted"]["num"])) for item in items) > 2000
+
+    def test_a_config_is_read_the_same_under_any_digit_limit(self, tmp_path):
+        # literals of 700 and 701 digits, past the least limit (640)
+        budget = {"constant": {"num": 10**700, "den": 10**699}, "shape": "sqrt_log"}
+        cfg = self.write(tmp_path, "c.json", {
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "derivations": [{"kind": "gap_mod", "M": 2}],
+            "analyses": [{"kind": "balance", "sequence": "gap_mod", "budget": budget}],
+        })
+        reports = self.verify_under_limits(tmp_path, cfg)
+        assert reports[0] == reports[1]
+        constant = json.loads(reports[1])["config"]["analyses"][0]["budget"]["constant"]
+        assert Fraction(constant["num"], constant["den"]) == 10
+
+    @pytest.mark.parametrize(
+        "text", ["0", "-0", "7", "-12", "9" * 512, "9" * 513, "-" + "1" * 4300],
+        ids=["0", "-0", "7", "-12", "512_digits", "513_digits", "-4300_digits"],
+    )
+    def test_integer_literals_read_under_the_least_limit(self, text):
+        expected = int(text)
+        with digit_limit(640):
+            assert cli._parse_int(text) == expected
 
     def test_exit_hook_registered_once(self, tmp_path, capsys, monkeypatch):
         # however often main runs in a process, and whether it succeeds
@@ -2306,7 +2334,7 @@ class TestAdmissionGate:
     def test_window_guard_takes_no_power(self, window):
         raw = {"construction": self.QR11,
                "analyses": [{"kind": "sign_patterns", "window": window}]}
-        with pytest.raises(errors.ConfigError, match=r"2\^window exceeds 4096"):
+        with pytest.raises(errors.ConfigError, match=r"alphabet\^length exceeds 4096"):
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("length", [NoPower(10**9), NoPower(2**64)])
@@ -2322,9 +2350,9 @@ class TestAdmissionGate:
         "analysis, message",
         [
             ({"kind": "sign_patterns", "window": 10**9},
-             "analyses[0].window: 2^window exceeds 4096"),
+             "analyses[0]: alphabet^length exceeds 4096"),
             ({"kind": "sign_patterns", "window": 2**64},
-             "analyses[0].window: 2^window exceeds 4096"),
+             "analyses[0]: alphabet^length exceeds 4096"),
             ({"kind": "patterns", "sequence": "characteristic", "length": 10**9},
              "analyses[0]: alphabet^length exceeds 4096"),
         ],
@@ -2530,3 +2558,233 @@ class TestValuesPastTheirLimits:
         text = report.to_json_text()
         assert text == json.dumps(report.body, indent=2, sort_keys=True) + "\n"
         assert report.status == "PASS"
+
+
+class TestRunChecksItsConfig:
+    """run refuses a config built in code as ExperimentConfig.from_dict
+    refuses its JSON: the same ConfigError, before the set is built."""
+
+    SPEC = harness.ConstructionSpec("quadratic_residues", {"p": 1009})
+    M2 = DerivationSpec("gap_mod", 2)
+
+    def refused(self, monkeypatch, config, raw=None):
+        """run's ConfigError text for config, checked against from_dict's
+        for raw (config.to_dict() if None); the set is never built."""
+        built = []
+        monkeypatch.setattr(harness, "construct", built.append)
+        with pytest.raises(errors.ConfigError) as info:
+            ExperimentConfig.from_dict(config.to_dict() if raw is None else raw)
+        with pytest.raises(errors.ConfigError) as ran:
+            run(config)
+        assert built == []
+        assert str(ran.value) == str(info.value)
+        return str(ran.value)
+
+    @pytest.mark.parametrize(
+        "derivations, analysis, message",
+        [
+            ((DerivationSpec("gap_mod", 70),), AnalysisSpec("patterns", "gap_mod", 2),
+             "analyses[0]: alphabet^length exceeds 4096"),
+            ((), AnalysisSpec("sign_patterns", window=13),
+             "analyses[0]: alphabet^length exceeds 4096"),
+            ((DerivationSpec("gap_threshold", 10**6),),
+             AnalysisSpec("balance", "gap_threshold"),
+             "analyses[0]: m*length*log10(q) exceeds 4300 digits"),
+            ((), AnalysisSpec("balance", "gap_mod"),
+             "analyses[0].sequence: no derivation of kind 'gap_mod' configured"),
+            ((M2,), AnalysisSpec("balance", "gap_mod",
+                                 budget=BudgetSpec(Fraction(1), "lemma")),
+             "analyses[0].budget.shape: lemma budgets fit sign_patterns only"),
+            ((M2,), AnalysisSpec("balance", "gap_mod",
+                                 budget=BudgetSpec(Fraction(10**400), "sqrt_log")),
+             "analyses[0].budget.constant: too large for the report's float value"),
+            ((M2, DerivationSpec("gap_mod", 3)), AnalysisSpec("balance", "gap_mod"),
+             "derivations: duplicate derivation kinds in ['gap_mod', 'gap_mod']"),
+            ((M2,), AnalysisSpec("patterns", "gap_mod"),
+             "analyses[0].length: expected an integer, got None"),
+            ((M2,), AnalysisSpec("balance", "gap_mod",
+                                 budget=BudgetSpec(Fraction(-1), "sqrt_log")),
+             "analyses[0].budget.constant: must be nonnegative"),
+            ((M2,), AnalysisSpec("balance", "gap_mod",
+                                 budget=BudgetSpec(Fraction(1), "cubic")),
+             "analyses[0].budget.shape: expected one of "
+             "('absolute', 'sqrt_log', 'sqrt_log2', 'lemma'), got 'cubic'"),
+            ((DerivationSpec("gap_mod"),), AnalysisSpec("cardinality"),
+             "derivations[0].M: expected an integer, got None"),
+        ],
+        ids=["patterns_M70", "window13", "m1e6", "unconfigured", "lemma_on_balance",
+             "constant_1e400", "two_gap_mod", "no_length", "negative_constant",
+             "unknown_shape", "no_M"],
+    )
+    def test_built_in_code(self, monkeypatch, derivations, analysis, message):
+        config = ExperimentConfig(self.SPEC, derivations, (analysis,))
+        assert self.refused(monkeypatch, config) == message
+
+    def test_seed(self, monkeypatch):
+        config = ExperimentConfig(self.SPEC, seed=-1)
+        assert self.refused(monkeypatch, config) == "seed: expected >= 0, got -1"
+
+    def test_unknown_kinds(self, monkeypatch):
+        # a kind with no record has no to_dict: its JSON is written out
+        qr = self.SPEC.to_json()
+        config = ExperimentConfig(self.SPEC, (), (AnalysisSpec("entropy"),))
+        raw = {"construction": qr, "analyses": [{"kind": "entropy"}]}
+        assert self.refused(monkeypatch, config, raw) == (
+            "analyses[0].kind: unknown analysis kind 'entropy'"
+        )
+        config = ExperimentConfig(self.SPEC, (DerivationSpec("gaps"),))
+        raw = {"construction": qr, "derivations": [{"kind": "gaps"}]}
+        assert self.refused(monkeypatch, config, raw) == (
+            "derivations[0].kind: unknown derivation kind 'gaps'"
+        )
+
+    def test_stats_still_counts_past_the_family_cap(self, tmp_path, capsys):
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "derivation": {"kind": "characteristic"},
+        }))
+        assert cli.main(["stats", "--config", str(cfg), "--length", "17"]) == 0
+        assert json.loads(capsys.readouterr().out)["length"] == 17
+
+    @pytest.mark.parametrize(
+        "derivation, message",
+        [({"kind": "gap_mod", "M": 1}, "derivation.M: expected >= 2, got 1"),
+         ({"kind": "gap_threshold", "m": "2"},
+          "derivation.m: expected an integer, got '2'")],
+    )
+    def test_derive_and_stats_check_their_derivation(
+        self, tmp_path, capsys, monkeypatch, derivation, message
+    ):
+        refuse_building(monkeypatch)
+        cfg = tmp_path / "g.json"
+        cfg.write_text(json.dumps({
+            "construction": {"kind": "quadratic_residues", "params": {"p": 43}},
+            "derivation": derivation,
+        }))
+        for command in ("derive", "stats"):
+            assert cli.main([command, "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Values outside the range of some config field, or of every field.
+out_of_range = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 14),
+    st.sampled_from([2**64, 10**30, "2", "gap_mod", "gaps", "characteristic"]),
+)
+budgets = st.builds(
+    BudgetSpec,
+    st.sampled_from([Fraction(-1), Fraction(0), Fraction(3, 2), Fraction(10**400)]),
+    st.sampled_from(["absolute", "sqrt_log", "lemma", "cubic"]),
+)
+
+
+SAMPLED = {"construction": BASE["construction"],
+           "analyses": [{"kind": "correlation_sampled", "k": 2, "samples": 5,
+                         "seed": 1}]}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_refuses_what_from_dict_refuses(data):
+    """One field of a valid config replaced: run refuses exactly when
+    from_dict refuses the config's JSON, with the same message, and
+    before the set is built."""
+    config = ExperimentConfig.from_dict(data.draw(st.sampled_from([BASE, SAMPLED])))
+    where = data.draw(st.sampled_from(["seed", "derivation", "analysis"]))
+    if where == "seed" or (where == "derivation" and not config.derivations):
+        config = dataclasses.replace(config, seed=data.draw(out_of_range))
+    elif where == "derivation":
+        i = data.draw(st.integers(0, len(config.derivations) - 1))
+        param = data.draw(out_of_range)
+        derivation = dataclasses.replace(config.derivations[i], param=param)
+        derivations = config.derivations[:i] + (derivation,) + config.derivations[i + 1:]
+        config = dataclasses.replace(config, derivations=derivations)
+    else:
+        i = data.draw(st.integers(0, len(config.analyses) - 1))
+        analysis = config.analyses[i]
+        keys = harness.ANALYSES[analysis.kind].keys
+        if not keys:
+            return
+        key = data.draw(st.sampled_from(keys))
+        value = data.draw(budgets if key == "budget" else out_of_range)
+        analysis = dataclasses.replace(analysis, **{key: value})
+        analyses = config.analyses[:i] + (analysis,) + config.analyses[i + 1:]
+        config = dataclasses.replace(config, analyses=analyses)
+    try:
+        ExperimentConfig.from_dict(config.to_dict())
+        message = None
+    except errors.ConfigError as exc:
+        message = str(exc)
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_building(mp)
+        try:
+            run(config)
+        except errors.ConfigError as exc:
+            assert str(exc) == message
+        except (Admitted, errors.Error):
+            assert message is None
+
+
+primes_below_1100 = [p for p in range(3, 1100) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def window_configs(draw):
+    """A QR config with a gap_threshold derivation and up to three window
+    analyses under sqrt_log budgets; large m gives main terms of over 640
+    digits."""
+    analysis = st.one_of(
+        st.just({"kind": "balance", "sequence": "gap_threshold"}),
+        st.builds(lambda n: {"kind": "patterns", "sequence": "gap_threshold",
+                             "length": n}, st.integers(1, 3)),
+        st.builds(lambda s: {"kind": "sign_patterns", "window": s}, st.integers(1, 4)),
+    )
+    analyses = draw(st.lists(analysis, min_size=1, max_size=3))
+    for a in analyses:
+        c = draw(st.integers(0, 64))
+        a["budget"] = {"constant": c, "shape": "sqrt_log"}
+    return {
+        "construction": {"kind": "quadratic_residues",
+                         "params": {"p": draw(st.sampled_from(primes_below_1100))}},
+        "derivations": [{"kind": "gap_threshold", "m": draw(st.integers(2, 1000))}],
+        "analyses": analyses,
+    }
+
+
+def report_text(raw) -> str:
+    """run's report of raw, its timing dropped, or the error that refuses
+    it (QR 3 has too few elements for a gap sequence)."""
+    try:
+        body = run(ExperimentConfig.from_dict(raw)).body
+    except errors.Error as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return harness.json_text(scrub(body), sort_keys=True)
+
+
+@given(
+    window_configs(),
+    st.builds(
+        decimal.Context,
+        prec=st.integers(1, 50),
+        rounding=st.sampled_from([
+            decimal.ROUND_DOWN, decimal.ROUND_HALF_UP, decimal.ROUND_HALF_EVEN,
+            decimal.ROUND_CEILING, decimal.ROUND_FLOOR, decimal.ROUND_UP,
+            decimal.ROUND_HALF_DOWN, decimal.ROUND_05UP,
+        ]),
+        traps=st.lists(st.sampled_from([
+            decimal.Clamped, decimal.DivisionByZero, decimal.Inexact,
+            decimal.InvalidOperation, decimal.Overflow, decimal.Rounded,
+            decimal.Subnormal, decimal.Underflow, decimal.FloatOperation,
+        ]), unique=True),
+    ),
+    st.one_of(st.just(0), st.integers(640, 4300)),
+)
+@settings(max_examples=40, deadline=None)
+def test_reports_do_not_depend_on_process_state(raw, context, limit):
+    """A report, timing aside, is the same under any decimal context and
+    any int-to-str digit limit as under the defaults."""
+    expected = report_text(raw)
+    with decimal.localcontext(context), digit_limit(limit):
+        text = report_text(raw)
+    assert text == expected
