@@ -718,10 +718,11 @@ def _run_sign_patterns(rset, windows, config, analysis, op_budget):
 def correlate(
     rset, analysis: AnalysisSpec, seed: int, *, budget: int
 ) -> measures.CorrelationResult:
-    """The correlation a correlation analysis asks for: the exact scan, or
-    the sampled one when it gives samples, drawn from its own seed or else
-    from `seed`."""
-    if analysis.samples is None:
+    """The correlation a correlation analysis asks for by its kind: the
+    exact scan, or the sampled one, drawn from its own seed or else from
+    `seed`.  Only its kind's keys are read, as to_dict keeps only those,
+    so it runs what its embedded config re-runs."""
+    if analysis.kind == "correlation":
         return measures.correlation_exact(rset, analysis.k, budget=budget)
     seed = seed if analysis.seed is None else analysis.seed
     return measures.correlation_sampled(

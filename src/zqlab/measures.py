@@ -23,12 +23,12 @@ takes its max over all cyclic windows.  No product is multiplied out: it
 is a table lookup by the number of members among the lagged positions.
 
 Most rows cannot reach the maximum, and a coarse pass proves it cheaply.
-It cuts the period into blocks of 32, then 16, then 8 positions and gets
-each block's exact sum from popcounts of ANDs of bit-packed rotated
-membership masks.  The best window with both ends on block boundaries is
-reached by a real window, so it is a lower bound; adding the largest
-positive or negative mass of one block for each free end makes it an
-upper bound.  A row goes on to the full kernel only if its upper bound
+It cuts the period into blocks of 32, then 16, then 8 positions (cyclic
+rows) or of one width (prefix rows, below) and gets each block's exact
+sum from popcounts of ANDs of bit-packed rotated membership masks.  The
+best window with both ends on block boundaries is reached by a real
+window, so it is a lower bound; adding the largest positive or negative
+mass of one block for each free end makes it an upper bound.  A row goes on to the full kernel only if its upper bound
 reaches the best value known so far, so every row at the maximum gets
 there, in order, and values and witnesses are those of the full scan.
 A cyclic row whose block sums span R = max S - min S and total Tot cannot
@@ -51,10 +51,13 @@ The sampled scan maximizes over prefix windows (one free end).  Where the
 coarse pass runs, its rows never reach the full kernel: inside a block,
 every prefix sum lies within the block's positive mass above the sum
 before the block and within that mass below the sum after it, so only the
-blocks of the widest width where that reaches the floor are summed
-position by position, and the shortest witness window is read from them;
-the narrower widths, which pay for cyclic rows before the kernel, cost a
-prefix row more than the few blocks they would spare.
+blocks where that reaches the floor are summed position by position, and
+the shortest witness window is read from them.  Prefix rows are bounded
+at one width, which q decides (_prefix_width): 64 from q = 960 on, one
+popcount a 64-bit word, so the int64 stage does half the blocks; 32
+below, where most blocks of 64 reach the floor and summing them costs
+more.  The narrower widths, which pay for cyclic rows before the kernel,
+cost a prefix row more than the few blocks they would spare.
 No row of q prefix sums is built, so its draws come in blocks of at least
 _DRAW_ROWS rows, whatever q.  Elsewhere it shares the kernel with the
 exact scan.  Its lag tuples are those of one
@@ -106,18 +109,24 @@ _INT64_HEADROOM = 2**62
 _HIGH_ORDER_MAX_Q = 2**23
 
 # The coarse pass (_coarse) runs at these orders when q has at least four of
-# the widest blocks.  For cyclic rows each width in turn bounds the rows the
-# last one kept; prefix rows are finished at the widest.
+# the widest cyclic blocks.  For cyclic rows each width in turn bounds the
+# rows the last one kept; prefix rows are bounded and finished at one width,
+# _prefix_width(q): blocks of _WORD_WIDTH from _WORD_MIN_Q on.  Below 15 of
+# those blocks, sampled quadratic residues took longer at width 64 (up to
+# 5 times at q = 257) as most blocks reached refine; the crossing is near
+# q = 1000 at order 2 and q = 700 at orders 3 and 4.
 _COARSE_ORDERS = range(2, 5)
 _COARSE_WIDTHS = (32, 16, 8)
 _COARSE_MIN_Q = 4 * _COARSE_WIDTHS[0]
+_WORD_WIDTH = 64
+_WORD_MIN_Q = 15 * _WORD_WIDTH
 
 # Sampled rows that the coarse pass bounds and finishes come in blocks of
 # _CHUNK_CELLS cells, like the kernel's, but of at least _DRAW_ROWS rows:
-# from q = _CHUNK_CELLS // _DRAW_ROWS on, the pass's fixed numpy calls per
-# width are shared by several rows.  Its buffers take at most about 2.5
-# bytes a cell at the widest width, so such a block still takes less
-# memory than one row of the full kernel (17 bytes a cell).
+# from q = _CHUNK_CELLS // _DRAW_ROWS on, the pass's fixed numpy calls are
+# shared by several rows.  Its buffers take at most about 3 bytes a cell,
+# so such a block still takes less memory than one row of the full kernel
+# (17 bytes a cell).
 _DRAW_ROWS = 4
 
 
@@ -408,7 +417,12 @@ def _coarse_selected(q: int, t: int, k: int) -> bool:
     """Whether the coarse pass can pay: at _COARSE_ORDERS (there are 2^k
     AND terms), from _COARSE_MIN_Q (enough blocks to prune) and where the
     kernel runs on int64 (on Python ints every row survives)."""
-    # k <= 4: the int64 rule implies block sums' 32 * (3 * max(T, q-T))^k < 2^63
+    # k <= 4 and blocks of at most 64 positions, with M = max(T, q-T): the
+    # terms of a block sum add up to at most 64 * (q+T)^k <= 64 * (3M)^k in
+    # absolute value, and those of a positive mass, whose i-th weight is at
+    # most 2^i * M^k, to at most 64 * (3M)^k too.  The int64 rule
+    # 3 * q * M^k < 2^62 gives 64 * (3M)^k < 2^63 from q >= 32 * 3^(k-1)
+    # (864 at k = 4), and below that q, M < 864 gives it directly
     return (
         k in _COARSE_ORDERS
         and q >= _COARSE_MIN_Q
@@ -416,69 +430,19 @@ def _coarse_selected(q: int, t: int, k: int) -> bool:
     )
 
 
-def _coarse(rset: ResidueSet, k: int, workspace: dict):
-    """(bounds, refine): certified bounds on each row's best from block
-    sums, and the prefix-window rows finished from them; None where
-    _coarse_selected says the pass cannot pay.
+def _prefix_width(q: int) -> int:
+    """The width prefix rows are bounded and finished at: _WORD_WIDTH from
+    _WORD_MIN_Q on, where one popcount a 64-bit word halves the int64
+    stage, the widest cyclic width below, where most blocks of 64 would
+    reach refine."""
+    return _WORD_WIDTH if q >= _WORD_MIN_Q else _COARSE_WIDTHS[0]
 
-    The period is cut into blocks of `width` positions, the last one the
-    shorter tail.  Expanding prod_i (q*m(n + d_i) - T) over the subsets S
-    of the lags, a block's sum is sum_S q^|S| (-T)^(k-|S|) times the
-    block's popcount of AND_{i in S} m(. + d_i), taken from membership
-    masks packed 8 positions a byte.  With e_i the popcounts summed over
-    |S| = i, the positions with exactly j members number
-    sum_i (-1)^(i-j) C(i, j) e_i, so the block's positive mass of P is
-    linear in the e_i too.  Each row takes the AND over every nonempty S
-    and counts it into e_|S|.  The e_i are summed in int16 (each is at most
-    C(k, i) * 32), then weighted in int64.  Every exact row's first lag is
-    0, so the pass rotates m(. + 0) once and such rows share it: a block of
-    them rotates k - 1 masks a row, not k, and counts the lag-0 popcounts
-    once.  The doubled membership mask is packed once; its seven other
-    bit offsets are byte shifts of that packing.
 
-    Cyclic rows below the floor by R + |Tot| + 2 * slack skip the running
-    extremes (see bounds).  Prefix rows are bounded at the widest width
-    only and finished there by refine, which sums the blocks that can
-    reach the floor position by position.
-
-    Every call takes its arrays from `workspace`, a dict of named buffers
-    that grow to the largest request and are handed out as views; the
-    caller owns it and decides when to give the memory back.
-    """
-    q, t = rset.q, rset.cardinality
-    if not _coarse_selected(q, t, k):
-        return None
-    wide = _COARSE_WIDTHS[0]
-    size = wide // 8 * -(-q // wide)  # bytes of a packed row, in whole blocks
-    span = -(-q // 8) + size
-    bits = np.zeros(8 * span + 8, dtype=bool)
-    bits[:q] = bits[q : 2 * q] = rset.member_mask
-    # shifted[o, b] packs positions 8b + o .. 8b + o + 7 of the doubled mask,
-    # so m(. + d) is the byte slice [d // 8, d // 8 + size) of shifted[d % 8];
-    # the mask is packed once and each offset shifts its bytes
-    packed = np.packbits(bits)
-    shifted = np.empty((8, span), np.uint8)
-    shifted[0] = packed[:span]
-    for o in range(1, 8):
-        np.left_shift(packed[:span], o, out=shifted[o])
-        shifted[o] |= packed[1:] >> (8 - o)
-    slices = sliding_window_view(shifted, size, axis=1)
-    cut = q // 8
-    inside = np.packbits(np.arange(8 * cut, 8 * size) < q)
-
-    def rotated(d: np.ndarray, out: np.ndarray) -> np.ndarray:
-        out[...] = slices[d % 8, d // 8]
-        out[:, cut:] &= inside  # positions q and past: another period
-        return out
-
-    @cache
-    def zero() -> np.ndarray:
-        """m(. + 0), the first mask of every exact row, rotated once for
-        the pass, and only if an exact block comes (q / 8 bytes)."""
-        return rotated(np.zeros(1, np.intp), np.empty((1, size), np.uint8))[0]
-
+def _weights(q: int, t: int, k: int) -> np.ndarray:
+    """(2, k + 1) int64: row 0 weighs the e_i into a block sum, row 1 into
+    its positive mass (see _coarse)."""
     table = _table(q, t, k, object)
-    weights = np.array(
+    return np.array(
         [
             [q**i * (-t) ** (k - i) for i in range(k + 1)],  # block sums
             [  # positive masses
@@ -492,6 +456,92 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         ],
         dtype=np.int64,
     )
+
+
+def _coarse(rset: ResidueSet, k: int, workspace: dict):
+    """(bounds, refine): certified bounds on each row's best from block
+    sums, and the prefix-window rows finished from them; None where
+    _coarse_selected says the pass cannot pay.
+
+    The period is cut into blocks of `width` positions, the last one the
+    shorter tail.  Expanding prod_i (q*m(n + d_i) - T) over the subsets S
+    of the lags, a block's sum is sum_S q^|S| (-T)^(k-|S|) times the
+    block's popcount of AND_{i in S} m(. + d_i), taken from membership
+    masks packed 8 positions a byte and counted a block-sized word at a
+    time.  With e_i the popcounts summed over |S| = i, the positions with
+    exactly j members number sum_i (-1)^(i-j) C(i, j) e_i, so the block's
+    positive mass of P is linear in the e_i too.  Each row takes the AND
+    over every nonempty S and counts it into e_|S|.  The e_i are summed in
+    int16 (each is at most C(k, i) * width), then weighted in int64.
+    Every exact row's first lag is 0, so the pass rotates m(. + 0) once
+    and such rows share it: a block of them rotates k - 1 masks a row, not
+    k, and counts the lag-0 popcounts once.  The membership mask is packed
+    once and doubled by a bit shift of that packing; its seven other bit
+    offsets are byte shifts of the doubled packing.
+
+    Cyclic rows below the floor by R + |Tot| + 2 * slack skip the running
+    extremes (see bounds).  Prefix rows are bounded at _prefix_width(q)
+    only and finished there by refine, which sums the blocks that can
+    reach the floor position by position.
+
+    Every call takes its arrays from `workspace`, a dict of named buffers
+    that grow to the largest request and are handed out as views; the
+    caller owns it and decides when to give the memory back.
+    """
+    q, t = rset.q, rset.cardinality
+    if not _coarse_selected(q, t, k):
+        return None
+    size = _WORD_WIDTH // 8 * -(-q // _WORD_WIDTH)  # bytes of the longest row
+    span = -(-q // 8) + size
+    # doubled[b] packs positions 8b .. 8b + 7 of the mask over two periods:
+    # its second copy starts at bit `shift` of byte `cut`, q = 8 * cut +
+    # shift, so it is the packing shifted that many bits on
+    packed = np.packbits(rset.member_mask)
+    cut, shift = divmod(q, 8)
+    doubled = np.zeros(span + 1, np.uint8)
+    doubled[: len(packed)] = packed
+    doubled[cut : cut + len(packed)] |= packed >> shift
+    if shift:
+        doubled[cut + 1 : cut + 1 + len(packed)] |= packed << (8 - shift)
+    # shifted[o, b] packs positions 8b + o .. 8b + o + 7 of the doubled mask,
+    # so m(. + d) is the byte slice [d // 8, d // 8 + size) of shifted[d % 8];
+    # shifted[0] holds each offset's low bits until the last
+    shifted = np.empty((8, span), np.uint8)
+    for o in range(1, 8):
+        np.left_shift(doubled[:span], o, out=shifted[o])
+        np.right_shift(doubled[1:], 8 - o, out=shifted[0])
+        shifted[o] |= shifted[0]
+    shifted[0] = doubled[:span]
+    slices = sliding_window_view(shifted, size, axis=1)
+    inside = np.packbits(np.arange(8 * cut, 8 * size) < q)
+
+    def rotated(d: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """m(. + d) for each lag d, its positions q and past cleared, in
+        the first bytes of each row of `out`.  Rows are gathered about
+        _BLOCK bytes at a time, or one at a time if longer, so the
+        gather's temporary stays cache-sized or one row."""
+        n = out.shape[1]
+        step = max(1, _BLOCK // n)
+        for lo in range(0, len(d), step):
+            part = d[lo : lo + step]
+            out[lo : lo + step] = slices[part % 8, part // 8, :n]
+        out[:, cut:] &= inside[: n - cut]  # another period
+        return out
+
+    @cache
+    def zero() -> np.ndarray:
+        """m(. + 0), the first mask of every exact row, rotated once for
+        the pass, and only if an exact block comes (q / 8 bytes)."""
+        return rotated(np.zeros(1, np.intp), np.empty((1, size), np.uint8))[0]
+
+    weights = _weights(q, t, k)
+
+    @cache
+    def length_terms(width: int) -> np.ndarray:
+        """(2, blocks) int64: e_0, the block length, the same in every row,
+        times its weights."""
+        blocks = -(-q // width)
+        return weights[:, :1] * np.minimum(q - width * np.arange(blocks), width)
 
     def scratch(name: str, shape: tuple, dtype) -> np.ndarray:
         """The first cells of the named buffer, grown to the largest request."""
@@ -516,17 +566,21 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         windows.  So a row whose R + |Tot| + 2 * slack is below `floor`
         cannot reach it, and gets max(R, |Tot|) and that upper bound in
         place of the running extremes' exact bounds."""
-        rows, blocks = len(lags), 8 * size // width
+        blocks = -(-q // width)
+        rows, nbytes = len(lags), width // 8 * blocks
         view = np.dtype(f"<u{width // 8}")
         shared = not lags[:, 0].any()
-        # e[n - 1] is e_n, at most C(k, n) * 32 <= 192
+        # e[n - 1] is e_n, at most C(k, n) * width <= 384
         e = scratch("e", (k, rows, blocks), np.int16)
         e[...] = 0
         counts = scratch("counts", (rows, blocks), np.uint8)
         subsets = [(0, None)]  # (|S|, AND over S) for each S of the lags so far
-        slots = iter(scratch("ands", (2**k - 1 - shared, rows, size), np.uint8))
+        slots = iter(scratch("ands", (2**k - 1 - shared, rows, nbytes), np.uint8))
         for i in range(k):
-            masks = zero() if i == 0 and shared else rotated(lags[:, i], next(slots))
+            if i == 0 and shared:
+                masks = zero()[:nbytes]
+            else:
+                masks = rotated(lags[:, i], next(slots))
             subsets += [
                 (n + 1, masks if a is None else np.bitwise_and(a, masks, out=next(slots)))
                 for n, a in subsets
@@ -535,9 +589,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
             count = np.bitwise_count(a.view(view), out=counts if a.ndim == 2 else None)
             np.add(e[n - 1], count, out=e[n - 1])
         # block sums into a contiguous (rows, blocks) view of spare, positive
-        # masses into pos, their terms into one of sums; e_0 is the block
-        # length, the same in every row
-        lengths = np.clip(q - width * np.arange(blocks), 0, width)
+        # masses into pos, their terms into one of sums
         sums = scratch("sums", (rows, blocks + 1), np.int64)
         pos = scratch("pos", (rows, blocks), np.int64)
         spare = scratch("spare", (rows, blocks + 1), np.int64)
@@ -546,7 +598,7 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         term = scratch("sums", (rows, blocks), np.int64)
         for w, out in enumerate((block_sums, pos)):
             np.multiply(e[0], weights[w, 1], out=out)
-            out += weights[w, 0] * lengths
+            out += length_terms(width)[w]
             for n in range(2, k + 1):
                 out += np.multiply(e[n - 1], weights[w, n], out=term)
         # max(positive mass, negative mass), the latter pos - block_sums
@@ -572,19 +624,20 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
         return lower, np.where(live, lower, reach) + 2 * slack
 
     products = _table(q, t, k, np.int64)
-    offsets = np.arange(wide)
+    wide = _prefix_width(q)
+    words = np.arange(wide // 8)
 
     def refine(lags: np.ndarray, keep: np.ndarray, floor: int):
         """(value, lags, M) of the best prefix window [0, M) among the rows
-        `keep` of `lags`, the rows of the last bounds call, made at the
-        widest width with one free end: the highest |S_M| that reaches
+        `keep` of `lags`, the rows of the last bounds call, made at
+        _prefix_width(q) with one free end: the highest |S_M| that reaches
         `floor`, then the first row, then the shortest M; (-1, None, None)
         if none does.  Inside a block, every prefix sum lies within the
         block's positive mass above the sum before it, and within that
         mass below the sum after it, so only the blocks where one of these
-        reaches the floor are summed position by position, from the
-        membership bits, about _CHUNK_CELLS // 8 positions at a time."""
-        rows, blocks = len(lags), 8 * size // wide
+        reaches the floor are summed position by position, from the packed
+        masks' bytes, about _CHUNK_CELLS // 8 positions at a time."""
+        rows, blocks = len(lags), -(-q // wide)
         sums = scratch("sums", (rows, blocks + 1), np.int64)
         reach = scratch("spare", (rows, blocks + 1), np.int64)[:, :blocks]
         np.negative(sums[:, 1:], out=reach)
@@ -601,18 +654,22 @@ def _coarse(rset: ResidueSet, k: int, workspace: dict):
             row, block = row[higher], block[higher]
             if not len(row):
                 continue
-            n = block[:, None] * wide + offsets  # (row, M - 1) in order
-            members = bits[n + lags[row, :1]].astype(np.uint8)
-            for i in range(1, k):
-                members += bits[n + lags[row, i : i + 1]]
+            # each hit's block of m(. + d): bytes [d // 8 + block * wide / 8,
+            # ...) of shifted[d % 8], unpacked to (hit, position) in order
+            start = block[:, None] * (wide // 8) + words
+            members = None
+            for d in lags[row].T[:, :, None]:
+                part = np.unpackbits(shifted[d % 8, start + d // 8], axis=1)
+                members = part if members is None else np.add(members, part, out=members)
             s = np.cumsum(products[members], axis=1)
             s += sums[row, block][:, None]
             np.abs(s, out=s)
-            s[n >= q] = -1  # the tail block's positions past the period
+            s[block == blocks - 1, q - (blocks - 1) * wide :] = -1  # past the period
             top = int(np.argmax(s))
             if s.flat[top] > best[0]:
-                r = row[top // wide]
-                best = int(s.flat[top]), tuple(int(d) for d in lags[r]), int(n.flat[top]) + 1
+                i, m = divmod(top, wide)
+                lagged = tuple(int(d) for d in lags[row[i]])
+                best = int(s.flat[top]), lagged, int(block[i]) * wide + m + 1
         return best
 
     return bounds, refine
@@ -708,8 +765,9 @@ def _best_row(rset, k, blocks, ends: int, floor: int = 0):
 
     Where _coarse selects it, rows whose upper bound is below the floor
     are dropped; a row at the maximum never is, and survivors keep their
-    order.  Prefix windows are finished from the widest block sums, where
-    the narrower widths do not pay; cyclic ones are bounded at every width,
+    order.  Prefix windows are finished from the block sums at
+    _prefix_width(q), where the narrower widths do not pay; cyclic ones
+    are bounded at every width of _COARSE_WIDTHS,
     then go to the full kernel, and the witness is read from its prefix
     sums.  _coarse packs its masks once, here; the kernel is built when a
     row first reaches it.  The scan owns the pass's workspace and gives it
@@ -725,7 +783,7 @@ def _best_row(rset, k, blocks, ends: int, floor: int = 0):
         nonlocal floor, prefix_sums
         if coarse is not None:
             bounds, refine = coarse
-            for width in _COARSE_WIDTHS:
+            for width in _COARSE_WIDTHS if ends == 2 else (_prefix_width(rset.q),):
                 lower, upper = bounds(lags, width, ends, floor)
                 floor = max(floor, int(lower.max()))
                 if ends == 1:

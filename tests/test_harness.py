@@ -2638,6 +2638,18 @@ class TestRunChecksItsConfig:
             "derivations[0].kind: unknown derivation kind 'gaps'"
         )
 
+    def test_a_correlation_runs_what_its_config_reruns(self):
+        # samples and seed are not keys of the exact kind: to_dict drops
+        # them, and the run, charged exact_cost, scans exactly too
+        spec = harness.ConstructionSpec("quadratic_residues", {"p": 43})
+        analysis = AnalysisSpec("correlation", k=2, samples=5, seed=1)
+        report = run(ExperimentConfig(spec, (), (analysis,))).body
+        assert report["config"]["analyses"] == [{"kind": "correlation", "k": 2}]
+        (item,) = report["analyses"][0]["items"]
+        assert (item["mode"], item["tuples"]) == ("exact", math.comb(43, 2))
+        again = run(ExperimentConfig.from_dict(report["config"])).body
+        assert scrub(again) == scrub(report)
+
     def test_stats_still_counts_past_the_family_cap(self, tmp_path, capsys):
         cfg = tmp_path / "g.json"
         cfg.write_text(json.dumps({

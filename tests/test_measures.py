@@ -630,6 +630,17 @@ def coarse_cases(draw):
     return ResidueSet(q, tuple(sorted(els))), k
 
 
+# every width a bounds call takes: the cyclic widths and the prefix width
+# from _WORD_MIN_Q on
+ALL_WIDTHS = (measures._WORD_WIDTH, *measures._COARSE_WIDTHS)
+
+
+def first_width(q: int, ends: int) -> int:
+    """The width a block of rows is bounded at first: the widest cyclic
+    width, or the prefix width at q."""
+    return measures._COARSE_WIDTHS[0] if ends == 2 else measures._prefix_width(q)
+
+
 def unpruned(scan):
     """scan() with the coarse pass off: every row goes to the full kernel."""
     with pytest.MonkeyPatch.context() as mp:
@@ -686,7 +697,7 @@ class TestCoarsePass:
             ):
                 best = row_best(sums)
                 floors = (0, int(np.median(best)), int(best.max()) + 1)
-                for width, floor in itertools.product(measures._COARSE_WIDTHS, floors):
+                for width, floor in itertools.product(ALL_WIDTHS, floors):
                     lower, upper = bounds(lags, width, ends, floor)
                     assert (lower <= best).all() and (best <= upper).all()
 
@@ -741,7 +752,7 @@ class TestCoarsePass:
             bounds, refine = coarse(rset, k, workspace)
 
             def counted(lags, width, ends, floor):
-                if width == measures._COARSE_WIDTHS[0]:
+                if width == first_width(rset.q, ends):
                     widest.append(len(lags))
                 return bounds(lags, width, ends, floor)
 
@@ -764,7 +775,7 @@ class TestCoarsePass:
             st.tuples(
                 st.booleans(),  # drawn rows or representatives
                 st.integers(1, 300),  # rows
-                st.sampled_from(measures._COARSE_WIDTHS),
+                st.sampled_from(ALL_WIDTHS),
                 st.booleans(),  # cyclic or prefix windows
             ),
             min_size=2,
@@ -803,8 +814,8 @@ class TestCoarsePass:
         picked = np.random.default_rng(seed).random(len(pool)) < 0.5
         lags = pool[picked][:rows] if picked.any() else pool[:1]
         other = np.concatenate([lags, (lags[:1] + 1) % r.q])
-        size = -(-r.q // measures._COARSE_WIDTHS[0]) * measures._COARSE_WIDTHS[0] // 8
-        for width in measures._COARSE_WIDTHS:
+        for width in ALL_WIDTHS:
+            size = width // 8 * -(-r.q // width)  # bytes of a row's blocks
             for ends in (2, 1):
                 shared_ws, per_row_ws = {}, {}
                 shared = measures._coarse(r, k, shared_ws)[0](lags, width, ends)
@@ -818,7 +829,7 @@ class TestCoarsePass:
     @pytest.mark.parametrize(
         "q, k, drawn", [(10007, 2, False), (1009, 3, True), (1009, 2, True)]
     )
-    @pytest.mark.parametrize("width", measures._COARSE_WIDTHS)
+    @pytest.mark.parametrize("width", ALL_WIDTHS)
     def test_a_warm_workspace_allocates_no_block(self, q, k, drawn, width):
         # a block of the scans' size at q; the scan, not the pass, gives
         # the workspace back, so every width stays warm
@@ -828,7 +839,7 @@ class TestCoarsePass:
         else:
             lags = next(measures._representatives(q, k, rows))
         bounds, _ = measures._coarse(quadratic_residue_set(q), k, {})
-        blocks = -(-q // measures._COARSE_WIDTHS[0]) * measures._COARSE_WIDTHS[0] // width
+        blocks = -(-q // width)
         block = len(lags) * blocks * np.dtype(np.int64).itemsize  # one (rows, blocks) int64
         for ends in (2, 1):
             first = bounds(lags, width, ends)
@@ -869,7 +880,7 @@ class TestCoarsePass:
             bounds, refine = coarse(rset, k, workspace)
 
             def counted(lags, width, ends, floor):
-                if width == measures._COARSE_WIDTHS[0]:
+                if width == first_width(rset.q, ends):
                     widest.append(len(lags))
                 return bounds(lags, width, ends, floor)
 
@@ -916,7 +927,7 @@ class TestCoarsePass:
     @given(st.sampled_from(measures._COARSE_ORDERS), st.data())
     def test_the_int64_rule_keeps_block_sums_in_int64(self, k, data):
         # _coarse_selected tests only the kernel's rule 3 q m^k < 2^62, m =
-        # max(T, q - T).  The block sums' terms need 32 (3 m)^k < 2^63, which
+        # max(T, q - T).  The block sums' terms need 64 (3 m)^k < 2^63, which
         # depends on m alone, and q >= m: so m runs up to, and past, the
         # largest m that the rule admits, at q = m
         def fits(q, t):
@@ -931,7 +942,37 @@ class TestCoarsePass:
         q = data.draw(st.integers(m, 2 * m))
         t = data.draw(st.sampled_from([m, q - m]))
         if fits(q, t):
-            assert measures._COARSE_WIDTHS[0] * (3 * m) ** k < 2**63
+            assert measures._WORD_WIDTH * (3 * m) ** k < 2**63
+
+    @pytest.mark.parametrize("k", measures._COARSE_ORDERS)
+    def test_weighted_block_sums_stay_in_int64_at_the_edge_of_the_rule(self, k):
+        # bounds weighs a block's popcounts into its sum and its positive
+        # mass in int64, e_0 w_0 + e_1 w_1 + ... + e_k w_k, with e_0 the
+        # block length and e_i at most C(k, i) * 64: every partial sum is at
+        # most sum_i C(k, i) * 64 * |w_i|.  For q from the pass's least to
+        # the largest the int64 rule admits, at the largest M = max(T, q-T)
+        # the rule admits at q, that sum, in Python ints, is below 2^63 and
+        # within the 64 (3M)^k of _coarse_selected's proof
+        def admitted(q, m):
+            return measures._sums_dtype(q, q - m, k) is not object
+
+        top = round((measures._INT64_HEADROOM * 2**k / 3) ** (1 / (k + 1)))
+        while admitted(top + 1, -(-(top + 1) // 2)):
+            top += 1
+        while not admitted(top, -(-top // 2)):
+            top -= 1
+        grid = np.geomspace(measures._COARSE_MIN_Q, top, 300).astype(int).tolist()
+        for q in sorted({*grid, top}):
+            lo, hi = -(-q // 2), q  # the largest admitted M
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if admitted(q, mid) else (lo, mid - 1)
+            for t in (lo, q - lo):
+                largest = max(
+                    sum(math.comb(k, i) * 64 * abs(w) for i, w in enumerate(row))
+                    for row in measures._weights(q, t, k).tolist()
+                )
+                assert largest <= 64 * (3 * lo) ** k < 2**63
 
     @staticmethod
     def counted_scan(monkeypatch, scan):
@@ -1113,9 +1154,9 @@ class TestWitnessFromTheScan:
         assert calls  # the maximum reaches the kernel, or the refinement
         assert all(what != never for what, _ in events)
         # the kernel right after the narrowest bounds of its block, the
-        # refinement right after the widest, on survivors of them, in their
-        # order
-        last = measures._COARSE_WIDTHS[-1 if samples is None else 0]
+        # refinement right after the bounds at the prefix width, on
+        # survivors of them, in their order
+        last = measures._COARSE_WIDTHS[-1] if samples is None else first_width(r.q, 1)
         for i in calls:
             width, rows = events[i - 1]
             assert width == last
@@ -1199,6 +1240,32 @@ class TestRefinedPrefixWindows:
         got = witness(correlation_sampled(r, k, samples, seed=seed))
         assert got == unpruned(lambda: witness(correlation_sampled(r, k, samples, seed=seed)))
 
+    @given(
+        st.sampled_from(measures._COARSE_ORDERS),
+        # 14 or 15 blocks of 64 and a tail of 1 or 63 positions: 32-position
+        # blocks below the prefix width rule's q, 64-position ones from it
+        st.sampled_from([measures._WORD_MIN_Q - measures._WORD_WIDTH, measures._WORD_MIN_Q]),
+        st.sampled_from([1, measures._WORD_WIDTH - 1]),
+        st.sampled_from(["random", "interval", "dense", "periodic"]),
+        st.sampled_from([0.02, 0.5, 0.98]),  # density of a random set
+        st.sampled_from([1, 40, 300]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_both_sides_of_the_width_rule_equal_the_kernel_only_scan(
+        self, k, start, tail, kind, density, samples, seed
+    ):
+        q = start + tail
+        wide = start >= measures._WORD_MIN_Q
+        assert measures._prefix_width(q) == (64 if wide else 32)
+        if kind == "random":
+            members = np.random.default_rng(seed).random(q) < density
+            r = ResidueSet(q, tuple(np.flatnonzero(members).tolist()))
+        else:
+            r = structured_set(kind, q)
+        got = witness(correlation_sampled(r, k, samples, seed=seed))
+        assert got == unpruned(lambda: witness(correlation_sampled(r, k, samples, seed=seed)))
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_near_the_int64_bound_equals_the_kernel_only_scan(self, seed):
         # 3 q max(T, q-T)^2 is just below 2^62, where block sums and prefix
@@ -1253,10 +1320,10 @@ class TestRefinedPrefixWindows:
         assert witness(res) == (
             Fraction(313001856633688, 1000003**2), 523742, (391228, 887827)
         )
-        # blocks of _DRAW_ROWS draws, each bounded at most once at each width
-        widest = [rows for rows, width in widths if width == measures._COARSE_WIDTHS[0]]
-        assert widest == [measures._DRAW_ROWS] * (16 // measures._DRAW_ROWS)
-        assert len(widths) <= len(measures._COARSE_WIDTHS) * len(widest)
+        # blocks of _DRAW_ROWS draws, each bounded once, at the prefix width
+        assert widths == [(measures._DRAW_ROWS, first_width(r.q, 1))] * (
+            16 // measures._DRAW_ROWS
+        )
         # below one kernel row's 17 bytes a cell
         assert peak < 17 * r.q
 
