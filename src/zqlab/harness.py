@@ -120,8 +120,9 @@ def _key_text(key) -> str:
 class _Item(dict):
     """A report item, {"label": label, **fields}, that keeps `fields`: the
     scored fields it shares with the items of its (sum, count), which
-    json_text renders once.  An item that is changed after it is made
-    drops `fields` and renders as any dict."""
+    json_text renders once, from their fixed layout.  _run_patterns makes
+    items with dict's own init, not this one.  An item that is changed
+    after it is made drops `fields` and renders as any dict."""
 
     __slots__ = ("fields",)
 
@@ -158,6 +159,44 @@ def _int_text(n: int) -> str:
     return f"{'-' if n < 0 else ''}{head}{digits}"
 
 
+# The keys of a scored item (a label and _scored's fields) and of its
+# deviation, in the order they are made.
+_ITEM_KEYS = ("label", "empirical", "predicted", "deviation", "budget", "status")
+_DEVIATION_KEYS = ("num", "den", "decimal")
+
+
+def _item_halves(item, depth: int, dict_text) -> tuple | None:
+    """The text of a scored item at `depth`, keys sorted, before and after
+    its label's value, from its fixed layout: _ITEM_KEYS, an int count, a
+    str status, a deviation of _DEVIATION_KEYS (int, int, str) and a dict
+    budget and prediction, whose text dict_text(d, depth) gives.  None for
+    any other item, or one with an int past the int-to-str digit limit."""
+    if tuple(item) != _ITEM_KEYS:
+        return None
+    _, empirical, predicted, deviation, budget, status = item.values()
+    if not (type(empirical) is int and type(status) is str
+            and type(predicted) is type(budget) is type(deviation) is dict
+            and tuple(deviation) == _DEVIATION_KEYS):
+        return None
+    num, den, decimal = deviation.values()
+    if not (type(num) is type(den) is int and type(decimal) is str):
+        return None
+    try:
+        n, num, den = f"{empirical}", f"{num}", f"{den}"
+    except ValueError:  # past the int-to-str digit limit: written as a dict
+        return None
+    p, b = dict_text(predicted, depth + 1), dict_text(budget, depth + 1)
+    decimal, status = encode_basestring_ascii(decimal), encode_basestring_ascii(status)
+    i0 = "  " * depth
+    i1, i2 = i0 + "  ", i0 + "    "
+    return (
+        f'{{\n{i1}"budget": {b},\n{i1}"deviation": {{\n{i2}"decimal": {decimal},'
+        f'\n{i2}"den": {den},\n{i2}"num": {num}\n{i1}}},\n{i1}"empirical": {n},'
+        f'\n{i1}"label": ',
+        f',\n{i1}"predicted": {p},\n{i1}"status": {status}\n{i0}}}',
+    )
+
+
 def json_text(obj, sort_keys: bool = False) -> str:
     """json.dumps(obj, indent=2, sort_keys=sort_keys), byte for byte.
 
@@ -167,19 +206,21 @@ def json_text(obj, sort_keys: bool = False) -> str:
     call into the encoder.  A container of scalars is one call of json's
     C encoder, its separators carrying the newline and indent of its depth;
     any other container writes its entries in turn.  The text of a dict
-    entry whose value is a dict is kept, keyed by the key's text, the
-    value's identity and the depth.  A report item (_Item) that still
-    holds its shared fields is written as the text around its label with
-    the label in between; that text is made once per shared fields and
-    depth, from the first such item, so each shared body is rendered once.
-    No other text is kept, so no long one (a report's items, a set's
-    elements) is held twice.  An int past the interpreter's int-to-str
-    digit limit, which json refuses with ValueError, is written in chunks
-    (_int_text) instead, so a report does not depend on that limit; only
-    that ValueError leads there.  Values must be acyclic (a cycle raises
+    that is a dict entry's value is kept, keyed by its identity and depth.
+    With sort_keys (as reports are written), a report item (_Item) in a
+    list that still holds its shared fields, with the keys and value types
+    _scored makes, is written as the text around its label with the label
+    in between; that text is formatted once per shared fields and depth
+    from the item's fixed layout (_item_halves), and the list's items are
+    spliced in one loop.  Any other item is written as a dict.  No other
+    text is kept, so no long one (a report's items, a set's elements) is
+    held twice.  An int past the interpreter's int-to-str digit limit,
+    which json refuses with ValueError, is written in chunks (_int_text)
+    instead, so a report does not depend on that limit; only that
+    ValueError leads there.  Values must be acyclic (a cycle raises
     RecursionError, not json's ValueError).
     """
-    entries, around = {}, {}
+    dicts, around = {}, {}
 
     def text(write, *args) -> str:
         """The text that write(out, *args) appends, on its own."""
@@ -201,31 +242,24 @@ def json_text(obj, sort_keys: bool = False) -> str:
         indent = "  " * (depth + 1)
         return f"{inner[0]}\n{indent}{inner[1:-1]}\n{indent[:-2]}{inner[-1]}"
 
-    def entry(out, k, v, depth: int) -> None:
-        # keyed on the key's text: 1 == True, but they are written apart
-        name = encode_basestring_ascii(k) if type(k) is str else _key_text(k)
-        if not isinstance(v, dict):
-            out(f"{name}: ")
-            write(out, v, depth + 1)
-            return
-        cached = (name, id(v), depth)
-        part = entries.get(cached)
-        if part is None:
-            body = flat(v, depth + 1) if v else None
+    def dict_text(value: dict, depth: int) -> str:
+        """The text of a dict at `depth`, kept by its identity and depth."""
+        cached = (id(value), depth)
+        body = dicts.get(cached)
+        if body is None:
+            body = flat(value, depth) if value else None
             if body is None:
-                body = text(write, v, depth + 1)
-            part = entries[cached] = f"{name}: {body}"
-        out(part)
+                body = text(write, value, depth)
+            dicts[cached] = body
+        return body
 
-    def label_halves(item: _Item, depth: int) -> tuple[str, str]:
-        """The text of `item` before and after its label's value."""
-        indent = "  " * (depth + 1)
-        sep = ",\n" + indent
-        keys = sorted(item) if sort_keys else list(item)
-        at = keys.index("label")
-        head = "".join(text(entry, k, item[k], depth) + sep for k in keys[:at])
-        tail = "".join(sep + text(entry, k, item[k], depth) for k in keys[at + 1 :])
-        return f'{{\n{indent}{head}"label": ', f"{tail}\n{indent[:-2]}}}"
+    def entry(out, k, v, depth: int) -> None:
+        out(encode_basestring_ascii(k) if type(k) is str else _key_text(k))
+        out(": ")
+        if isinstance(v, dict):
+            out(dict_text(v, depth + 1))
+        else:
+            write(out, v, depth + 1)
 
     def write(out, value, depth: int) -> None:
         kind = type(value)
@@ -237,15 +271,6 @@ def json_text(obj, sort_keys: bool = False) -> str:
                 out(int.__repr__(value))
             except ValueError:  # past the int-to-str digit limit
                 out(_int_text(value))
-            return
-        if kind is _Item and getattr(value, "fields", None) is not None:
-            shared = (id(value.fields), depth)
-            halves = around.get(shared)
-            if halves is None:
-                halves = around[shared] = label_halves(value, depth)
-            out(halves[0])
-            write(out, value["label"], depth + 1)
-            out(halves[1])
             return
         if not isinstance(value, _CONTAINERS) or not value:
             out(_encoder(depth, sort_keys)(value))
@@ -264,11 +289,24 @@ def json_text(obj, sort_keys: bool = False) -> str:
                 if i:
                     out(sep)
                 entry(out, k, v, depth)
-        else:
+        else:  # an item's halves, kept per shared fields; () writes a dict
+            shared = around.setdefault(depth + 1, {id(None): ()})
             for i, v in enumerate(value):
                 if i:
                     out(sep)
-                write(out, v, depth + 1)
+                scored = type(v) is _Item and sort_keys
+                fields = id(getattr(v, "fields", None) if scored else None)
+                pair = shared.get(fields)
+                if pair is None:
+                    pair = shared[fields] = _item_halves(v, depth + 1, dict_text) or ()
+                if not pair:
+                    write(out, v, depth + 1)
+                    continue
+                label = v["label"]
+                out(pair[0])
+                out(encode_basestring_ascii(label) if type(label) is str
+                    else text(write, label, depth + 2))
+                out(pair[1])
         out(f"\n{indent[:-2]}{end}")
 
     return text(write, obj, 0)
@@ -680,7 +718,9 @@ def _run_patterns(
         sums = [head + symbol for head in sums for symbol in alphabet]
     # A main term depends on its pattern only through (length, sum), so
     # one per sum; items of one (sum, count) share their scored fields.
+    # dict's own init, not _Item.__init__: no Python frame per item.
     base, mains, bodies, items = len(alphabet), {}, {}, []
+    new, init = _Item.__new__, dict.__init__
     for i, (name, total, n) in enumerate(zip(labels, sums, tally)):
         body = bodies.get((total, n))
         if body is None:
@@ -690,7 +730,10 @@ def _run_patterns(
                                  T, q, seq.param)
                 mains[total] = main, _fraction_json(main)
             body = bodies[total, n] = _scored(n, *mains[total], budget, budget_json)
-        items.append(_Item(name, body))
+        item = new(_Item)
+        init(item, label=name, **body)
+        item.fields = body
+        items.append(item)
     return items
 
 
@@ -900,8 +943,13 @@ def run(
     analysis runs on the calling thread; `workers` is accepted and changes
     nothing.
     """
-    t_start = time.perf_counter()
     _check(config)
+    return _run_checked(config, op_budget)
+
+
+def _run_checked(config: ExperimentConfig, op_budget: int) -> VerificationReport:
+    """run() of a config that _check has passed: admit it, then run it."""
+    t_start = time.perf_counter()
     admit(config, op_budget)
     rset = construct(config.construction)
     windows = _Windows(rset, config)
@@ -988,9 +1036,10 @@ def _point_dict(base: dict, axes, values) -> dict:
 
 
 def _run_point(config: ExperimentConfig, op_budget: int) -> dict:
-    """One grid point's report body, or an error marker."""
+    """One grid point's report body, or an error marker; from_dict has
+    checked its config."""
     try:
-        return run(config, op_budget=op_budget).body
+        return _run_checked(config, op_budget).body
     except Error as exc:  # keep the sweep going; note the failure
         return {"error": f"{type(exc).__name__}: {exc}"}
 

@@ -906,6 +906,103 @@ class TestJsonTextDigitLimit:
             assert text == str(n)
 
 
+# Counts, numerators and denominators of a scored item: small, and past
+# the least int-to-str digit limit (640 digits).
+layout_ints = st.integers(0, 10**6) | st.integers(10**640, 10**700)
+
+
+@st.composite
+def scored_budgets(draw):
+    """A (budget, its report dict) of every kind a scored item can hold."""
+    q = draw(st.integers(2, 10**7))
+    constant = Fraction(draw(st.integers(0, 10**6)), draw(st.integers(1, 1000)))
+    kind = draw(st.sampled_from(
+        ["absolute", "sqrt_log", "sqrt_log2", "lemma", "report_only", "exact"]
+    ))
+    if kind == "report_only":
+        budget = predictions.report_only_budget("sqrt(q)*log(q)", 1, q)
+    elif kind == "exact":
+        budget = predictions.exact_budget()
+    elif kind == "lemma":
+        cmax = Fraction(draw(st.integers(0, q)), draw(st.integers(1, 100)))
+        budget = BudgetSpec(constant, "lemma").realize(q, cmax=2**5 * cmax)
+    else:
+        budget = BudgetSpec(constant, kind).realize(q)
+    return budget, harness._budget_json(budget)
+
+
+class TestJsonTextLayout:
+    """Items of _scored's bodies are written from their fixed layout, under
+    the least int-to-str digit limit too, as json.dumps writes them."""
+
+    @given(
+        st.lists(st.tuples(layout_ints, layout_ints, layout_ints), min_size=1,
+                 max_size=4),
+        scored_budgets(),
+        st.lists(st.tuples(item_labels, st.integers(0, 3)), min_size=1, max_size=6),
+        st.integers(0, 5),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scored_items_equal_json_dumps(self, scores, budget, labelled, depth,
+                                           sort_keys):
+        budget, budget_json = budget
+        bodies = []
+        for empirical, num, den in scores:
+            main = Fraction(num, den + 1)
+            bodies.append(harness._scored(
+                empirical, main, harness._fraction_json(main), budget, budget_json
+            ))
+        items = [harness._Item(label, bodies[i % len(bodies)]) for label, i in labelled]
+        # the layout is found (and used with sort_keys); a bare item (depth
+        # 0) is written as a dict
+        assert harness._item_halves(items[0], 1, lambda d, n: "") is not None
+        value = items if depth else items[0]
+        for level in range(max(depth - 1, 0)):  # the items at `depth`
+            value = [value] if level % 2 else {"items": value, "n": level}
+        with digit_limit(640):
+            text = harness.json_text(value, sort_keys=sort_keys)
+        with digit_limit(0):
+            assert text == json.dumps(value, indent=2, sort_keys=sort_keys)
+
+    def test_each_report_body_is_formatted_once(self, monkeypatch):
+        body = run(ExperimentConfig.from_dict(TestRun.LENGTH_12)).body
+        items = body["analyses"][0]["items"]
+        bare = copy.deepcopy(body)
+        bare["analyses"][0]["items"] = []
+
+        def calls():
+            """The bodies json_text formats, and its calls of json's encoder
+            and of str escaping, in rendering `body` and then `bare`."""
+            counts = []
+            for value in (body, bare):
+                formatted, encoded, escaped = [], [], []
+                halves, encoder = harness._item_halves, harness._encoder
+                escape = harness.encode_basestring_ascii
+                with monkeypatch.context() as patch:
+                    patch.setattr(harness, "_item_halves", lambda item, *args: (
+                        formatted.append(halves(item, *args)) or formatted[-1]))
+                    patch.setattr(harness, "_encoder", lambda *args: (
+                        lambda v: encoded.append(v) or encoder(*args)(v)))
+                    patch.setattr(harness, "encode_basestring_ascii", lambda s: (
+                        escaped.append(s) or escape(s)))
+                    text = VerificationReport(value).to_json_text()
+                assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
+                counts.append((formatted, len(encoded), len(escaped)))
+            return counts
+
+        (formatted, encoded, escaped), (_, bare_encoded, bare_escaped) = calls()
+        shared = {id(item.fields) for item in items}
+        assert len(formatted) == len(shared) < len(items) // 10
+        assert None not in formatted  # no body falls back to the plain dict walk
+        # per item, only its label is escaped; per body, its status and its
+        # deviation's decimal; the encoder writes the budget and each
+        # prediction once, where `bare` has one call for its empty list
+        assert escaped == bare_escaped + len(items) + 2 * len(shared)
+        predicted = {id(item["predicted"]) for item in items}
+        assert encoded == (bare_encoded - 1) + 1 + len(predicted)
+
+
 class TestJsonTextKeys:
     """json_text writes non-str keys and refuses keys as json.dumps does."""
 
@@ -1190,6 +1287,14 @@ class TestSweep:
         assert rows[0][:2] == ["point", "construction.params.p"]
         assert [r[1] for r in rows[1:]] == ["11", "11", "19", "19", "23", "23"]
 
+    def test_each_point_is_checked_once(self, monkeypatch):
+        # from_dict checks each point as it is read; run does not again
+        checked, check = [], harness._check
+        monkeypatch.setattr(harness, "_check", lambda config: (
+            checked.append(config.construction.modulus) or check(config)))
+        bodies, _ = sweep(self.SWEEP_BASE, self.GRID)
+        assert checked == [11, 19, 23] and len(bodies) == 3
+
     def test_order_stable_with_workers(self, tmp_path):
         # --workers is accepted and changes nothing: same reports, same rows
         cfg = tmp_path / "sweep.json"
@@ -1256,7 +1361,7 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(harness, "run", broken)
+        monkeypatch.setattr(harness, "construct", broken)
         with pytest.raises(RuntimeError):
             sweep(self.SWEEP_BASE, self.GRID)
 
